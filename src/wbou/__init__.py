@@ -12,10 +12,8 @@ from .analytics import (
     acov_x,
     compact_cov,
     effective_hurst,
-    first_order_increment_acf_alt,
     hurst_constant,
     increment_acf,
-    increment_acf_alt,
     increment_acf_ou,
     lambda_sign_threshold,
     mean_x,
@@ -23,7 +21,6 @@ from .analytics import (
     msd,
     var_x,
     var_y,
-    var_y_alt,
 )
 from .carma import CarmaSpec, carma_from_wbou, mat_exp_at, simulate_carma
 from .drivers import (
@@ -113,7 +110,6 @@ from .svmodel import (
     corr_squared_returns,
     cov_integrated_vol,
     integrated_vol_explicit,
-    r_fn,
     rbar_fn,
     simulate_sv,
     simulate_sv_ensemble,

@@ -8,16 +8,13 @@ driver moments mu = E L(1), V = Var L(1).  The process has
     Corr(X_{t+h}, X_t) = (1 + lam h) e^{-lam h},
 
 a strictly slower decay than the classical OU correlation e^{-lam h}.
-Increment autocorrelations come in two flavors: the canonical value via
-the covariance identity
+Increment autocorrelations follow from the covariance identity
 
     Corr(X_{k+1}-X_k, X_1-X_0)
-        = (2 acov(k) - acov(k+1) - acov(k-1)) / (2 (acov(0) - acov(1))),
+        = (2 acov(k) - acov(k+1) - acov(k-1)) / (2 (acov(0) - acov(1))).
 
-used everywhere downstream, and a direct bracket expansion of the same
-quantity (suffix ``_alt``) retained so the two routes can be compared
-term by term in audits.  The first-order value changes sign at a unique
-rate lambda* ~= 1.25643; ``lambda_sign_threshold`` computes it.
+The first-order value changes sign at a unique rate lambda* ~= 1.25643;
+``lambda_sign_threshold`` computes it.
 
 Also included: quantities for the zero-start variant Y_t = X_t - X_0,
 the covariance of the compact-window variant, and the correspondence
@@ -43,13 +40,10 @@ __all__ = [
     "acf_ou",
     "msd",
     "increment_acf",
-    "increment_acf_alt",
-    "first_order_increment_acf_alt",
     "increment_acf_ou",
     "lambda_sign_threshold",
     "mean_y",
     "var_y",
-    "var_y_alt",
     "compact_cov",
     "hurst_constant",
     "effective_hurst",
@@ -142,32 +136,6 @@ def increment_acf(p: SecondOrderParams, k):
     return _scalar_ok(k, num / den)
 
 
-def increment_acf_alt(p: SecondOrderParams, k):
-    """Bracket-expansion variant of increment_acf, kept for auditing.
-
-    Written as two e^{-lam k} / lam k e^{-lam k} brackets over the common
-    denominator 1 - e^{-lam} - lam e^{-lam}; algebraically it agrees with
-    the canonical route, and tests surface any numerical discrepancy.
-    """
-    kk = _check_k(k)
-    lam = p.lam
-    den = 1.0 - math.exp(-lam) - lam * math.exp(-lam)
-    b1 = 0.5 + 0.5 * (1.0 - math.exp(lam) + lam * math.exp(lam)) / den
-    b2 = 0.5 + 0.5 * (1.0 - math.exp(lam) + lam * math.exp(-lam)) / den
-    out = np.exp(-lam * kk) * b1 + lam * kk * np.exp(-lam * kk) * b2
-    return _scalar_ok(k, out)
-
-
-def first_order_increment_acf_alt(p: SecondOrderParams) -> float:
-    """Single-bracket variant of increment_acf at k = 1, kept for auditing."""
-    lam = p.lam
-    den = 1.0 - math.exp(-lam) - lam * math.exp(-lam)
-    return math.exp(-lam) * (
-        0.5 * (1.0 + lam)
-        + 0.5 * (1.0 + lam - math.exp(lam) + lam**2 * math.exp(-lam)) / den
-    )
-
-
 def increment_acf_ou(p: SecondOrderParams, k):
     """Classical OU increment autocorrelation; always in (-0.5, 0)."""
     kk = _check_k(k)
@@ -215,13 +183,6 @@ def var_y(p: SecondOrderParams, t):
     """Var(Y_t): since Y_t = X_t - X_0, this is the mean-square
     displacement (2V/lam)(1 - e^{-lam t} - lam t e^{-lam t})."""
     return msd(p, t)
-
-
-def var_y_alt(p: SecondOrderParams, t):
-    """Variant closed form V t e^{-lam t} + (V/lam) e^{-lam t}, kept for
-    auditing; it equals Cov(X_t, X_0), not Var(X_t - X_0), and differs
-    from var_y for every t > 0."""
-    return acov_x(p, t)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,14 @@ def _inject_config(argv: list[str]) -> list[str]:
     return rest[:1] + injected + rest[1:]
 
 
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise DomainError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
 def _out_paths(out: str, n: int) -> list[Path]:
+    _at_least(n, 1, "--paths")
     base = Path(out)
     if n == 1:
         return [base]
@@ -212,11 +219,11 @@ def cmd_theory(args) -> int:
     lam = getattr(args, "lambda")
     p = SecondOrderParams(lam)
     if args.kind == "acf":
-        hs = np.arange(args.max_lag + 1) * args.dh
+        hs = np.arange(_at_least(args.max_lag, 0, "--max-lag") + 1) * args.dh
         rows = zip(hs, acf_x(p, hs), acf_ou(p, hs))
         _write_rows(args.out, "h,acf_wbou,acf_ou", rows)
     elif args.kind == "increment-acf":
-        ks = np.arange(1, args.max_lag + 1)
+        ks = np.arange(1, _at_least(args.max_lag, 1, "--max-lag") + 1)
         rows = zip(ks, increment_acf(p, ks), increment_acf_ou(p, ks))
         _write_rows(args.out, "k,rho_wbou,rho_ou", rows)
     else:  # sv
@@ -231,7 +238,7 @@ def cmd_theory(args) -> int:
                 cov_integrated_vol(v, lam, args.delta, s),
                 corr_squared_returns(mu, v, lam, args.delta, s),
             )
-            for s in range(1, args.max_s + 1)
+            for s in range(1, _at_least(args.max_s, 1, "--max-s") + 1)
         ]
         _write_rows(args.out, "s,R,cov_iv,corr_sq_returns", rows)
     print(f"theory kind={args.kind} lambda={lam} out={args.out}")

@@ -323,7 +323,13 @@ class DriverSpec:
         raise NotImplementedError
 
     def sample_increments(self, dt: float, rng, size) -> np.ndarray:
-        """Exact draws of L increments over windows of length dt."""
+        """Exact draws of L increments over windows of length dt.
+
+        Samplers must be prefix-consistent: the first k values of a draw
+        of size m > k equal a draw of size k from an identically seeded
+        generator.  A longer truncation horizon then extends the
+        half-line draws of a path instead of reshuffling them.
+        """
         raise NotImplementedError
 
     def sample_increment(self, dt: float, rng) -> float:
@@ -430,10 +436,13 @@ class CompoundPoissonDriver(DriverSpec):
         )
 
     def sample_increments(self, dt, rng, size):
+        # counts and jump sums come from two child streams, so a draw of
+        # size k is the prefix of any longer draw from the same generator
         if dt <= 0:
             raise DomainError("dt must be positive")
-        counts = rng.poisson(self.intensity * dt, size)
-        return self.jumps.sample_sum(rng, counts)
+        count_gen, sum_gen = rng.spawn(2)
+        counts = count_gen.poisson(self.intensity * dt, size)
+        return self.jumps.sample_sum(sum_gen, counts)
 
 
 @dataclass(frozen=True)

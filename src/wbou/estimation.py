@@ -224,6 +224,21 @@ def signature_plot(series, max_skip: int) -> np.ndarray:
 # CSV formats owned by this module
 
 
+def _column(path, rows, col: int, convert) -> np.ndarray:
+    """One column of the non-empty body rows; a missing or unparsable
+    cell raises DomainError naming the file and its line."""
+    out = []
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        try:
+            out.append(convert(row[col]))
+        except (IndexError, ValueError, OverflowError):
+            cell = row[col] if col < len(row) else ""
+            raise DomainError(f"{path}: line {line}: cannot read {cell!r} as a number")
+    return np.array(out)
+
+
 def read_series_csv(path) -> np.ndarray:
     """Read a level series: single column `x`, or `t,x` with t checked
     to be strictly increasing (and otherwise ignored)."""
@@ -234,11 +249,9 @@ def read_series_csv(path) -> np.ndarray:
     header = [c.strip() for c in rows[0]]
     if "x" not in header:
         raise DomainError(f"{path}: expected a column named 'x'")
-    xi = header.index("x")
-    body = [r for r in rows[1:] if r]
-    x = np.array([float(r[xi]) for r in body])
+    x = _column(path, rows, header.index("x"), float)
     if "t" in header:
-        t = np.array([float(r[header.index("t")]) for r in body])
+        t = _column(path, rows, header.index("t"), float)
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise DomainError(f"{path}: column 't' must be strictly increasing")
     return x
@@ -266,10 +279,8 @@ def read_acf_csv(path) -> AcfEstimate:
     header = [c.strip() for c in rows[0]]
     if "lag" not in header or "rho_hat" not in header:
         raise DomainError(f"{path}: expected columns 'lag' and 'rho_hat'")
-    li, ri = header.index("lag"), header.index("rho_hat")
-    body = [r for r in rows[1:] if r]
-    lags = np.array([int(float(r[li])) for r in body])
-    rho = np.array([float(r[ri]) for r in body])
+    lags = _column(path, rows, header.index("lag"), lambda c: int(float(c)))
+    rho = _column(path, rows, header.index("rho_hat"), float)
     if len(lags) == 0 or lags[0] != 0 or not np.all(np.diff(lags) == 1):
         raise DomainError(f"{path}: lags must be contiguous starting at 0")
     return AcfEstimate(lags=lags, rho=rho, n=0)

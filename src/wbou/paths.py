@@ -27,6 +27,12 @@ components exactly in floating point when the driver increments are
 nonnegative.  The classical OU process, the zero-start variant
 Y_t = X_t - X_0, and the compact-window kernel variant share the same
 conventions so that identities across processes hold pathwise.
+
+All sampling of X goes through one engine: the generator is split into
+three substreams (past of 0, main window, tail beyond t_max), each drawn
+as an (n_paths, m) array whose rows are iid paths.  A single path is row
+0 of a one-path batch, so simulate_wbou, simulate_ou and
+simulate_wbou_ensemble(..., 1) agree bitwise for the same generator.
 """
 from __future__ import annotations
 
@@ -67,15 +73,11 @@ __all__ = [
     "write_path_csv",
 ]
 
-#: Increments on the truncated half-lines are drawn in fixed-size blocks,
-#: each from its own child stream, so that enlarging the truncation
-#: horizon only appends blocks and never perturbs the ones already drawn.
-_BLOCK = 4096
-
-
 def _check_lambda(lam: float) -> float:
     if not lam > 0:
         raise InvalidLambda(f"lambda must be > 0, got {lam}")
+    if math.isinf(lam):
+        raise InvalidLambda(f"lambda must be finite, got {lam}")
     return float(lam)
 
 
@@ -87,8 +89,10 @@ class SimulationGrid:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise GridError("t_max and dt must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_max < math.inf):
+            raise GridError(
+                f"t_max and dt must be positive and finite, got {self.t_max}, {self.dt}"
+            )
         n = round(self.t_max / self.dt)
         if n < 1 or abs(n * self.dt - self.t_max) > 1e-9 * max(self.t_max, 1.0):
             raise GridError(
@@ -163,26 +167,6 @@ class WbouPath:
         np.cumsum(self.dl, out=out[1:])
         return out
 
-    @cached_property
-    def i_vals(self) -> np.ndarray:
-        """I_{t_k} = int_0^{t_k} e^{lam s} dL_s (left-endpoint sums).
-
-        Contains e^{+lam t} factors, so it is meaningful only while
-        lam * t_max is moderate; the path itself never uses it.
-        """
-        w = np.exp(self.lam * self.grid.dt * np.arange(self.grid.n)) * self.dl
-        out = np.zeros(self.grid.n + 1)
-        np.cumsum(w, out=out[1:])
-        return out
-
-    @cached_property
-    def j_vals(self) -> np.ndarray:
-        """J_{t_k} = int_0^{t_k} e^{-lam s} dL_s (left-endpoint sums)."""
-        w = np.exp(-self.lam * self.grid.dt * np.arange(self.grid.n)) * self.dl
-        out = np.zeros(self.grid.n + 1)
-        np.cumsum(w, out=out[1:])
-        return out
-
 
 @dataclass
 class WbouEnsemble:
@@ -250,29 +234,21 @@ class CompactPath:
 # assembly core
 
 
-def _assemble(lam, dt, dl_past, dl, dl_tail):
-    """Build (x_minus, x_plus, g, h) from increment blocks.
+def _assemble(lam, grid, dl_past, dl, dl_tail) -> WbouEnsemble:
+    """Build the ensemble (x_minus, x_plus, g, h) from increment arrays.
 
     All increment arrays are 2-D (n_paths, m); the recursions run along
     axis 1.  Weights follow the left-endpoint rule: the increment over
     [s, s+dt) carries the kernel value at s.
     """
+    dt = grid.dt
     alpha = math.exp(-lam * dt)
-    n_paths, n = dl.shape
-    m_past = dl_past.shape[1]
-    m_tail = dl_tail.shape[1]
 
     # G: increments over [-(j+1)dt, -jdt) have left endpoint -(j+1)dt.
-    if m_past:
-        g = dl_past @ np.exp(-lam * dt * np.arange(1, m_past + 1))
-    else:
-        g = np.zeros(n_paths)
+    g = dl_past @ np.exp(-lam * dt * np.arange(1, dl_past.shape[1] + 1))
 
     # X^+ at t_max: tail increments over [t_max + jdt, ...) relative weights.
-    if m_tail:
-        xp_end = dl_tail @ np.exp(-lam * dt * np.arange(m_tail))
-    else:
-        xp_end = np.zeros(n_paths)
+    xp_end = dl_tail @ np.exp(-lam * dt * np.arange(dl_tail.shape[1]))
 
     # x^-_{k+1} = alpha (x^-_k + dl_k), x^-_0 = g
     fwd, _ = lfilter([alpha], [1.0, -alpha], dl, axis=1, zi=(alpha * g)[:, None])
@@ -284,22 +260,10 @@ def _assemble(lam, dt, dl_past, dl, dl_tail):
     )
     x_plus = np.concatenate([bwd[:, ::-1], xp_end[:, None]], axis=1)
 
-    return x_minus, x_plus, g, x_plus[:, 0].copy()
-
-
-def _draw_blocks(driver: DriverSpec, dt: float, parent, m: int) -> np.ndarray:
-    """Draw m increments in fixed-size blocks, one child stream each.
-
-    Because block j always comes whole from child j, requesting a larger
-    m (a longer truncation horizon) reproduces the first blocks exactly
-    and only appends new ones.
-    """
-    if m <= 0:
-        return np.zeros((1, 0))
-    n_blocks = -(-m // _BLOCK)
-    children = parent.spawn(n_blocks)
-    parts = [driver.sample_increments(dt, child, _BLOCK) for child in children]
-    return np.concatenate(parts)[:m][None, :]
+    return WbouEnsemble(
+        grid=grid, lam=lam, x=x_minus + x_plus,
+        x_minus=x_minus, x_plus=x_plus, g=g, h=x_plus[:, 0].copy(),
+    )
 
 
 def _validate(driver: DriverSpec, lam: float) -> float:
@@ -307,6 +271,40 @@ def _validate(driver: DriverSpec, lam: float) -> float:
     if not driver.log_moment_finite():
         raise ExistenceViolation("driver log-moment is infinite")
     return lam
+
+
+def _first_path(ens: WbouEnsemble, dl_past, dl, dl_tail) -> WbouPath:
+    return WbouPath(
+        grid=ens.grid,
+        lam=ens.lam,
+        x=ens.x[0],
+        x_minus=ens.x_minus[0],
+        x_plus=ens.x_plus[0],
+        g=float(ens.g[0]),
+        h=float(ens.h[0]),
+        dl=dl[0],
+        dl_past=dl_past[0],
+        dl_tail=dl_tail[0],
+    )
+
+
+def _simulate(driver, lam, grid, n_paths, trunc, rng):
+    """The simulation engine: n_paths iid rows, one generator layout.
+
+    The generator is split into three substreams (past of 0, main
+    window, tail beyond t_max) and each is drawn as one (n_paths, m)
+    array.  Returns the assembled ensemble and the three increment
+    arrays (dl_past, dl, dl_tail).
+    """
+    lam = _validate(driver, lam)
+    if n_paths < 1:
+        raise DimensionMismatch("n_paths must be >= 1")
+    m_half = (trunc or TruncationPolicy()).n_steps(lam, grid.dt)
+    past_gen, main_gen, tail_gen = as_generator(rng).spawn(3)
+    dl_past = driver.sample_increments(grid.dt, past_gen, (n_paths, m_half))
+    dl = driver.sample_increments(grid.dt, main_gen, (n_paths, grid.n))
+    dl_tail = driver.sample_increments(grid.dt, tail_gen, (n_paths, m_half))
+    return _assemble(lam, grid, dl_past, dl, dl_tail), dl_past, dl, dl_tail
 
 
 def simulate_wbou(
@@ -317,36 +315,13 @@ def simulate_wbou(
     trunc: TruncationPolicy | None = None,
     rng=None,
 ) -> WbouPath:
-    """Simulate one path of X on the grid.
+    """Simulate one path of X on the grid: row 0 of a one-path ensemble.
 
-    The generator is split into three independent substreams (past of 0,
-    main window, tail beyond t_max), so the same seed with a smaller
-    truncation tolerance extends the half-line draws instead of
-    reshuffling them.
+    The driver samplers draw each substream element by element, so the
+    same seed with a smaller truncation tolerance extends the half-line
+    draws instead of reshuffling them.
     """
-    lam = _validate(driver, lam)
-    trunc = trunc or TruncationPolicy()
-    gen = as_generator(rng)
-    past_gen, main_gen, tail_gen = gen.spawn(3)
-
-    m_half = trunc.n_steps(lam, grid.dt)
-    dl_past = _draw_blocks(driver, grid.dt, past_gen, m_half)
-    dl = driver.sample_increments(grid.dt, main_gen, (1, grid.n))
-    dl_tail = _draw_blocks(driver, grid.dt, tail_gen, m_half)
-
-    x_minus, x_plus, g, h = _assemble(lam, grid.dt, dl_past, dl, dl_tail)
-    return WbouPath(
-        grid=grid,
-        lam=lam,
-        x=(x_minus + x_plus)[0],
-        x_minus=x_minus[0],
-        x_plus=x_plus[0],
-        g=float(g[0]),
-        h=float(h[0]),
-        dl=dl[0],
-        dl_past=dl_past[0],
-        dl_tail=dl_tail[0],
-    )
+    return _first_path(*_simulate(driver, lam, grid, 1, trunc, rng))
 
 
 def simulate_wbou_ensemble(
@@ -360,27 +335,10 @@ def simulate_wbou_ensemble(
 ) -> WbouEnsemble:
     """Simulate a batch of independent paths with vectorized draws.
 
-    Increments are drawn as (n_paths, m) blocks, which is much faster
-    than path-by-path loops; the per-path substream layout of
-    simulate_wbou is not reproduced here.
+    With n_paths = 1 the single row is the path simulate_wbou returns
+    for an identically seeded generator.
     """
-    lam = _validate(driver, lam)
-    if n_paths < 1:
-        raise DimensionMismatch("n_paths must be >= 1")
-    trunc = trunc or TruncationPolicy()
-    gen = as_generator(rng)
-    past_gen, main_gen, tail_gen = gen.spawn(3)
-
-    m_half = trunc.n_steps(lam, grid.dt)
-    dl_past = driver.sample_increments(grid.dt, past_gen, (n_paths, m_half))
-    dl = driver.sample_increments(grid.dt, main_gen, (n_paths, grid.n))
-    dl_tail = driver.sample_increments(grid.dt, tail_gen, (n_paths, m_half))
-
-    x_minus, x_plus, g, h = _assemble(lam, grid.dt, dl_past, dl, dl_tail)
-    return WbouEnsemble(
-        grid=grid, lam=lam, x=x_minus + x_plus,
-        x_minus=x_minus, x_plus=x_plus, g=g, h=h,
-    )
+    return _simulate(driver, lam, grid, n_paths, trunc, rng)[0]
 
 
 def wbou_from_increments(
@@ -405,21 +363,8 @@ def wbou_from_increments(
     dl_past = np.zeros(0) if dl_past is None else np.asarray(dl_past, dtype=float)
     dl_tail = np.zeros(0) if dl_tail is None else np.asarray(dl_tail, dtype=float)
 
-    x_minus, x_plus, g, h = _assemble(
-        lam, grid.dt, dl_past[None, :], dl[None, :], dl_tail[None, :]
-    )
-    return WbouPath(
-        grid=grid,
-        lam=lam,
-        x=(x_minus + x_plus)[0],
-        x_minus=x_minus[0],
-        x_plus=x_plus[0],
-        g=float(g[0]),
-        h=float(h[0]),
-        dl=dl,
-        dl_past=dl_past,
-        dl_tail=dl_tail,
-    )
+    rows = [a[None, :] for a in (dl_past, dl, dl_tail)]
+    return _first_path(_assemble(lam, grid, *rows), *rows)
 
 
 def simulate_ou(
@@ -433,17 +378,14 @@ def simulate_ou(
     """Simulate the stationary classical OU comparison process.
 
     Same one-sided kernel e^{-lam(t-s)}, s <= t; the stationary start is
-    the truncated past integral, identical in construction to G.
+    the truncated past integral G, and the path is the X^- component of
+    the simulate_wbou path drawn from an identically seeded generator.
     """
-    lam = _validate(driver, lam)
-    trunc = trunc or TruncationPolicy()
-    gen = as_generator(rng)
-    past_gen, main_gen, _ = gen.spawn(3)
-
-    m_half = trunc.n_steps(lam, grid.dt)
-    dl_past = _draw_blocks(driver, grid.dt, past_gen, m_half)[0]
-    dl = driver.sample_increments(grid.dt, main_gen, grid.n)
-    return ou_from_increments(lam, grid, dl, dl_past=dl_past)
+    ens, dl_past, dl, _ = _simulate(driver, lam, grid, 1, trunc, rng)
+    return OuPath(
+        grid=grid, lam=ens.lam, x=ens.x_minus[0], x0=float(ens.g[0]),
+        dl=dl[0], dl_past=dl_past[0],
+    )
 
 
 def ou_from_increments(

@@ -1,11 +1,18 @@
 """Deterministic random-stream derivation.
 
 Every stochastic routine in the package draws from numpy ``Generator``
-objects (PCG64).  Reproducibility across runs and across path fan-out is
-pinned by ``substream``: a root seed plus an integer key tuple (for
-example ``(path_index,)``) selects a fixed ``SeedSequence`` spawn key,
-so path i is the same no matter how many paths are simulated or in what
-order.
+objects (PCG64).  ``substream`` pins reproducibility: a root seed plus
+an integer key tuple selects a fixed ``SeedSequence`` spawn key.  What
+that guarantees:
+
+* path k of a CLI ``--paths`` fan-out is the single path simulated
+  from ``substream(seed, k)`` (``n_paths=1``), whatever the number of
+  paths written and in whatever order;
+* the rows of one ensemble are iid paths drawn together from one
+  generator; they are not the fan-out paths;
+* row 0 of a one-path ensemble is the single path: ``simulate_wbou``,
+  ``simulate_ou`` and ``simulate_sv`` equal row 0 of the matching
+  ensemble call with an identically seeded generator, bitwise.
 """
 from __future__ import annotations
 

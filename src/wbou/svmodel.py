@@ -23,7 +23,7 @@ exactly at every grid point:
 Second-order theory for integrated volatility and squared returns over
 windows of length delta:
 
-    r(t)    = (lam t + 1) e^{-lam t}                     (ACF of X)
+    r(t)    = (lam t + 1) e^{-lam t}                     (ACF of X, analytics.acf_x)
     rbar(t) = (lam t e^{-lam t} + 2 lam t + 3 e^{-lam t} - 3) / lam^2
     R(ds)   = rbar(d(s+1)) - 2 rbar(ds) + rbar(d(s-1))   (closed form below)
 
@@ -43,14 +43,14 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .drivers import DriverSpec
-from .errors import (
-    DomainError,
-    InvalidLambda,
-    MissingComponents,
-    NotASubordinator,
-    WbouError,
+from .errors import DomainError, MissingComponents, NotASubordinator
+from .paths import (
+    SimulationGrid,
+    TruncationPolicy,
+    _check_lambda,
+    simulate_wbou,
+    simulate_wbou_ensemble,
 )
-from .paths import SimulationGrid, TruncationPolicy, simulate_wbou, simulate_wbou_ensemble
 from .rng import as_generator
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "simulate_sv",
     "simulate_sv_ensemble",
     "integrated_vol_explicit",
-    "r_fn",
     "rbar_fn",
     "big_r",
     "cov_integrated_vol",
@@ -80,8 +79,7 @@ class SvSpec:
     driver: DriverSpec
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidLambda(f"lambda must be > 0, got {self.lam}")
+        _check_lambda(self.lam)
         if not self.driver.nonnegative:
             raise NotASubordinator(
                 "spot volatility requires a nondecreasing (subordinator) driver"
@@ -137,6 +135,28 @@ def _euler_y(spec: SvSpec, grid: SimulationGrid, x: np.ndarray, dw: np.ndarray):
     return y
 
 
+def _simulate_joint(spec, grid, n_paths, trunc, rng):
+    """X on the lam-scaled clock, then Y by Euler-Maruyama with
+    left-endpoint volatility; W independent of L.
+
+    y and int_x are (rows, n+1).  n_paths=None asks for the single path,
+    whose inner process is a WbouPath (it carries the components of the
+    explicit identity); it equals row 0 of a one-path batch.
+    """
+    l_gen, w_gen = as_generator(rng).spawn(2)
+    inner_grid = _scaled_grid(spec, grid)
+    if n_paths is None:
+        inner = simulate_wbou(spec.driver, 1.0, inner_grid, trunc=trunc, rng=l_gen)
+    else:
+        inner = simulate_wbou_ensemble(spec.driver, 1.0, inner_grid, n_paths,
+                                       trunc=trunc, rng=l_gen)
+    x = np.atleast_2d(inner.x)
+    dw = w_gen.normal(0.0, math.sqrt(grid.dt), (len(x), grid.n))
+    y = _euler_y(spec, grid, x, dw)
+    int_x = cumulative_trapezoid(x, dx=grid.dt, initial=0.0, axis=-1)
+    return inner, y, int_x
+
+
 def simulate_sv(
     spec: SvSpec,
     grid: SimulationGrid,
@@ -144,22 +164,18 @@ def simulate_sv(
     trunc: TruncationPolicy | None = None,
     rng=None,
 ) -> SvPath:
-    """Simulate one joint path: X on the lam-scaled clock, then Y by
-    Euler-Maruyama with left-endpoint volatility; W independent of L."""
-    gen = as_generator(rng)
-    l_gen, w_gen = gen.spawn(2)
-    inner = simulate_wbou(spec.driver, 1.0, _scaled_grid(spec, grid),
-                          trunc=trunc, rng=l_gen)
-    dw = w_gen.normal(0.0, math.sqrt(grid.dt), grid.n)
-    y = _euler_y(spec, grid, inner.x, dw)
+    """Simulate one joint path: row 0 of a one-path simulate_sv_ensemble,
+    plus the components behind the explicit integrated-volatility
+    identity."""
+    inner, y, int_x = _simulate_joint(spec, grid, None, trunc, rng)
     return SvPath(
         grid=grid,
         spec=spec,
-        y=y,
+        y=y[0],
         x=inner.x,
         x_minus=inner.x_minus,
         x_plus=inner.x_plus,
-        int_x=cumulative_trapezoid(inner.x, dx=grid.dt, initial=0.0),
+        int_x=int_x[0],
         l_cum=inner.l_cum,
     )
 
@@ -173,21 +189,8 @@ def simulate_sv_ensemble(
     rng=None,
 ) -> SvEnsemble:
     """Simulate a batch of joint paths with vectorized draws."""
-    gen = as_generator(rng)
-    l_gen, w_gen = gen.spawn(2)
-    inner = simulate_wbou_ensemble(
-        spec.driver, 1.0, _scaled_grid(spec, grid), n_paths,
-        trunc=trunc, rng=l_gen,
-    )
-    dw = w_gen.normal(0.0, math.sqrt(grid.dt), (n_paths, grid.n))
-    y = _euler_y(spec, grid, inner.x, dw)
-    return SvEnsemble(
-        grid=grid,
-        spec=spec,
-        y=y,
-        x=inner.x,
-        int_x=cumulative_trapezoid(inner.x, dx=grid.dt, initial=0.0, axis=-1),
-    )
+    inner, y, int_x = _simulate_joint(spec, grid, n_paths, trunc, rng)
+    return SvEnsemble(grid=grid, spec=spec, y=y, x=inner.x, int_x=int_x)
 
 
 def integrated_vol_explicit(path, lam: float | None = None) -> np.ndarray:
@@ -222,22 +225,10 @@ def _check_delta_s(delta: float, s: int):
         raise DomainError("s must be an integer >= 1")
 
 
-def r_fn(lam: float, t) -> np.ndarray | float:
-    """ACF of the spot volatility: r(t) = (lam t + 1) e^{-lam t}."""
-    if not lam > 0:
-        raise InvalidLambda(f"lambda must be > 0, got {lam}")
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
-        raise DomainError("t must be nonnegative")
-    out = (lam * tt + 1.0) * np.exp(-lam * tt)
-    return float(out) if np.ndim(t) == 0 else out
-
-
 def rbar_fn(lam: float, t) -> np.ndarray | float:
     """Double integral of r: rbar(t) = int_0^t int_0^u r(x) dx du,
     in closed form (lam t e^{-lam t} + 2 lam t + 3 e^{-lam t} - 3)/lam^2."""
-    if not lam > 0:
-        raise InvalidLambda(f"lambda must be > 0, got {lam}")
+    _check_lambda(lam)
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise DomainError("t must be nonnegative")
@@ -250,32 +241,17 @@ def big_r(lam: float, delta: float, s: int) -> float:
     """Second difference of rbar across windows s apart, closed form
 
         R(ds) = e^{-lam d s} [(lam d s + 3)(e^{-lam d} + e^{lam d} - 2)
-                              + lam d (e^{-lam d} - e^{lam d})] / lam^2.
+                              + lam d (e^{-lam d} - e^{lam d})] / lam^2,
 
-    Both the closed form and the literal second difference are computed
-    and must agree to 1e-10 relative; disagreement raises.
+    evaluated through e^{x} + e^{-x} - 2 = 4 sinh^2(x/2) and
+    e^{-x} - e^{x} = -2 sinh(x), which avoid the cancellation of both
+    brackets at small lam * d.
     """
     _check_delta_s(delta, s)
-    if not lam > 0:
-        raise InvalidLambda(f"lambda must be > 0, got {lam}")
-    s = int(s)
-    ld, lds = lam * delta, lam * delta * s
-    closed = (
-        math.exp(-lds)
-        * ((lds + 3.0) * (math.exp(-ld) + math.exp(ld) - 2.0)
-           + ld * (math.exp(-ld) - math.exp(ld)))
-    ) / lam**2
-    diff2 = (
-        rbar_fn(lam, delta * (s + 1))
-        - 2.0 * rbar_fn(lam, delta * s)
-        + rbar_fn(lam, delta * (s - 1))
-    )
-    if abs(closed - diff2) > 1e-10 * max(1.0, abs(closed)):
-        raise WbouError(
-            f"closed-form R and its second-difference route disagree: "
-            f"{closed!r} vs {diff2!r} at lam={lam}, delta={delta}, s={s}"
-        )
-    return closed
+    _check_lambda(lam)
+    ld, lds = lam * delta, lam * delta * int(s)
+    bracket = (lds + 3.0) * 4.0 * math.sinh(0.5 * ld) ** 2 - 2.0 * ld * math.sinh(ld)
+    return math.exp(-lds) * bracket / lam**2
 
 
 def cov_integrated_vol(v: float, lam: float, delta: float, s: int) -> float:

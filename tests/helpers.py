@@ -239,6 +239,38 @@ def fd_derivative(f, x0, n, h=0.05, levels=3):
 
 
 # ---------------------------------------------------------------------------
+# bracket-expansion variants of the second-order formulas
+# ---------------------------------------------------------------------------
+
+def increment_acf_alt(p, k):
+    """Corr(X_{k+1} - X_k, X_1 - X_0) as two e^{-lam k} / lam k e^{-lam k}
+    brackets over the common denominator 1 - e^{-lam} - lam e^{-lam}."""
+    kk = np.asarray(k, dtype=float)
+    lam = p.lam
+    den = 1.0 - np.exp(-lam) - lam * np.exp(-lam)
+    b1 = 0.5 + 0.5 * (1.0 - np.exp(lam) + lam * np.exp(lam)) / den
+    b2 = 0.5 + 0.5 * (1.0 - np.exp(lam) + lam * np.exp(-lam)) / den
+    return np.exp(-lam * kk) * b1 + lam * kk * np.exp(-lam * kk) * b2
+
+
+def first_order_increment_acf_alt(p):
+    """The k = 1 value of increment_acf_alt as a single bracket."""
+    lam = p.lam
+    den = 1.0 - np.exp(-lam) - lam * np.exp(-lam)
+    return np.exp(-lam) * (
+        0.5 * (1.0 + lam)
+        + 0.5 * (1.0 + lam - np.exp(lam) + lam ** 2 * np.exp(-lam)) / den
+    )
+
+
+def var_y_alt(p, t):
+    """V t e^{-lam t} + (V/lam) e^{-lam t}: Cov(X_t, X_0), which is *not*
+    Var(X_t - X_0) and differs from it for every t > 0."""
+    t = np.asarray(t, dtype=float)
+    return (p.v * t + p.v / p.lam) * np.exp(-p.lam * t)
+
+
+# ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
 

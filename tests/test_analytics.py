@@ -18,11 +18,9 @@ from wbou import (
     acov_x,
     compact_cov,
     effective_hurst,
-    first_order_increment_acf_alt,
     gamma_subordinator,
     hurst_constant,
     increment_acf,
-    increment_acf_alt,
     increment_acf_ou,
     lambda_sign_threshold,
     mean_x,
@@ -32,10 +30,10 @@ from wbou import (
     substream,
     var_x,
     var_y,
-    var_y_alt,
 )
 
-from helpers import corr_se, mean_se
+from helpers import (corr_se, first_order_increment_acf_alt, increment_acf_alt,
+                     mean_se, var_y_alt)
 
 P1 = SecondOrderParams(1.0, mu=0.3, v=2.0)
 

@@ -4,6 +4,7 @@ Every test drives ``wbou.cli.main`` in-process with an explicit argv,
 checking exit codes (0 success, 1 I/O, 2 validation), the one-line
 summaries on stdout, and the CSV files written to ``tmp_path``.
 """
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -172,6 +173,47 @@ def test_simulate_unwritable_out_exits_1(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "p.csv"
     assert main(_simulate_args(out)) == 1
     assert "i/o error:" in capsys.readouterr().err
+
+
+def _table_with_bad_cell(path):
+    """Readable both as a series (t, x) and as an ACF table (lag, rho_hat)."""
+    path.write_text("lag,rho_hat,t,x\n0,1.0,0.0,1.0\n1,0.5,0.1,2.0\n"
+                    "2,abc,0.2,abc\n3,0.1,0.3,1.5\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    _simulate_args("{out}", extra=["--paths", "0"]),
+    _simulate_args("{out}", extra=["--t-max", "nan"]),
+    _simulate_args("{out}", extra=["--dt", "inf"]),
+    _simulate_args("{out}", lam="inf"),
+    ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "inf", "--t-max", "1",
+     "--dt", "0.1", "--out", "{out}"],
+    ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "1",
+     "--dt", "0.1", "--paths", "0", "--out", "{out}"],
+    ["acf", "--input", "{bad}", "--max-lag", "2", "--out", "{out}"],
+    ["signature", "--input", "{bad}", "--max-skip", "1", "--out", "{out}"],
+    ["fit", "--input", "{bad}", "--max-lag", "2"],
+    ["theory", "acf", "--lambda", "1", "--max-lag", "-1", "--out", "{out}"],
+    ["theory", "increment-acf", "--lambda", "1", "--max-lag", "0", "--out", "{out}"],
+    ["theory", "sv", "--lambda", "1", "--max-s", "0", "--out", "{out}"],
+], ids=["paths-0", "t-max-nan", "dt-inf", "lambda-inf", "sv-lambda-inf", "sv-paths-0",
+        "acf-bad-cell", "signature-bad-cell", "fit-bad-cell", "theory-acf-max-lag-neg",
+        "theory-iacf-max-lag-0", "theory-sv-max-s-0"])
+def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
+    bad = _table_with_bad_cell(tmp_path / "bad.csv")
+    out = tmp_path / "out.csv"
+    argv = [a.format(out=out, bad=bad) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.csv"]
+
+
+def test_bad_cell_error_names_file_and_line(tmp_path, capsys):
+    bad = _table_with_bad_cell(tmp_path / "bad.csv")
+    main(["acf", "--input", str(bad), "--max-lag", "2", "--out", str(tmp_path / "a.csv")])
+    assert f"{bad}: line 4: cannot read 'abc'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +482,54 @@ def test_simulate_acf_fit_round_trip(tmp_path, capsys):
     lam_hat = float(wbou_line.split("lambda_hat=")[1].split()[0]) / dt
     assert abs(lam_hat - lam) / lam < 0.15
     assert lines[-1] == "winner=wbou"
+
+
+# ---------------------------------------------------------------------------
+# frozen outputs
+
+
+def _fixed_series(path):
+    """An AR(1)-like series from integer arithmetic, identical on every run."""
+    y, rows = 0.0, ["x"]
+    for k in range(2000):
+        y = 0.9 * y + ((k * 7919) % 1009) / 1009 - 0.5
+        rows.append(repr(y))
+    path.write_text("\n".join(rows) + "\n")
+
+
+#: SHA-256 of CLI outputs for fixed inputs and seeds (numpy 2.4, scipy 1.17,
+#: x86-64).  A change to any digest is a change of output that has to be
+#: announced; the simulate and sv digests follow the one-engine stream
+#: layout, theory sv the sinh form of big_r.
+FROZEN = {
+    "theory_acf": (["theory", "acf", "--lambda", "1", "--max-lag", "50", "--dh", "0.1"],
+                   "9681ee55fd1524ec1641f004d392655334a95672ab147a22edb22115c8c32af6"),
+    "theory_increment_acf": (["theory", "increment-acf", "--lambda", "1.5", "--max-lag", "20"],
+                             "f50cf3cbdfa97cc9e4051f56e33055f8a7ea9d768f9cdaa1532161ba7f278504"),
+    "theory_sv": (["theory", "sv", "--lambda", "1", "--delta", "1", "--max-s", "20",
+                   "--driver", "gamma:a=1,b=1"],
+                  "54f10d8072af933f85325ef5c7de5d5948d5278694e9f49cdf83eb11e3e48900"),
+    "acf": (["acf", "--input", "{series}", "--max-lag", "30"],
+            "7451ab4a4a6b62f6b09bd4f42606fdacb3d6d46b305c7f6ddffafcf784968de4"),
+    "signature": (["signature", "--input", "{series}", "--max-skip", "20"],
+                  "eb1de915a066e24faf45aef35e8754b687ec915b29cd073b2af4bfe15ab6d454"),
+    "simulate": (["simulate", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "2",
+                  "--dt", "0.01", "--seed", "7"],
+                 "457088300126fbbe2e95084f5e64ad586e9ff4b4cd6241af6804843e21823608"),
+    "sv": (["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "2",
+            "--dt", "0.01", "--seed", "7"],
+           "d5f6568a21d1cd0d1d9df3086e23b3223fd629c4a403cce8a26522c8f330e77c"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_frozen_output_digest(tmp_path, name):
+    series = tmp_path / "series.csv"
+    _fixed_series(series)
+    argv, digest = FROZEN[name]
+    out = tmp_path / f"{name}.csv"
+    assert main([a.format(series=series) for a in argv] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Simulation-layer checks: grids, truncation, the split, replay, CSV."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from wbou import (
     ExponentialJumps,
     GridError,
     InvalidLambda,
+    NormalJumps,
+    PointMassJumps,
     SimulationGrid,
     TruncationPolicy,
     brownian,
@@ -36,6 +39,16 @@ from helpers import mean_se, pairwise_coarsen, rng_for, var_se
 
 GAMMA11 = gamma_subordinator(1.0, 1.0)
 
+#: One driver of each kind the samplers distinguish.
+SIX_DRIVERS = {
+    "gamma": GAMMA11,
+    "brownian": brownian(0.3, 1.0),
+    "drift": deterministic_drift(2.0),
+    "cp-normal": compound_poisson(5.0, NormalJumps(0.0, 1.0)),
+    "cp-exponential": compound_poisson(5.0, ExponentialJumps(1.0)),
+    "cp-point": compound_poisson(5.0, PointMassJumps(0.5)),
+}
+
 
 # ---------------------------------------------------------------------------
 # grid and truncation plumbing
@@ -53,7 +66,8 @@ class TestGrid:
             SimulationGrid(1.0, 0.3)
 
     @pytest.mark.parametrize("t_max,dt", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1),
-                                          (1.0, -0.1), (0.05, 0.1)])
+                                          (1.0, -0.1), (0.05, 0.1), (math.nan, 0.1),
+                                          (1.0, math.nan), (math.inf, 0.1), (1.0, math.inf)])
     def test_bad_arguments_rejected(self, t_max, dt):
         with pytest.raises(GridError):
             SimulationGrid(t_max, dt)
@@ -77,7 +91,7 @@ class TestTruncation:
         pol = TruncationPolicy(tol=1e-6)
         assert math.exp(-0.7 * pol.horizon(0.7)) == pytest.approx(1e-6)
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5, 2.0])
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5, 2.0, math.nan, math.inf])
     def test_bad_tol(self, tol):
         with pytest.raises(GridError):
             TruncationPolicy(tol=tol)
@@ -109,8 +123,12 @@ def test_exponential_forms_of_the_split(driver, lam):
     grid = SimulationGrid(4.0, 0.01)
     path = simulate_wbou(driver, lam, grid, rng=rng_for("expform", repr(driver)))
     t = grid.times
-    lhs_minus = np.exp(-lam * t) * (path.g + path.i_vals)
-    lhs_plus = np.exp(lam * t) * (path.h - path.j_vals)
+    # I_t = int_0^t e^{lam s} dL_s and J_t = int_0^t e^{-lam s} dL_s as
+    # left-endpoint sums; I carries e^{+lam t}, so lam * t_max stays small
+    i_vals = np.concatenate([[0.0], np.cumsum(np.exp(lam * t[:-1]) * path.dl)])
+    j_vals = np.concatenate([[0.0], np.cumsum(np.exp(-lam * t[:-1]) * path.dl)])
+    lhs_minus = np.exp(-lam * t) * (path.g + i_vals)
+    lhs_plus = np.exp(lam * t) * (path.h - j_vals)
     scale_m = np.abs(path.x_minus).max()
     scale_p = np.abs(path.x_plus).max()
     assert np.abs(lhs_minus - path.x_minus).max() <= 1e-10 * scale_m
@@ -124,21 +142,63 @@ def test_cumulative_driver_path():
                        rtol=0, atol=0)
 
 
-def test_truncation_refinement_extends_rather_than_reshuffles():
+@pytest.mark.parametrize("name", list(SIX_DRIVERS))
+def test_truncation_refinement_extends_rather_than_reshuffles(name):
     """Squaring tol (doubling the horizon) only appends far-away mass."""
+    driver = SIX_DRIVERS[name]
     grid = SimulationGrid(2.0, 0.01)
     lam, tol = 1.0, 1e-8
-    a = simulate_wbou(GAMMA11, lam, grid, trunc=TruncationPolicy(tol=tol),
+    a = simulate_wbou(driver, lam, grid, trunc=TruncationPolicy(tol=tol),
                       rng=substream(77))
-    b = simulate_wbou(GAMMA11, lam, grid, trunc=TruncationPolicy(tol=tol ** 2),
+    b = simulate_wbou(driver, lam, grid, trunc=TruncationPolicy(tol=tol ** 2),
                       rng=substream(77))
     assert np.array_equal(a.dl, b.dl)
     m = len(a.dl_past)
+    assert len(b.dl_past) > m
     assert np.array_equal(a.dl_past, b.dl_past[:m])
     assert np.array_equal(a.dl_tail, b.dl_tail[:m])
-    mu, v = GAMMA11.moments()
-    bound = 10 * tol * (mu + math.sqrt(v)) / lam
+    mu, v = driver.moments()
+    bound = 10 * tol * (abs(mu) + math.sqrt(v)) / lam
     assert np.abs(a.x - b.x).max() <= bound
+
+
+# ---------------------------------------------------------------------------
+# one engine: a single path is row 0 of a one-path ensemble
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", list(SIX_DRIVERS))
+def test_single_path_is_row_zero_of_one_path_ensemble(name):
+    driver = SIX_DRIVERS[name]
+    grid = SimulationGrid(2.0, 0.01)
+    lam, trunc = 1.3, TruncationPolicy(tol=1e-6)
+    path = simulate_wbou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
+    ens = simulate_wbou_ensemble(driver, lam, grid, 1, trunc=trunc, rng=substream(5, 2))
+    for field in ("x", "x_minus", "x_plus"):
+        assert np.array_equal(getattr(path, field), getattr(ens, field)[0])
+    assert path.g == ens.g[0] and path.h == ens.h[0]
+    # the increments are the (1, m) draws of the past, main and tail children
+    m = trunc.n_steps(lam, grid.dt)
+    past, main, tail = substream(5, 2).spawn(3)
+    assert np.array_equal(path.dl_past, driver.sample_increments(grid.dt, past, (1, m))[0])
+    assert np.array_equal(path.dl, driver.sample_increments(grid.dt, main, (1, grid.n))[0])
+    assert np.array_equal(path.dl_tail, driver.sample_increments(grid.dt, tail, (1, m))[0])
+    ou = simulate_ou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
+    assert np.array_equal(ou.x, ens.x_minus[0]) and ou.x0 == ens.g[0]
+
+
+#: SHA-256 of simulate_wbou_ensemble(...).x for two drivers at a fixed
+#: seed (numpy 2.4, scipy 1.17, x86-64).
+FROZEN_ENSEMBLES = {
+    "gamma": "ac657d5c66a58bc4dde952cecbfdf6b4e8fd191dc7968e50080873a774e8b02b",
+    "brownian": "96fcce0c4ae031e7f39f1cb36b0c01e7bed6c11d733e4c4fb3b0945316707841",
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_ENSEMBLES))
+def test_frozen_ensemble_digest(name):
+    ens = simulate_wbou_ensemble(SIX_DRIVERS[name], 1.0, SimulationGrid(2.0, 0.01), 5,
+                                 rng=substream(2024))
+    assert hashlib.sha256(ens.x.tobytes()).hexdigest() == FROZEN_ENSEMBLES[name]
 
 
 def test_replay_reproduces_path_exactly():
@@ -213,6 +273,9 @@ def test_lambda_validation():
         simulate_wbou(GAMMA11, 0.0, SimulationGrid(1.0, 0.1))
     with pytest.raises(InvalidLambda):
         simulate_wbou(GAMMA11, -2.0, SimulationGrid(1.0, 0.1))
+    for lam in (math.nan, math.inf):
+        with pytest.raises(InvalidLambda):
+            simulate_wbou_ensemble(GAMMA11, lam, SimulationGrid(1.0, 0.1), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from wbou import (
     MissingComponents,
     NormalJumps,
     NotASubordinator,
+    PointMassJumps,
     SecondOrderParams,
     SimulationGrid,
     SvSpec,
@@ -27,7 +28,6 @@ from wbou import (
     deterministic_drift,
     gamma_subordinator,
     integrated_vol_explicit,
-    r_fn,
     rbar_fn,
     simulate_sv,
     simulate_sv_ensemble,
@@ -41,6 +41,11 @@ from wbou import (
 from helpers import mean_se, pairwise_coarsen, var_se
 
 GAMMA11 = gamma_subordinator(1.0, 1.0)
+
+
+def r_of(lam, t):
+    """ACF of the spot volatility, r(t) = (lam t + 1) e^{-lam t}."""
+    return acf_x(SecondOrderParams(lam), t)
 
 
 def spec_with(driver=GAMMA11, alpha=0.0, beta=0.0, lam=1.0):
@@ -125,6 +130,20 @@ def test_same_seed_same_joint_path():
     assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
 
 
+@pytest.mark.parametrize("driver", [
+    GAMMA11, deterministic_drift(1.0), compound_poisson(5.0, ExponentialJumps(1.0)),
+    compound_poisson(5.0, PointMassJumps(0.5)),
+], ids=["gamma", "drift", "cp-exponential", "cp-point"])
+def test_single_path_is_row_zero_of_one_path_ensemble(driver):
+    """Subordinator drivers only: the model rejects the other kinds."""
+    spec = spec_with(driver=driver, alpha=0.1, beta=0.2, lam=0.7)
+    grid = SimulationGrid(2.0, 0.01)
+    path = simulate_sv(spec, grid, rng=substream(96, 1))
+    ens = simulate_sv_ensemble(spec, grid, 1, rng=substream(96, 1))
+    for field in ("y", "x", "int_x"):
+        assert np.array_equal(getattr(path, field), getattr(ens, field)[0])
+
+
 def test_ensemble_shapes():
     ens = simulate_sv_ensemble(spec_with(), SimulationGrid(1.0, 0.5), 6,
                                rng=substream(96))
@@ -205,21 +224,20 @@ def test_integrated_vol_missing_components():
 # ---------------------------------------------------------------------------
 
 def test_r_anchors():
-    assert r_fn(1.0, 0.0) == 1.0
+    assert r_of(1.0, 0.0) == 1.0
     assert rbar_fn(1.0, 0.0) == 0.0
-    assert r_fn(2.0, np.array([0.0, 1.0])).shape == (2,)
+    assert r_of(2.0, np.array([0.0, 1.0])).shape == (2,)
 
 
 def test_r_matches_process_acf():
-    p = SecondOrderParams(1.7)
     t = np.linspace(0.0, 4.0, 17)
-    assert np.allclose(r_fn(1.7, t), acf_x(p, t), rtol=1e-14)
+    assert np.allclose(r_of(1.7, t), (1.7 * t + 1.0) * np.exp(-1.7 * t), rtol=1e-14)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
 def test_rbar_is_the_double_integral_of_r(lam, t):
-    want, _ = dblquad(lambda x, u: r_fn(lam, x), 0.0, t, 0.0, lambda u: u,
+    want, _ = dblquad(lambda x, u: r_of(lam, x), 0.0, t, 0.0, lambda u: u,
                       epsabs=1e-12, epsrel=1e-12)
     assert rbar_fn(lam, t) == pytest.approx(want, abs=1e-10)
 
@@ -227,10 +245,50 @@ def test_rbar_is_the_double_integral_of_r(lam, t):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("delta", [0.5, 1.0])
 def test_big_r_internal_consistency_grid(lam, delta):
-    # big_r itself raises if the closed form drifts from the second
-    # difference; this exercises the whole acceptance grid
+    """The closed form equals the literal second difference of rbar."""
     for s in range(1, 11):
-        big_r(lam, delta, s)
+        closed = big_r(lam, delta, s)
+        diff2 = (rbar_fn(lam, delta * (s + 1)) - 2.0 * rbar_fn(lam, delta * s)
+                 + rbar_fn(lam, delta * (s - 1)))
+        assert abs(closed - diff2) <= 1e-10 * max(1.0, abs(closed))
+
+
+def _mp_rbar(mp, lam, t):
+    lt = lam * t
+    return (lt * mp.exp(-lt) + 2 * lt + 3 * mp.exp(-lt) - 3) / lam**2
+
+
+def _mp_big_r(mp, lam, delta, s):
+    lam, delta = mp.mpf(lam), mp.mpf(delta)
+    return (_mp_rbar(mp, lam, delta * (s + 1)) - 2 * _mp_rbar(mp, lam, delta * s)
+            + _mp_rbar(mp, lam, delta * (s - 1)))
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-3, 1e-2, 1.0, 3.0])
+def test_big_r_and_cov_iv_against_mpmath(lam):
+    """R and cov_iv to 1e-13 relative down to lam = 1e-4, where both
+    brackets of the exponential form cancel."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for s in range(1, 11):
+            want = _mp_big_r(mpmath, lam, 1.0, s)
+            assert big_r(lam, 1.0, s) == pytest.approx(float(want), rel=1e-13)
+            assert cov_integrated_vol(2.5, lam, 1.0, s) == pytest.approx(
+                float(2.5 * want), rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 1.0, 3.0])
+def test_corr_squared_returns_against_mpmath(lam):
+    """The denominator's rbar keeps its own cancellation (about 5e-11
+    relative at lam = 1e-3), hence the looser tolerance."""
+    mpmath = pytest.importorskip("mpmath")
+    mu, v = spot_vol_moments(GAMMA11)
+    with mpmath.workdps(50):
+        den = 6 * _mp_rbar(mpmath, mpmath.mpf(lam), mpmath.mpf(1)) + 2 * mpmath.mpf(mu)**2 / v
+        for s in range(1, 11):
+            want = _mp_big_r(mpmath, lam, 1.0, s) / den
+            assert corr_squared_returns(mu, v, lam, 1.0, s) == pytest.approx(
+                float(want), rel=1e-9)
 
 
 def test_big_r_matches_window_covariance_integral():
@@ -238,7 +296,7 @@ def test_big_r_matches_window_covariance_integral():
     lam, delta = 1.0, 1.0
     for s in (1, 2, 3):
         want, _ = dblquad(
-            lambda u, w: r_fn(lam, abs(u - w)),
+            lambda u, w: r_of(lam, abs(u - w)),
             s * delta, (s + 1) * delta,   # outer: the later window
             0.0, delta,                   # inner: the first window
             epsabs=1e-11, epsrel=1e-11,
@@ -294,7 +352,7 @@ def test_corr_squared_returns_against_quadrature():
     """Rebuild the ratio from the dblquad covariance and closed rbar."""
     lam, delta, s = 1.0, 1.0, 2
     mu, v = spot_vol_moments(GAMMA11)
-    r_quad, _ = dblquad(lambda u, w: r_fn(lam, abs(u - w)),
+    r_quad, _ = dblquad(lambda u, w: r_of(lam, abs(u - w)),
                         s * delta, (s + 1) * delta, 0.0, delta,
                         epsabs=1e-11, epsrel=1e-11)
     want = r_quad / (6.0 * rbar_fn(lam, delta) + 2.0 * delta**2 * mu**2 / v)
