@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import DriverSpec
-from .errors import BadLag, DomainError, InvalidLambda, NegativeLag
+from .errors import BadLag, DomainError, NegativeLag
+from .paths import _check_lambda
 
 __all__ = [
     "SecondOrderParams",
@@ -59,10 +60,11 @@ class SecondOrderParams:
     v: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidLambda(f"lambda must be > 0, got {self.lam}")
-        if not self.v > 0:
-            raise DomainError("driver variance v must be positive")
+        _check_lambda(self.lam)
+        if not (math.isfinite(self.mu) and 0 < self.v < math.inf):
+            raise DomainError(
+                f"driver moments must be finite with v > 0, got mu={self.mu}, v={self.v}"
+            )
 
     @classmethod
     def from_driver(cls, driver: DriverSpec, lam: float) -> "SecondOrderParams":
@@ -196,8 +198,7 @@ def compact_cov(lam: float, a: float, t: float, s: float) -> float:
     (e^{-lam(t-s)} - e^{-lam(2a + s - t)}) / (2 lam) for 0 <= t-s <= a,
     and 0 beyond the window.  Scale by V for a general driver.
     """
-    if not lam > 0:
-        raise InvalidLambda(f"lambda must be > 0, got {lam}")
+    _check_lambda(lam)
     if a <= 0:
         raise DomainError("window length a must be positive")
     gap = t - s

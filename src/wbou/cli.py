@@ -219,6 +219,8 @@ def cmd_theory(args) -> int:
     lam = getattr(args, "lambda")
     p = SecondOrderParams(lam)
     if args.kind == "acf":
+        if not 0 < args.dh < float("inf"):
+            raise DomainError(f"--dh must be positive and finite, got {args.dh}")
         hs = np.arange(_at_least(args.max_lag, 0, "--max-lag") + 1) * args.dh
         rows = zip(hs, acf_x(p, hs), acf_ou(p, hs))
         _write_rows(args.out, "h,acf_wbou,acf_ou", rows)

@@ -12,6 +12,13 @@ so that E exp(i u L_t) = exp(t psi(u)), together with the first two
 moments of L(1) and an exact increment sampler.  Every supported family
 has finite variance, hence finite log-moment.
 
+``sample_weighted_sum`` draws the kernel-weighted sums that stand for
+the truncated half-line integrals of the moving average.  Brownian,
+drift and compound Poisson drivers draw them exactly in the discrete
+law, the gamma subordinator by a truncated series representation
+(Bondesson 1982; Rosinski 2001), with a number of random draws per
+path that does not grow as the grid is refined.
+
 Families: Brownian motion with drift, compound Poisson (normal,
 exponential, or fixed-size jumps), the gamma subordinator, and pure
 deterministic drift.
@@ -45,6 +52,33 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+
+
+def _check_finite(obj, *names):
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{type(obj).__name__}.{name} must be finite, got {value}")
+
+
+def _check_dt(dt):
+    if not dt > 0:
+        raise DomainError("dt must be positive")
+
+
+def _weights(dt, lam, m):
+    """Kernel weights e^{-lam dt j}, j = 0..m-1."""
+    return np.exp(-lam * dt * np.arange(m))
+
+
+def _scatter_sum(rng, n_paths, mean_count, w, sizes):
+    """Per row, the sum of w[cell] * size over a Poisson(mean_count)
+    number of points at iid uniform cells; sizes(k) draws k iid sizes."""
+    counts = rng.poisson(mean_count, n_paths)
+    k = int(counts.sum())
+    cells = rng.integers(0, len(w), k)
+    rows = np.repeat(np.arange(n_paths), counts)
+    return np.bincount(rows, weights=w[cells] * sizes(k), minlength=n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +177,7 @@ class NormalJumps:
     var: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "mean", "var")
         if self.var <= 0:
             raise DomainError("normal jump variance must be positive")
 
@@ -196,6 +231,7 @@ class ExponentialJumps:
     rate: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "rate")
         if self.rate <= 0:
             raise DomainError("exponential jump rate must be positive")
 
@@ -244,6 +280,7 @@ class PointMassJumps:
     size: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "size")
         if self.size == 0:
             raise DomainError("jump size must be nonzero")
 
@@ -286,6 +323,10 @@ class DriverSpec:
 
     #: True only when the one-sided process is a.s. nondecreasing.
     nonnegative: bool = False
+
+    #: False when sample_weighted_sum truncates a series and so spends a
+    #: second tol * |mu| / lam of neglected mass.
+    _law_is_exact = True
 
     def psi(self, u):
         """Characteristic exponent; accepts scalars or arrays."""
@@ -333,9 +374,26 @@ class DriverSpec:
         raise NotImplementedError
 
     def sample_increment(self, dt: float, rng) -> float:
-        if dt <= 0:
-            raise DomainError("dt must be positive")
+        _check_dt(dt)
         return float(self.sample_increments(dt, rng, ()))
+
+    def law_terms(self, dt: float, lam: float, m: int, tol: float) -> float | None:
+        """Expected number of random terms per row that sample_weighted_sum
+        draws, or None when the family has no law route for these inputs
+        and the m increments must be drawn densely."""
+        return None
+
+    def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol) -> np.ndarray:
+        """n_paths iid draws of sum_{j<m} e^{-lam dt j} dL_j, with dL_j
+        the increments over m consecutive windows of length dt.
+
+        This is a truncated half-line integral: the weight at the far end
+        is about tol.  Families with a law route (law_terms is not None)
+        draw the sum from its law instead of its m increments.  A law
+        that is not exact keeps its expected neglected mass below
+        tol * mu / lam, the mass the truncation itself neglects.
+        """
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -346,6 +404,7 @@ class BrownianDriver(DriverSpec):
     sigma2: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "gamma", "sigma2")
         if self.sigma2 < 0:
             raise DomainError("sigma2 must be nonnegative")
 
@@ -369,9 +428,18 @@ class BrownianDriver(DriverSpec):
         return LevyTriplet(self.gamma, self.sigma2, LevyMeasure())
 
     def sample_increments(self, dt, rng, size):
-        if dt <= 0:
-            raise DomainError("dt must be positive")
+        _check_dt(dt)
         return rng.normal(self.gamma * dt, math.sqrt(self.sigma2 * dt), size)
+
+    def law_terms(self, dt, lam, m, tol):
+        return 1.0
+
+    def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
+        # a weighted sum of iid normals is one normal, exactly
+        _check_dt(dt)
+        w = _weights(dt, lam, m)
+        return rng.normal(self.gamma * dt * w.sum(), math.sqrt(self.sigma2 * dt * (w @ w)),
+                          n_paths)
 
 
 @dataclass(frozen=True)
@@ -387,6 +455,7 @@ class CompoundPoissonDriver(DriverSpec):
     jumps: NormalJumps | ExponentialJumps | PointMassJumps = NormalJumps()
 
     def __post_init__(self):
+        _check_finite(self, "intensity")
         if self.intensity < 0:
             raise DomainError("intensity must be nonnegative")
 
@@ -438,11 +507,20 @@ class CompoundPoissonDriver(DriverSpec):
     def sample_increments(self, dt, rng, size):
         # counts and jump sums come from two child streams, so a draw of
         # size k is the prefix of any longer draw from the same generator
-        if dt <= 0:
-            raise DomainError("dt must be positive")
+        _check_dt(dt)
         count_gen, sum_gen = rng.spawn(2)
         counts = count_gen.poisson(self.intensity * dt, size)
         return self.jumps.sample_sum(sum_gen, counts)
+
+    def law_terms(self, dt, lam, m, tol):
+        return self.intensity * dt * m
+
+    def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
+        # exact in the discrete law: a Poisson(intensity m dt) number of
+        # jumps per row, each in a uniform cell and weighted by its kernel
+        _check_dt(dt)
+        return _scatter_sum(rng, n_paths, self.intensity * dt * m, _weights(dt, lam, m),
+                            lambda k: self.jumps.sample_sum(rng, np.ones(k)))
 
 
 @dataclass(frozen=True)
@@ -456,10 +534,12 @@ class GammaSubordinatorDriver(DriverSpec):
     rate: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "shape", "rate")
         if self.shape <= 0 or self.rate <= 0:
             raise DomainError("shape and rate must be positive")
 
     nonnegative = True
+    _law_is_exact = False
 
     def psi(self, u):
         u = np.asarray(u, dtype=float)
@@ -492,9 +572,34 @@ class GammaSubordinatorDriver(DriverSpec):
         return LevyTriplet((a / b) * (1.0 - math.exp(-b)), 0.0, self.measure)
 
     def sample_increments(self, dt, rng, size):
-        if dt <= 0:
-            raise DomainError("dt must be positive")
+        _check_dt(dt)
         return rng.gamma(self.shape * dt, 1.0 / self.rate, size)
+
+    def law_terms(self, dt, lam, m, tol):
+        """Gamma_max of the series in sample_weighted_sum, or None (dense)
+        when the series would need as many terms as there are cells."""
+        lam_t = lam * m * dt
+        gmax = self.shape * m * dt * math.log(lam_t / tol) if lam_t > tol else 0.0
+        return gmax if 0.0 < gmax < m else None
+
+    def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
+        """Bondesson's series for the gamma process over T = m dt: jumps
+        e^{-Gamma_i/(aT)} V_i / b at uniform times, Gamma_i the points of a
+        unit Poisson process and V_i ~ Exp(1).  Terms are kept while
+        Gamma_i < Gamma_max = aT ln(lam T / tol); the expected mass of the
+        rest is (aT/b) e^{-Gamma_max/(aT)} = tol * mu / lam.  Below
+        Gamma_max the Gamma_i are a Poisson(Gamma_max) number of uniforms.
+        """
+        _check_dt(dt)
+        gmax = self.law_terms(dt, lam, m, tol)
+        if gmax is None:
+            raise DomainError("the gamma series needs as many terms as cells; draw densely")
+        a_t = self.shape * m * dt
+        return _scatter_sum(
+            rng, n_paths, gmax, _weights(dt, lam, m),
+            lambda k: np.exp(-rng.uniform(0.0, gmax, k) / a_t)
+            * rng.standard_exponential(k) / self.rate,
+        )
 
 
 @dataclass(frozen=True)
@@ -502,6 +607,9 @@ class DriftDriver(DriverSpec):
     """Deterministic drift: L_t = gamma * t."""
 
     gamma: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(self, "gamma")
 
     def psi(self, u):
         u = np.asarray(u, dtype=float)
@@ -530,9 +638,15 @@ class DriftDriver(DriverSpec):
         return LevyTriplet(self.gamma, 0.0, LevyMeasure())
 
     def sample_increments(self, dt, rng, size):
-        if dt <= 0:
-            raise DomainError("dt must be positive")
+        _check_dt(dt)
         return np.full(size, self.gamma * dt)
+
+    def law_terms(self, dt, lam, m, tol):
+        return 0.0
+
+    def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
+        _check_dt(dt)
+        return np.full(n_paths, self.gamma * dt * _weights(dt, lam, m).sum())
 
 
 # short constructor aliases

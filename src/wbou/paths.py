@@ -29,13 +29,20 @@ Y_t = X_t - X_0, and the compact-window kernel variant share the same
 conventions so that identities across processes hold pathwise.
 
 All sampling of X goes through one engine: the generator is split into
-three substreams (past of 0, main window, tail beyond t_max), each drawn
-as an (n_paths, m) array whose rows are iid paths.  A single path is row
-0 of a one-path batch, so simulate_wbou, simulate_ou and
-simulate_wbou_ensemble(..., 1) agree bitwise for the same generator.
+three substreams (past of 0, main window, tail beyond t_max) and the
+main window is drawn as an (n_paths, n) array whose rows are iid paths.
+Single paths (simulate_wbou, simulate_ou) draw each half-line as dense
+increments and keep them for replay; ensembles draw G and X^+_{t_max}
+from their law through the driver's sample_weighted_sum, which costs a
+few hundred series terms or jumps per row instead of ln(1/tol)/(lam dt)
+increments.  A one-path ensemble shares the single path's main-window
+increments bitwise; only its G and X^+_{t_max} differ.  A smaller
+truncation tol extends a single path's half-line draws (the samplers
+are prefix-consistent); ensembles draw the integrals whole.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,6 +58,8 @@ from .errors import (
     InvalidLambda,
 )
 from .rng import as_generator
+
+_log = logging.getLogger("wbou")
 
 __all__ = [
     "SimulationGrid",
@@ -115,7 +124,10 @@ class TruncationPolicy:
 
     The kernel weight at the horizon equals ``tol``: the half-lines are
     truncated at T = -ln(tol)/lam, so the neglected mean mass is of
-    order tol * mu / lam.
+    order tol * mu / lam.  Ensembles of a gamma driver spend the same
+    budget again on Bondesson's series for the truncated integrals:
+    terms with Gamma_i >= aT ln(lam T / tol) are dropped, and their
+    expected mass is tol * mu / lam.
     """
 
     tol: float = 1e-12
@@ -234,21 +246,21 @@ class CompactPath:
 # assembly core
 
 
-def _assemble(lam, grid, dl_past, dl, dl_tail) -> WbouEnsemble:
-    """Build the ensemble (x_minus, x_plus, g, h) from increment arrays.
+def _halfline_sum(lam, dt, dl_half, offset):
+    """Left-endpoint kernel sum over dense half-line increments: the
+    increment j steps away carries e^{-lam dt (j + offset)}.  G has
+    offset 1 (the increment over [-(j+1)dt, -jdt) has left endpoint
+    -(j+1)dt), X^+ at t_max offset 0."""
+    return dl_half @ np.exp(-lam * dt * np.arange(offset, dl_half.shape[-1] + offset))
 
-    All increment arrays are 2-D (n_paths, m); the recursions run along
-    axis 1.  Weights follow the left-endpoint rule: the increment over
-    [s, s+dt) carries the kernel value at s.
+
+def _assemble(lam, grid, g, dl, xp_end) -> WbouEnsemble:
+    """Build the ensemble (x_minus, x_plus, g, h) from the main-window
+    increments dl, (n_paths, n), and the half-line integrals g = X^-_0
+    and xp_end = X^+_{t_max}, (n_paths,); the recursions run along
+    axis 1.
     """
-    dt = grid.dt
-    alpha = math.exp(-lam * dt)
-
-    # G: increments over [-(j+1)dt, -jdt) have left endpoint -(j+1)dt.
-    g = dl_past @ np.exp(-lam * dt * np.arange(1, dl_past.shape[1] + 1))
-
-    # X^+ at t_max: tail increments over [t_max + jdt, ...) relative weights.
-    xp_end = dl_tail @ np.exp(-lam * dt * np.arange(dl_tail.shape[1]))
+    alpha = math.exp(-lam * grid.dt)
 
     # x^-_{k+1} = alpha (x^-_k + dl_k), x^-_0 = g
     fwd, _ = lfilter([alpha], [1.0, -alpha], dl, axis=1, zi=(alpha * g)[:, None])
@@ -288,23 +300,49 @@ def _first_path(ens: WbouEnsemble, dl_past, dl, dl_tail) -> WbouPath:
     )
 
 
-def _simulate(driver, lam, grid, n_paths, trunc, rng):
+def _simulate(driver, lam, grid, n_paths, trunc, rng, *, by_law):
     """The simulation engine: n_paths iid rows, one generator layout.
 
     The generator is split into three substreams (past of 0, main
-    window, tail beyond t_max) and each is drawn as one (n_paths, m)
-    array.  Returns the assembled ensemble and the three increment
-    arrays (dl_past, dl, dl_tail).
+    window, tail beyond t_max).  The main window is drawn as one
+    (n_paths, n) array.  With by_law, and when the driver's law_terms
+    offers a law route, the half-line integrals G and X^+_{t_max} come
+    from its sample_weighted_sum and no half-line increments exist
+    (None); otherwise each half-line is a dense (n_paths, m_half) draw,
+    kept for replay.  Returns the
+    assembled ensemble and the arrays (dl_past, dl, dl_tail).
     """
     lam = _validate(driver, lam)
     if n_paths < 1:
         raise DimensionMismatch("n_paths must be >= 1")
-    m_half = (trunc or TruncationPolicy()).n_steps(lam, grid.dt)
+    trunc = trunc or TruncationPolicy()
+    dt = grid.dt
+    m_half = trunc.n_steps(lam, dt)
     past_gen, main_gen, tail_gen = as_generator(rng).spawn(3)
-    dl_past = driver.sample_increments(grid.dt, past_gen, (n_paths, m_half))
-    dl = driver.sample_increments(grid.dt, main_gen, (n_paths, grid.n))
-    dl_tail = driver.sample_increments(grid.dt, tail_gen, (n_paths, m_half))
-    return _assemble(lam, grid, dl_past, dl, dl_tail), dl_past, dl, dl_tail
+    dl = driver.sample_increments(dt, main_gen, (n_paths, grid.n))
+    terms = driver.law_terms(dt, lam, m_half, trunc.tol) if by_law else None
+    if terms is None:
+        dl_past = driver.sample_increments(dt, past_gen, (n_paths, m_half))
+        dl_tail = driver.sample_increments(dt, tail_gen, (n_paths, m_half))
+        g = _halfline_sum(lam, dt, dl_past, 1)
+        xp_end = _halfline_sum(lam, dt, dl_tail, 0)
+    else:
+        # G's weights are one step further out: e^{-lam dt (j + 1)}
+        g = math.exp(-lam * dt) * driver.sample_weighted_sum(
+            dt, lam, m_half, past_gen, n_paths, trunc.tol)
+        xp_end = driver.sample_weighted_sum(dt, lam, m_half, tail_gen, n_paths, trunc.tol)
+        dl_past = dl_tail = None
+    if _log.isEnabledFor(logging.DEBUG):
+        horizon_mass = trunc.tol * abs(driver.moments()[0]) / lam
+        series_mass = 0.0 if terms is None or driver._law_is_exact else horizon_mass
+        route = f"dense {m_half} draws/row" if terms is None else f"law {terms:.6g} terms/row"
+        _log.debug(
+            "simulate: n_paths=%d n=%d lam=%.6g dt=%.6g m_half=%d horizon=%.6g "
+            "neglected_mass<=%.3g (horizon %.3g + series %.3g) half-lines (past, tail): %s each",
+            n_paths, grid.n, lam, dt, m_half, m_half * dt,
+            horizon_mass + series_mass, horizon_mass, series_mass, route,
+        )
+    return _assemble(lam, grid, g, dl, xp_end), dl_past, dl, dl_tail
 
 
 def simulate_wbou(
@@ -315,13 +353,14 @@ def simulate_wbou(
     trunc: TruncationPolicy | None = None,
     rng=None,
 ) -> WbouPath:
-    """Simulate one path of X on the grid: row 0 of a one-path ensemble.
+    """Simulate one path of X on the grid, keeping every increment.
 
-    The driver samplers draw each substream element by element, so the
-    same seed with a smaller truncation tolerance extends the half-line
-    draws instead of reshuffling them.
+    Both half-lines are dense draws, kept on the path for replay.  The
+    driver samplers draw each substream element by element, so the same
+    seed with a smaller truncation tolerance extends the half-line draws
+    instead of reshuffling them.
     """
-    return _first_path(*_simulate(driver, lam, grid, 1, trunc, rng))
+    return _first_path(*_simulate(driver, lam, grid, 1, trunc, rng, by_law=False))
 
 
 def simulate_wbou_ensemble(
@@ -335,10 +374,13 @@ def simulate_wbou_ensemble(
 ) -> WbouEnsemble:
     """Simulate a batch of independent paths with vectorized draws.
 
-    With n_paths = 1 the single row is the path simulate_wbou returns
-    for an identically seeded generator.
+    G and X^+_{t_max} are drawn by their law (the driver's
+    sample_weighted_sum), not as half-line increments.  With n_paths = 1
+    the main-window increments are those of simulate_wbou for an
+    identically seeded generator; only the two half-line integrals
+    differ.
     """
-    return _simulate(driver, lam, grid, n_paths, trunc, rng)[0]
+    return _simulate(driver, lam, grid, n_paths, trunc, rng, by_law=True)[0]
 
 
 def wbou_from_increments(
@@ -364,7 +406,9 @@ def wbou_from_increments(
     dl_tail = np.zeros(0) if dl_tail is None else np.asarray(dl_tail, dtype=float)
 
     rows = [a[None, :] for a in (dl_past, dl, dl_tail)]
-    return _first_path(_assemble(lam, grid, *rows), *rows)
+    ens = _assemble(lam, grid, _halfline_sum(lam, grid.dt, rows[0], 1), rows[1],
+                    _halfline_sum(lam, grid.dt, rows[2], 0))
+    return _first_path(ens, *rows)
 
 
 def simulate_ou(
@@ -381,7 +425,7 @@ def simulate_ou(
     the truncated past integral G, and the path is the X^- component of
     the simulate_wbou path drawn from an identically seeded generator.
     """
-    ens, dl_past, dl, _ = _simulate(driver, lam, grid, 1, trunc, rng)
+    ens, dl_past, dl, _ = _simulate(driver, lam, grid, 1, trunc, rng, by_law=False)
     return OuPath(
         grid=grid, lam=ens.lam, x=ens.x_minus[0], x0=float(ens.g[0]),
         dl=dl[0], dl_past=dl_past[0],
@@ -404,7 +448,7 @@ def ou_from_increments(
     if x0 is None:
         if dl_past is not None and len(dl_past):
             dl_past = np.asarray(dl_past, dtype=float)
-            x0 = float(dl_past @ np.exp(-lam * grid.dt * np.arange(1, len(dl_past) + 1)))
+            x0 = float(_halfline_sum(lam, grid.dt, dl_past, 1))
         else:
             x0 = 0.0
     alpha = math.exp(-lam * grid.dt)

@@ -10,9 +10,14 @@ that guarantees:
   paths written and in whatever order;
 * the rows of one ensemble are iid paths drawn together from one
   generator; they are not the fan-out paths;
-* row 0 of a one-path ensemble is the single path: ``simulate_wbou``,
-  ``simulate_ou`` and ``simulate_sv`` equal row 0 of the matching
-  ensemble call with an identically seeded generator, bitwise.
+* a one-path ensemble shares the single path's main window:
+  ``simulate_wbou``, ``simulate_ou`` and ``simulate_sv`` draw the same
+  main-window increments (and, for SV, the same W increments) as the
+  matching ensemble call with an identically seeded generator, bitwise.
+  Ensembles draw the half-line integrals G and X^+_{t_max} by their law,
+  single paths as dense increments, so only those two values differ;
+* a smaller truncation ``tol`` extends a single path's half-line draws
+  instead of reshuffling them; ensembles draw those integrals whole.
 """
 from __future__ import annotations
 

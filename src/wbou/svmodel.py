@@ -141,7 +141,8 @@ def _simulate_joint(spec, grid, n_paths, trunc, rng):
 
     y and int_x are (rows, n+1).  n_paths=None asks for the single path,
     whose inner process is a WbouPath (it carries the components of the
-    explicit identity); it equals row 0 of a one-path batch.
+    explicit identity).  A one-path batch shares its L main window and
+    its W draws; only the batch's half-line integrals are drawn by law.
     """
     l_gen, w_gen = as_generator(rng).spawn(2)
     inner_grid = _scaled_grid(spec, grid)
@@ -164,9 +165,9 @@ def simulate_sv(
     trunc: TruncationPolicy | None = None,
     rng=None,
 ) -> SvPath:
-    """Simulate one joint path: row 0 of a one-path simulate_sv_ensemble,
-    plus the components behind the explicit integrated-volatility
-    identity."""
+    """Simulate one joint path plus the components behind the explicit
+    integrated-volatility identity.  It shares the L main window and the
+    W draws of a one-path simulate_sv_ensemble with the same generator."""
     inner, y, int_x = _simulate_joint(spec, grid, None, trunc, rng)
     return SvPath(
         grid=grid,

@@ -53,6 +53,14 @@ def test_parameter_validation():
         SecondOrderParams(0.0)
     with pytest.raises(DomainError):
         SecondOrderParams(1.0, v=0.0)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(InvalidLambda):
+            SecondOrderParams(lam)
+        with pytest.raises(InvalidLambda):
+            compact_cov(lam, 1.0, 0.5, 0.0)
+    for mu, v in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            SecondOrderParams(1.0, mu=mu, v=v)
 
 
 def test_mean_and_variance():

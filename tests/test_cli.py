@@ -197,9 +197,22 @@ def _table_with_bad_cell(path):
     ["theory", "acf", "--lambda", "1", "--max-lag", "-1", "--out", "{out}"],
     ["theory", "increment-acf", "--lambda", "1", "--max-lag", "0", "--out", "{out}"],
     ["theory", "sv", "--lambda", "1", "--max-s", "0", "--out", "{out}"],
+    _simulate_args("{out}", extra=["--driver", "gamma:a=nan,b=1"]),
+    _simulate_args("{out}", extra=["--driver", "brownian:gamma=inf"]),
+    _simulate_args("{out}", extra=["--driver", "cpoisson:eta=nan,jump=point,c=1"]),
+    _simulate_args("{out}", extra=["--driver", "cpoisson:eta=1,jump=exponential,rate=inf"]),
+    _simulate_args("{out}", extra=["--driver", "drift:gamma=nan"]),
+    ["sv", "--driver", "gamma:a=1,b=nan", "--lambda", "1", "--t-max", "1",
+     "--dt", "0.1", "--out", "{out}"],
+    ["theory", "acf", "--lambda", "inf", "--max-lag", "5", "--out", "{out}"],
+    ["theory", "acf", "--lambda", "1", "--dh", "nan", "--out", "{out}"],
+    ["theory", "acf", "--lambda", "1", "--dh", "0", "--out", "{out}"],
 ], ids=["paths-0", "t-max-nan", "dt-inf", "lambda-inf", "sv-lambda-inf", "sv-paths-0",
         "acf-bad-cell", "signature-bad-cell", "fit-bad-cell", "theory-acf-max-lag-neg",
-        "theory-iacf-max-lag-0", "theory-sv-max-s-0"])
+        "theory-iacf-max-lag-0", "theory-sv-max-s-0", "driver-gamma-nan",
+        "driver-brownian-inf", "driver-cpoisson-nan", "driver-jump-rate-inf",
+        "driver-drift-nan", "sv-driver-nan", "theory-acf-lambda-inf", "theory-acf-dh-nan",
+        "theory-acf-dh-0"])
 def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
     bad = _table_with_bad_cell(tmp_path / "bad.csv")
     out = tmp_path / "out.csv"

@@ -1,4 +1,5 @@
-"""Driver-level checks: exponents, cumulants, measures, sampling laws."""
+"""Driver-level checks: exponents, cumulants, measures, sampling laws,
+and the half-line sums drawn by law."""
 
 import math
 
@@ -11,13 +12,20 @@ from wbou import (
     BrownianDriver,
     DomainError,
     ExponentialJumps,
+    GammaSubordinatorDriver,
     NormalJumps,
     NotASubordinator,
     PointMassJumps,
+    SimulationGrid,
+    SvSpec,
+    TruncationPolicy,
     brownian,
     compound_poisson,
     deterministic_drift,
     gamma_subordinator,
+    simulate_sv_ensemble,
+    simulate_wbou,
+    simulate_wbou_ensemble,
     substream,
 )
 
@@ -309,6 +317,123 @@ def test_sampler_matches_exponent_via_ecf(d):
     assert gap.max() < 0.02
 
 
+# ---------------------------------------------------------------------------
+# half-line integrals: sample_weighted_sum
+# ---------------------------------------------------------------------------
+
+#: one driver of each kind the hook distinguishes, with the fourth
+#: cumulant of L(1): 6a/b^4 for gamma, intensity * E J^4 for compound Poisson
+HOOK_DRIVERS = {
+    "gamma": (gamma_subordinator(0.7, 1.3), 6 * 0.7 / 1.3 ** 4),
+    "brownian": (brownian(0.3, 1.5), 0.0),
+    "drift": (deterministic_drift(2.0), 0.0),
+    "cp-normal": (compound_poisson(5.0, NormalJumps(0.2, 1.0)),
+                  5.0 * (0.2 ** 4 + 6 * 0.2 ** 2 + 3.0)),
+    "cp-exponential": (compound_poisson(5.0, ExponentialJumps(2.0)), 5.0 * 24 / 2.0 ** 4),
+    "cp-point": (compound_poisson(5.0, PointMassJumps(0.5)), 5.0 * 0.5 ** 4),
+}
+HOOK_DT, HOOK_LAM, HOOK_TOL = 1e-3, 1.0, 1e-12
+
+
+def _hook_sums(driver, tag, rows=2000, chunks=5):
+    """rows * chunks draws of the half-line sum at lam dt = 1e-3, and the
+    kernel weights e^{-lam dt j} they stand for."""
+    m = TruncationPolicy(HOOK_TOL).n_steps(HOOK_LAM, HOOK_DT)
+    rng = rng_for("weighted-sum", tag)
+    s = np.concatenate([
+        driver.sample_weighted_sum(HOOK_DT, HOOK_LAM, m, rng, rows, HOOK_TOL)
+        for _ in range(chunks)
+    ])
+    return s, np.exp(-HOOK_LAM * HOOK_DT * np.arange(m))
+
+
+@pytest.mark.parametrize("name", list(HOOK_DRIVERS))
+def test_weighted_sum_matches_discrete_cumulants(name):
+    """Sample mean and variance against the exact discrete cumulants
+    mu dt sum w and V dt sum w^2, within 5 model standard errors."""
+    driver, k4 = HOOK_DRIVERS[name]
+    s, w = _hook_sums(driver, name)
+    mu, v = driver.moments()
+    mean, var = mu * HOOK_DT * w.sum(), v * HOOK_DT * (w @ w)
+    if var == 0.0:
+        assert np.allclose(s, mean, rtol=1e-12, atol=0.0)
+        return
+    n = s.size
+    assert abs(s.mean() - mean) <= 5 * math.sqrt(var / n)
+    k4_sum = k4 * HOOK_DT * np.sum(w ** 4)
+    assert abs(s.var(ddof=1) - var) <= 5 * math.sqrt((k4_sum + 2 * var ** 2) / n)
+
+
+def test_gamma_weighted_sum_characteristic_function():
+    """Empirical CF of the series sum against prod_j (1 - iu w_j / b)^{-a dt}."""
+    driver, _ = HOOK_DRIVERS["gamma"]
+    a, b = driver.shape, driver.rate
+    s, w = _hook_sums(driver, "gamma-ecf")
+    for u in (-2.0, -0.5, 0.7, 1.5, 3.0):
+        want = np.exp(-a * HOOK_DT * np.sum(np.log(1.0 - 1j * u * w / b)))
+        se = math.sqrt((1.0 - abs(want) ** 2) / s.size)
+        assert abs(ecf(s, u) - want) <= 5 * se
+
+
+@pytest.mark.parametrize("a,b,lam,dt,tol", [
+    (1.0, 1.0, 1.0, 1e-3, 1e-12), (0.3, 2.0, 0.5, 1e-3, 1e-8), (2.0, 0.5, 3.0, 1e-4, 1e-12),
+])
+def test_gamma_series_budget(a, b, lam, dt, tol):
+    """The series terms beyond Gamma_max have expected mass
+    int_{Gamma_max}^inf e^{-g/(aT)} dg / b, T = m dt; it stays within
+    tol * mu / lam, and the series is shorter than the m dense draws."""
+    m = TruncationPolicy(tol).n_steps(lam, dt)
+    gmax = gamma_subordinator(a, b).law_terms(dt, lam, m, tol)
+    assert 0 < gmax < m
+    a_t = a * m * dt
+    tail = quad(lambda x: math.exp(-x), gmax / a_t, math.inf, epsabs=0.0, epsrel=1e-10)[0]
+    assert tail * a_t / b <= tol * (a / b) / lam * (1 + 1e-9)
+
+
+def test_law_terms_pick_the_route():
+    """Gamma falls back to dense draws when Gamma_max reaches the cell
+    count (coarse grids); the exact laws always apply."""
+    m = TruncationPolicy().n_steps(1.0, 0.1)
+    assert gamma_subordinator(1.0, 1.0).law_terms(0.1, 1.0, m, 1e-12) is None
+    with pytest.raises(DomainError):
+        gamma_subordinator(1.0, 1.0).sample_weighted_sum(0.1, 1.0, m, substream(1), 2, 1e-12)
+    assert compound_poisson(10.0, ExponentialJumps(1.0)).law_terms(0.1, 1.0, m, 1e-12) \
+        == pytest.approx(m)
+    assert brownian().law_terms(0.1, 1.0, m, 1e-12) == 1.0
+    assert deterministic_drift(1.0).law_terms(0.1, 1.0, m, 1e-12) == 0.0
+
+
+def _counting_gamma():
+    sizes = []
+
+    class CountingGamma(GammaSubordinatorDriver):
+        def sample_increments(self, dt, rng, size):
+            sizes.append(size)
+            return super().sample_increments(dt, rng, size)
+
+    return CountingGamma(1.0, 1.0), sizes
+
+
+def test_ensembles_draw_only_the_main_window_densely():
+    """Ensembles take G and X^+_{t_max} from the hook; single paths and
+    the coarse-grid fallback draw both half-lines densely."""
+    drv, sizes = _counting_gamma()
+    fine, coarse = SimulationGrid(1.0, 1e-3), SimulationGrid(1.0, 0.1)
+    simulate_wbou_ensemble(drv, 1.0, fine, 3, rng=substream(7))
+    simulate_sv_ensemble(SvSpec(0.0, 0.0, 1.0, drv), fine, 3, rng=substream(8))
+    assert sizes == [(3, fine.n), (3, fine.n)]
+
+    sizes.clear()
+    simulate_wbou_ensemble(drv, 1.0, coarse, 3, rng=substream(7))
+    m = TruncationPolicy().n_steps(1.0, coarse.dt)
+    assert sorted(sizes) == [(3, coarse.n), (3, m), (3, m)]
+
+    sizes.clear()
+    simulate_wbou(drv, 1.0, fine, rng=substream(9))
+    m = TruncationPolicy().n_steps(1.0, fine.dt)
+    assert sorted(sizes) == [(1, fine.n), (1, m), (1, m)]
+
+
 def test_log_moment_flag():
     for d in DRIVERS_WITH_JUMPS + [brownian(), deterministic_drift(1.0)]:
         assert d.log_moment_finite()
@@ -331,3 +456,23 @@ def test_constructor_validation():
         PointMassJumps(0.0)
     with pytest.raises(DomainError):
         gamma_subordinator(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda x: BrownianDriver(x, 1.0),
+    lambda x: BrownianDriver(0.0, x),
+    lambda x: compound_poisson(x, ExponentialJumps(1.0)),
+    lambda x: gamma_subordinator(x, 1.0),
+    lambda x: gamma_subordinator(1.0, x),
+    lambda x: deterministic_drift(x),
+    lambda x: NormalJumps(x, 1.0),
+    lambda x: NormalJumps(0.0, x),
+    lambda x: ExponentialJumps(x),
+    lambda x: PointMassJumps(x),
+], ids=["brownian-gamma", "brownian-sigma2", "cpoisson-intensity", "gamma-shape",
+        "gamma-rate", "drift-gamma", "normal-mean", "normal-var", "exponential-rate",
+        "point-size"])
+def test_constructors_reject_non_finite(make, bad):
+    with pytest.raises(DomainError):
+        make(bad)

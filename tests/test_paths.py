@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from wbou import (
     wbou_from_increments,
     write_path_csv,
 )
+from wbou.paths import _assemble
 
 from helpers import mean_se, pairwise_coarsen, rng_for, var_se
 
@@ -163,34 +165,70 @@ def test_truncation_refinement_extends_rather_than_reshuffles(name):
 
 
 # ---------------------------------------------------------------------------
-# one engine: a single path is row 0 of a one-path ensemble
+# one engine: a one-path ensemble shares the single path's main window
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", list(SIX_DRIVERS))
 def test_single_path_is_row_zero_of_one_path_ensemble(name):
+    """The single path and a one-path ensemble share the main-window draws;
+    only G and X^+_{t_max} differ (the ensemble draws them by law), so
+    assembling the path's dl with the ensemble's own g and x_plus[:, -1]
+    gives ensemble row 0 bitwise.  The id keeps its historical name so
+    that runs stay comparable."""
     driver = SIX_DRIVERS[name]
     grid = SimulationGrid(2.0, 0.01)
     lam, trunc = 1.3, TruncationPolicy(tol=1e-6)
     path = simulate_wbou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
     ens = simulate_wbou_ensemble(driver, lam, grid, 1, trunc=trunc, rng=substream(5, 2))
-    for field in ("x", "x_minus", "x_plus"):
-        assert np.array_equal(getattr(path, field), getattr(ens, field)[0])
-    assert path.g == ens.g[0] and path.h == ens.h[0]
-    # the increments are the (1, m) draws of the past, main and tail children
+    rebuilt = _assemble(lam, grid, ens.g, path.dl[None, :], ens.x_plus[:, -1])
+    for field in ("x", "x_minus", "x_plus", "g", "h"):
+        assert np.array_equal(getattr(rebuilt, field), getattr(ens, field))
+    # the path's increments are the (1, m) draws of the past, main and tail children
     m = trunc.n_steps(lam, grid.dt)
     past, main, tail = substream(5, 2).spawn(3)
     assert np.array_equal(path.dl_past, driver.sample_increments(grid.dt, past, (1, m))[0])
     assert np.array_equal(path.dl, driver.sample_increments(grid.dt, main, (1, grid.n))[0])
     assert np.array_equal(path.dl_tail, driver.sample_increments(grid.dt, tail, (1, m))[0])
+    # the ensemble's G and X^+_{t_max} are the hook's draws from the past
+    # and tail children, G one kernel step further out
+    past, _, tail = substream(5, 2).spawn(3)
+    hook = lambda gen: driver.sample_weighted_sum(grid.dt, lam, m, gen, 1, trunc.tol)
+    assert np.array_equal(ens.g, math.exp(-lam * grid.dt) * hook(past))
+    assert np.array_equal(ens.x_plus[:, -1], hook(tail))
     ou = simulate_ou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
-    assert np.array_equal(ou.x, ens.x_minus[0]) and ou.x0 == ens.g[0]
+    assert np.array_equal(ou.x, path.x_minus) and ou.x0 == path.g
+
+
+def test_simulate_logs_route_and_budget(caplog):
+    """One debug line per simulate call: m_half, horizon, the neglected-mass
+    bound and the half-line route with its count.  The bound is
+    tol |mu| / lam for the horizon, and twice that on the gamma series
+    route, which spends the budget again."""
+    fine, coarse = SimulationGrid(1.0, 1e-3), SimulationGrid(1.0, 0.1)
+    with caplog.at_level(logging.DEBUG, logger="wbou"):
+        simulate_wbou_ensemble(GAMMA11, 1.0, fine, 2, rng=substream(1))
+        simulate_wbou(GAMMA11, 1.0, coarse, rng=substream(1))
+        simulate_wbou_ensemble(deterministic_drift(2.0), 1.0, fine, 2, rng=substream(1))
+    lines = [r.getMessage() for r in caplog.records if r.name == "wbou"]
+    assert len(lines) == 3
+    m = TruncationPolicy().n_steps(1.0, fine.dt)
+    gmax = GAMMA11.law_terms(fine.dt, 1.0, m, 1e-12)
+    for part in (f"m_half={m}", f"horizon={m * fine.dt:.6g}",
+                 "neglected_mass<=2e-12 (horizon 1e-12 + series 1e-12)",
+                 f"law {gmax:.6g} terms/row"):
+        assert part in lines[0]
+    m_coarse = TruncationPolicy().n_steps(1.0, coarse.dt)
+    for part in (f"m_half={m_coarse}", "neglected_mass<=1e-12 (horizon 1e-12 + series 0)",
+                 f"dense {m_coarse} draws/row"):
+        assert part in lines[1]
+    assert "neglected_mass<=2e-12 (horizon 2e-12 + series 0)" in lines[2]
 
 
 #: SHA-256 of simulate_wbou_ensemble(...).x for two drivers at a fixed
-#: seed (numpy 2.4, scipy 1.17, x86-64).
+#: seed (numpy 2.4, scipy 1.17, x86-64), half-lines drawn by law.
 FROZEN_ENSEMBLES = {
-    "gamma": "ac657d5c66a58bc4dde952cecbfdf6b4e8fd191dc7968e50080873a774e8b02b",
-    "brownian": "96fcce0c4ae031e7f39f1cb36b0c01e7bed6c11d733e4c4fb3b0945316707841",
+    "gamma": "34e3dda7265dabd28529714ae1ddd5d0cbde24d70db7e9d27eb5ff9f011abfc0",
+    "brownian": "c54d6bb099108d208d9da2773d88183ac47c94ff7538af1d54917d6c37f95132",
 }
 
 
@@ -247,6 +285,14 @@ def test_marginal_moments_are_stationary():
         col = ens.x[:, k]
         assert abs(col.mean() - 2 * mu / lam) < 4 * mean_se(col)
         assert abs(col.var(ddof=1) - v / lam) < 4 * var_se(col)
+
+
+@pytest.mark.parametrize("name", list(SIX_DRIVERS))
+def test_ensemble_when_the_kernel_underflows(name):
+    """lam * dt = 1000: alpha = e^{-lam dt} is 0.0 and every route must cope."""
+    ens = simulate_wbou_ensemble(SIX_DRIVERS[name], 1.0, SimulationGrid(2000.0, 1000.0), 2,
+                                 rng=substream(3))
+    assert np.all(np.isfinite(ens.x)) and np.array_equal(ens.x, ens.x_minus + ens.x_plus)
 
 
 def test_ensemble_shapes():

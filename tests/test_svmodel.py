@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import cumulative_trapezoid, dblquad
 
 from wbou import (
     DomainError,
@@ -32,11 +32,14 @@ from wbou import (
     simulate_sv,
     simulate_sv_ensemble,
     simulate_wbou,
+    simulate_wbou_ensemble,
     spot_vol_moments,
     substream,
     wbou_from_increments,
     write_sv_csv,
 )
+from wbou.paths import _assemble
+from wbou.svmodel import _euler_y
 
 from helpers import mean_se, pairwise_coarsen, var_se
 
@@ -135,13 +138,30 @@ def test_same_seed_same_joint_path():
     compound_poisson(5.0, PointMassJumps(0.5)),
 ], ids=["gamma", "drift", "cp-exponential", "cp-point"])
 def test_single_path_is_row_zero_of_one_path_ensemble(driver):
-    """Subordinator drivers only: the model rejects the other kinds."""
+    """The single path and a one-path ensemble share the main-window draws
+    of L and the W draws; only the ensemble's half-line integrals are
+    drawn by law.  Subordinator drivers only: the model rejects the other
+    kinds.  The id keeps its historical name so that runs stay
+    comparable."""
     spec = spec_with(driver=driver, alpha=0.1, beta=0.2, lam=0.7)
     grid = SimulationGrid(2.0, 0.01)
     path = simulate_sv(spec, grid, rng=substream(96, 1))
     ens = simulate_sv_ensemble(spec, grid, 1, rng=substream(96, 1))
-    for field in ("y", "x", "int_x"):
-        assert np.array_equal(getattr(path, field), getattr(ens, field)[0])
+    # the layout: L from the first child of spawn(2) on the lam-scaled
+    # grid, W from the second child
+    inner_grid = SimulationGrid(spec.lam * grid.t_max, spec.lam * grid.dt)
+    inner = simulate_wbou(driver, 1.0, inner_grid, rng=substream(96, 1).spawn(2)[0])
+    inner_ens = simulate_wbou_ensemble(driver, 1.0, inner_grid, 1,
+                                       rng=substream(96, 1).spawn(2)[0])
+    assert np.array_equal(path.x, inner.x)
+    rebuilt = _assemble(1.0, inner_grid, inner_ens.g, inner.dl[None, :],
+                        inner_ens.x_plus[:, -1])
+    assert np.array_equal(ens.x, rebuilt.x)
+    dw = substream(96, 1).spawn(2)[1].normal(0.0, math.sqrt(grid.dt), (1, grid.n))
+    assert np.array_equal(path.y, _euler_y(spec, grid, path.x[None, :], dw)[0])
+    assert np.array_equal(ens.y, _euler_y(spec, grid, ens.x, dw))
+    assert np.array_equal(ens.int_x, cumulative_trapezoid(ens.x, dx=grid.dt, initial=0.0,
+                                                          axis=-1))
 
 
 def test_ensemble_shapes():
