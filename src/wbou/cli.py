@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._table import write_table
 from .analytics import (
     SecondOrderParams,
     acf_ou,
@@ -180,19 +181,6 @@ def _out_paths(out: str, n: int) -> list[Path]:
     return [base.with_name(f"{stem}_{i:03d}{suffix}") for i in range(n)]
 
 
-def _write_rows(out, header: str, rows) -> None:
-    with open(out, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -222,27 +210,23 @@ def cmd_theory(args) -> int:
         if not 0 < args.dh < float("inf"):
             raise DomainError(f"--dh must be positive and finite, got {args.dh}")
         hs = np.arange(_at_least(args.max_lag, 0, "--max-lag") + 1) * args.dh
-        rows = zip(hs, acf_x(p, hs), acf_ou(p, hs))
-        _write_rows(args.out, "h,acf_wbou,acf_ou", rows)
+        write_table(args.out, ("h", "acf_wbou", "acf_ou"), (hs, acf_x(p, hs), acf_ou(p, hs)))
     elif args.kind == "increment-acf":
         ks = np.arange(1, _at_least(args.max_lag, 1, "--max-lag") + 1)
-        rows = zip(ks, increment_acf(p, ks), increment_acf_ou(p, ks))
-        _write_rows(args.out, "k,rho_wbou,rho_ou", rows)
+        write_table(args.out, ("k", "rho_wbou", "rho_ou"),
+                    (ks, increment_acf(p, ks), increment_acf_ou(p, ks)))
     else:  # sv
         if args.driver is not None:
             mu, v = spot_vol_moments(parse_driver(args.driver))
         else:
             mu, v = args.mu, args.v
-        rows = [
-            (
-                s,
-                big_r(lam, args.delta, s),
-                cov_integrated_vol(v, lam, args.delta, s),
-                corr_squared_returns(mu, v, lam, args.delta, s),
-            )
-            for s in range(1, _at_least(args.max_s, 1, "--max-s") + 1)
-        ]
-        _write_rows(args.out, "s,R,cov_iv,corr_sq_returns", rows)
+        ss = range(1, _at_least(args.max_s, 1, "--max-s") + 1)
+        write_table(args.out, ("s", "R", "cov_iv", "corr_sq_returns"), (
+            ss,
+            [big_r(lam, args.delta, s) for s in ss],
+            [cov_integrated_vol(v, lam, args.delta, s) for s in ss],
+            [corr_squared_returns(mu, v, lam, args.delta, s) for s in ss],
+        ))
     print(f"theory kind={args.kind} lambda={lam} out={args.out}")
     return 0
 
@@ -257,7 +241,9 @@ def cmd_acf(args) -> int:
     print(
         f"acf n={acf.n} max_lag={args.max_lag} "
         f"lambda_wbou={fit_w.lambda_hat:.6g} rss_wbou={fit_w.rss:.4g} "
-        f"lambda_ou={fit_o.lambda_hat:.6g} rss_ou={fit_o.rss:.4g}"
+        f"boundary_wbou={str(fit_w.at_boundary).lower()} "
+        f"lambda_ou={fit_o.lambda_hat:.6g} rss_ou={fit_o.rss:.4g} "
+        f"boundary_ou={str(fit_o.at_boundary).lower()}"
     )
     return 0
 

@@ -20,18 +20,16 @@ index units — mapping to calendar time is the caller's business.
 
 Realized volatility and the volatility signature plot (realized
 volatility recomputed on every k-th observation) complete the pipeline.
-CSV readers/writers for series, ACF tables, and signature tables live
-here because this module owns those formats.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
+from ._table import read_columns, write_table
 from .analytics import SecondOrderParams, acf_ou, acf_x
 from .errors import (
     DegenerateSeries,
@@ -160,7 +158,8 @@ def fit_acf(acf: AcfEstimate, model: str, lag_range: tuple[int, int]) -> FitResu
 
     lambda is searched on [1e-6, 1e2]: a 200-point log-spaced scan picks
     the best cell (smallest lambda on ties), then golden-section narrows
-    it down; a minimizer stuck at a search bound is flagged.
+    it down; a minimizer stuck at a search bound is flagged.  A
+    non-finite rho within the window raises DomainError.
     """
     min_lag, max_lag = int(lag_range[0]), int(lag_range[1])
     if min_lag < 1:
@@ -173,6 +172,8 @@ def fit_acf(acf: AcfEstimate, model: str, lag_range: tuple[int, int]) -> FitResu
         )
     lags = np.arange(min_lag, max_lag + 1, dtype=float)
     rho_hat = acf.rho[min_lag : max_lag + 1]
+    if not np.all(np.isfinite(rho_hat)):
+        raise DomainError(f"rho is not finite within the lag window [{min_lag}, {max_lag}]")
 
     def rss(lam: float) -> float:
         return float(np.sum((rho_hat - model_curve(model, lam, lags)) ** 2))
@@ -221,74 +222,54 @@ def signature_plot(series, max_skip: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV formats owned by this module
-
-
-def _column(path, rows, col: int, convert) -> np.ndarray:
-    """One column of the non-empty body rows; a missing or unparsable
-    cell raises DomainError naming the file and its line."""
-    out = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            out.append(convert(row[col]))
-        except (IndexError, ValueError, OverflowError):
-            cell = row[col] if col < len(row) else ""
-            raise DomainError(f"{path}: line {line}: cannot read {cell!r} as a number")
-    return np.array(out)
+# CSV tables
 
 
 def read_series_csv(path) -> np.ndarray:
     """Read a level series: single column `x`, or `t,x` with t checked
     to be strictly increasing (and otherwise ignored)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DomainError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if "x" not in header:
+    cols, _ = read_columns(path, ("x", "t"))
+    if "x" not in cols:
         raise DomainError(f"{path}: expected a column named 'x'")
-    x = _column(path, rows, header.index("x"), float)
-    if "t" in header:
-        t = _column(path, rows, header.index("t"), float)
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise DomainError(f"{path}: column 't' must be strictly increasing")
-    return x
+    t = cols.get("t")
+    if t is not None and len(t) > 1 and not np.all(np.diff(t) > 0):
+        raise DomainError(f"{path}: column 't' must be strictly increasing")
+    return cols["x"]
 
 
 def write_acf_csv(path, acf: AcfEstimate, fit_wbou: FitResult, fit_ou: FitResult):
     """Write lag,rho_hat,rho_wbou_fit,rho_ou_fit at full precision."""
-    wbou_curve = model_curve("wbou", fit_wbou.lambda_hat, acf.lags)
-    ou_curve = model_curve("ou", fit_ou.lambda_hat, acf.lags)
-    with open(path, "w", newline="") as fh:
-        fh.write("lag,rho_hat,rho_wbou_fit,rho_ou_fit\n")
-        for k in range(len(acf.lags)):
-            fh.write(
-                f"{int(acf.lags[k])},{float(acf.rho[k])!r},"
-                f"{float(wbou_curve[k])!r},{float(ou_curve[k])!r}\n"
-            )
+    write_table(path, ("lag", "rho_hat", "rho_wbou_fit", "rho_ou_fit"), (
+        np.asarray(acf.lags).astype(np.int64),
+        acf.rho,
+        model_curve("wbou", fit_wbou.lambda_hat, acf.lags),
+        model_curve("ou", fit_ou.lambda_hat, acf.lags),
+    ))
 
 
 def read_acf_csv(path) -> AcfEstimate:
-    """Read back an ACF table (columns lag, rho_hat; extras ignored)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DomainError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if "lag" not in header or "rho_hat" not in header:
+    """Read back an ACF table (columns lag, rho_hat; extras ignored).
+
+    Row k must hold lag k, so lags are whole numbers contiguous from 0,
+    and every rho_hat must be finite.
+    """
+    cols, lines = read_columns(path, ("lag", "rho_hat"))
+    if len(cols) < 2:
         raise DomainError(f"{path}: expected columns 'lag' and 'rho_hat'")
-    lags = _column(path, rows, header.index("lag"), lambda c: int(float(c)))
-    rho = _column(path, rows, header.index("rho_hat"), float)
-    if len(lags) == 0 or lags[0] != 0 or not np.all(np.diff(lags) == 1):
+    lags, rho = cols["lag"], cols["rho_hat"]
+    if len(lags) == 0:
         raise DomainError(f"{path}: lags must be contiguous starting at 0")
-    return AcfEstimate(lags=lags, rho=rho, n=0)
+    want = np.arange(len(lags))
+    bad = (lags != want) | ~np.isfinite(rho)
+    if bad.any():
+        k = int(np.argmax(bad))
+        why = (f"lags must be contiguous starting at 0; want lag {k}, got {float(lags[k])!r}"
+               if lags[k] != k else f"rho_hat must be finite, got {float(rho[k])!r}")
+        raise DomainError(f"{path}: line {lines[k]}: {why}")
+    return AcfEstimate(lags=want, rho=rho, n=0)
 
 
 def write_signature_csv(path, rows: np.ndarray) -> None:
     """Write skip,rv at full precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("skip,rv\n")
-        for k, rv in rows:
-            fh.write(f"{int(k)},{float(rv)!r}\n")
+    skip, rv = np.asarray(rows, dtype=float).T
+    write_table(path, ("skip", "rv"), (skip.astype(np.int64), rv))

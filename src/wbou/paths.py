@@ -50,6 +50,7 @@ from functools import cached_property
 import numpy as np
 from scipy.signal import lfilter
 
+from ._table import write_table
 from .drivers import DriverSpec
 from .errors import (
     DimensionMismatch,
@@ -532,13 +533,9 @@ def write_path_csv(path, out) -> None:
     Works for any path type; components that do not exist are written
     as empty fields.
     """
-    t = path.grid.times
-    x = path.values
-    xm = getattr(path, "x_minus", None)
-    xp = getattr(path, "x_plus", None)
-    with open(out, "w", newline="") as fh:
-        fh.write("t,x,x_minus,x_plus\n")
-        for k in range(len(t)):
-            a = repr(float(xm[k])) if xm is not None else ""
-            b = repr(float(xp[k])) if xp is not None else ""
-            fh.write(f"{float(t[k])!r},{float(x[k])!r},{a},{b}\n")
+    write_table(out, ("t", "x", "x_minus", "x_plus"), (
+        path.grid.times,
+        path.values,
+        getattr(path, "x_minus", None),
+        getattr(path, "x_plus", None),
+    ))

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from ._table import write_table
 from .drivers import DriverSpec
 from .errors import DomainError, MissingComponents, NotASubordinator
 from .paths import (
@@ -292,11 +293,4 @@ def spot_vol_moments(driver: DriverSpec) -> tuple[float, float]:
 
 def write_sv_csv(path: SvPath, out) -> None:
     """Write t,y,x,int_x rows at full (round-trip) precision."""
-    t = path.grid.times
-    with open(out, "w", newline="") as fh:
-        fh.write("t,y,x,int_x\n")
-        for k in range(len(t)):
-            fh.write(
-                f"{float(t[k])!r},{float(path.y[k])!r},"
-                f"{float(path.x[k])!r},{float(path.int_x[k])!r}\n"
-            )
+    write_table(out, ("t", "y", "x", "int_x"), (path.grid.times, path.y, path.x, path.int_x))

@@ -30,6 +30,7 @@ from wbou.drivers import (
     PointMassJumps,
 )
 from wbou.errors import DomainError
+from wbou.estimation import empirical_acf, fit_acf, read_series_csv
 from wbou.svmodel import big_r, corr_squared_returns, cov_integrated_vol
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,18 @@ def _table_with_bad_cell(path):
     return path
 
 
+#: ACF tables and series that must be refused: a non-finite rho_hat in the
+#: fit window, a lag that is not a whole number, undecodable bytes, and a
+#: quoted cell longer than csv.reader accepts
+_FAULTY_INPUTS = {
+    "nan_rho": "lag,rho_hat\n0,1.0\n1,nan\n2,0.25\n",
+    "inf_rho": "lag,rho_hat\n0,1.0\n1,0.5\n2,inf\n",
+    "frac_lag": "lag,rho_hat\n0,1.0\n1.7,0.5\n2,0.25\n",
+    "binary": "x\n1.0\n2.0\n\udcff\udcfe3.0\n",
+    "huge_cell": 'x\n1.0\n"' + "1" * 200_000 + '"\n2.0\n',
+}
+
+
 @pytest.mark.parametrize("argv", [
     _simulate_args("{out}", extra=["--paths", "0"]),
     _simulate_args("{out}", extra=["--t-max", "nan"]),
@@ -207,20 +220,30 @@ def _table_with_bad_cell(path):
     ["theory", "acf", "--lambda", "inf", "--max-lag", "5", "--out", "{out}"],
     ["theory", "acf", "--lambda", "1", "--dh", "nan", "--out", "{out}"],
     ["theory", "acf", "--lambda", "1", "--dh", "0", "--out", "{out}"],
+    ["fit", "--input", "{nan_rho}", "--max-lag", "2"],
+    ["fit", "--input", "{inf_rho}", "--max-lag", "2"],
+    ["fit", "--input", "{frac_lag}", "--max-lag", "2"],
+    ["signature", "--input", "{binary}", "--max-skip", "1", "--out", "{out}"],
+    ["signature", "--input", "{huge_cell}", "--max-skip", "1", "--out", "{out}"],
 ], ids=["paths-0", "t-max-nan", "dt-inf", "lambda-inf", "sv-lambda-inf", "sv-paths-0",
         "acf-bad-cell", "signature-bad-cell", "fit-bad-cell", "theory-acf-max-lag-neg",
         "theory-iacf-max-lag-0", "theory-sv-max-s-0", "driver-gamma-nan",
         "driver-brownian-inf", "driver-cpoisson-nan", "driver-jump-rate-inf",
         "driver-drift-nan", "sv-driver-nan", "theory-acf-lambda-inf", "theory-acf-dh-nan",
-        "theory-acf-dh-0"])
+        "theory-acf-dh-0", "fit-nan-rho", "fit-inf-rho", "fit-fractional-lag",
+        "signature-undecodable", "signature-huge-quoted-cell"])
 def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
-    bad = _table_with_bad_cell(tmp_path / "bad.csv")
+    inputs = {"bad": _table_with_bad_cell(tmp_path / "bad.csv")}
+    for name, text in _FAULTY_INPUTS.items():
+        inputs[name] = tmp_path / f"{name}.csv"
+        inputs[name].write_bytes(text.encode("utf-8", "surrogateescape"))
     out = tmp_path / "out.csv"
-    argv = [a.format(out=out, bad=bad) for a in argv]
+    argv = [a.format(out=out, **inputs) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.csv"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        p.name for p in inputs.values())
 
 
 def test_bad_cell_error_names_file_and_line(tmp_path, capsys):
@@ -357,6 +380,10 @@ def test_acf_command_writes_fit_table(tmp_path, capsys):
     assert len(lines) == 1 + 21
     summary = capsys.readouterr().out
     assert "lambda_wbou=" in summary and "rss_ou=" in summary
+    acf = empirical_acf(read_series_csv(src), 20)
+    for model in ("wbou", "ou"):
+        flag = str(fit_acf(acf, model, (1, 20)).at_boundary).lower()
+        assert f"boundary_{model}={flag}" in summary.split()
 
 
 # ---------------------------------------------------------------------------

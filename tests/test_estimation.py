@@ -1,6 +1,7 @@
 """Empirical ACF, rate fitting, realized volatility, and table formats."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,30 @@ def test_acf_table_requires_contiguous_lags(tmp_path):
     f2.write_text("lag,rho_hat\n1,0.9\n2,0.5\n")
     with pytest.raises(DomainError):
         read_acf_csv(f2)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1.0\n1,0.5\n\n2,nan\n", "line 5: rho_hat must be finite, got nan"),
+    ("0,1.0\n1,-inf\n2,0.2\n", "line 3: rho_hat must be finite, got -inf"),
+    ("0,1.0\n1.7,0.5\n2,0.2\n", "line 3: lags must be contiguous starting at 0; "
+                                   "want lag 1, got 1.7"),
+    ("0,1.0\n1,0.5\ninf,0.2\n", "line 4: lags must be contiguous starting at 0; "
+                                   "want lag 2, got inf"),
+])
+def test_acf_table_rejects_bad_values_by_line(tmp_path, body, message):
+    f = tmp_path / "acf.csv"
+    f.write_text("lag,rho_hat\n" + body)
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{f}: {message}')}$"):
+        read_acf_csv(f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_rho_in_window(bad):
+    rho = np.array([1.0, 0.6, 0.3, bad])
+    acf = AcfEstimate(lags=np.arange(4), rho=rho, n=100)
+    with pytest.raises(DomainError, match="not finite"):
+        fit_acf(acf, "wbou", (1, 3))
+    assert fit_acf(acf, "wbou", (1, 2)).rss < 1e-2  # outside the window it is unused
 
 
 def test_signature_table(tmp_path):

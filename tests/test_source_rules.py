@@ -1,0 +1,75 @@
+"""Rules on the package source, read with ``ast``.
+
+Only ``_table`` opens files for writing, so the CSV format has one
+owner.  Only ``cli`` prints; the library reports through the ``wbou``
+logger.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "wbou"
+
+#: calls that write a file whatever their arguments
+WRITE_CALLS = {"write_text", "write_bytes", "save", "savez", "savez_compressed",
+               "savetxt", "tofile"}
+
+
+def _calls(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield name, node
+
+
+def _writes(name, call) -> bool:
+    """True for a call that may write a file.
+
+    The mode of ``open(file, mode)`` is its second argument, of
+    ``path.open(mode)`` its first, or the ``mode=`` keyword.  No mode
+    reads; a mode that is not a constant string counts as a write.
+    """
+    if name in WRITE_CALLS:
+        return True
+    if name != "open":
+        return False
+    first = 1 if isinstance(call.func, ast.Name) else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[first : first + 1]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes)
+
+
+def _modules_where(pred):
+    return sorted(p.name for p in SRC.glob("*.py")
+                  if any(pred(name, call) for name, call in _calls(p)))
+
+
+@pytest.mark.parametrize("src, writes", [
+    ('open("data.csv")', False),
+    ('open("w.csv", "r", newline="")', False),
+    ('open(p, mode="rb")', False),
+    ('open(p, "w")', True),
+    ('open(p, mode="a")', True),
+    ('open(p, "r+")', True),
+    ("open(p, mode)", True),
+    ("open(p, mode=m)", True),
+    ('p.open("x")', True),
+    ("p.open()", False),
+    ('p.write_text("1")', True),
+])
+def test_write_rule_reads_only_the_mode(src, writes):
+    call = ast.parse(src, mode="eval").body
+    name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+    assert _writes(name, call) == writes
+
+
+def test_only_table_module_opens_files_for_writing():
+    assert _modules_where(_writes) == ["_table.py"]
+
+
+def test_only_cli_prints():
+    assert _modules_where(lambda name, call: name == "print"
+                          and isinstance(call.func, ast.Name)) == ["cli.py"]

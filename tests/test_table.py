@@ -1,0 +1,127 @@
+"""The CSV table format: ``write_table`` and ``read_columns``.
+
+The writer is checked byte for byte against a one-row-at-a-time
+formatter, and values read back bit for bit.  The reader is checked
+cell by cell on the bodies people write by hand: blank lines, CRLF,
+padding, ragged rows and quoted commas.
+"""
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wbou import _table
+from wbou._table import read_columns, write_table
+from wbou.errors import DimensionMismatch, DomainError
+
+
+def per_row_text(header, columns):
+    """The table as a row-by-row f-string loop writes it."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(str(v) if isinstance(v, int) else repr(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+ROW = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False),
+                st.integers(-2**53, 2**53))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(ROW, max_size=30))
+@example(rows=[(-0.0, 5e-324, 0), (1.7e308, -1.7e308, -1),
+               (2.2250738585072014e-308, -2.225073858507201e-308, 2**53),
+               (float("inf"), float("-inf"), -2**53)])
+def test_round_trip_is_bitwise(tmp_path_factory, rows):
+    f = tmp_path_factory.mktemp("table") / "t.csv"
+    a, b, k = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    write_table(f, ("a", "b", "k"), (np.array(a, dtype=float), np.array(b, dtype=float),
+                                     np.array(k, dtype=np.int64)))
+    assert f.read_text() == per_row_text(("a", "b", "k"), (a, b, k))
+    back, lines = read_columns(f, ("a", "b", "k"))
+    assert lines == list(range(2, len(rows) + 2))
+    assert np.array_equal(bits(back["a"]), bits(a))
+    assert np.array_equal(bits(back["b"]), bits(b))
+    assert np.array_equal(back["k"], np.array(k, dtype=float))
+
+
+def test_blocks_join_seamlessly(tmp_path):
+    n = 2 * _table._BLOCK + 3
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    k = np.arange(n) - n // 2
+    f = tmp_path / "long.csv"
+    write_table(f, ("k", "x", "empty"), (k, x, None))
+    rows = zip(k.tolist(), x.tolist())
+    assert f.read_text() == "k,x,empty\n" + "".join(f"{a},{b!r},\n" for a, b in rows)
+    back, _ = read_columns(f, ("x", "k"))
+    assert list(back) == ["x", "k"]
+    assert np.array_equal(bits(back["x"]), bits(x))
+    assert np.array_equal(back["k"], k)
+
+
+def test_missing_names_are_left_out(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text(" b ,a\n1,2\n")
+    assert list(read_columns(f, ("a", "c", "b"))[0]) == ["a", "b"]
+    f.write_text("")
+    with pytest.raises(DomainError, match="empty file"):
+        read_columns(f, ("a",))
+
+
+@pytest.mark.parametrize("body, names, want", [
+    ("a,b\n1,2\n\n3,4\n\n", ("a", "b"), ({"a": [1, 3], "b": [2, 4]}, [2, 4])),
+    ("a,b\r\n1,2\r\n\r\n3,4\r\n", ("a", "b"), ({"a": [1, 3], "b": [2, 4]}, [2, 4])),
+    ("a,b\n 1 ,\t2\n3 , 4e-3 \n", ("b",), ({"b": [2, 4e-3]}, [2, 3])),
+    ("a,b\n1,2,9\n3,4\n", ("a", "b"), ({"a": [1, 3], "b": [2, 4]}, [2, 3])),
+    ('a,b,x\n"1,2",3,4\n', ("x",), ({"x": [4]}, [2])),
+    ('"a",b\n"1",2\n', ("a", "b"), ({"a": [1], "b": [2]}, [2])),
+    ("a,b\nnan,-inf\n-0,1_0\n", ("b",), ({"b": [-np.inf, 10]}, [2, 3])),
+    ("a,b\n1,2\n3\n", ("a", "b"), "line 3: cannot read '' as a number"),
+    ("a,b\n1,2\n3,\n", ("b",), "line 3: cannot read '' as a number"),
+    ("a,b\n1,2\n  \n", ("a",), "line 3: cannot read '  ' as a number"),
+    ("a,b\n1,x\ny,2\n", ("a", "b"), "line 2: cannot read 'x' as a number"),
+    ("a,b\n1,2\n3,4e999\n", ("b",), ({"b": [2, np.inf]}, [2, 3])),
+], ids=["blank-lines", "crlf", "padded-cells", "long-row", "quoted-comma",
+        "quoted-cells", "float-spellings", "short-row", "empty-cell", "blank-cell",
+        "first-bad-row", "overflow-is-inf"])
+def test_reader_cells(tmp_path, body, names, want):
+    f = tmp_path / "t.csv"
+    f.write_bytes(body.encode())
+    if isinstance(want, str):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{f}: {want}')}$"):
+            read_columns(f, names)
+        return
+    cols, lines = read_columns(f, names)
+    assert {n: v.tolist() for n, v in cols.items()} == want[0]
+    assert lines == want[1]
+
+
+@pytest.mark.parametrize("cell", ['"' + "1" * 200_000 + '"', "1" * 200_000])
+def test_cell_over_the_csv_field_limit_is_refused(tmp_path, cell):
+    f = tmp_path / "t.csv"
+    f.write_text(f"x\n1.0\n{cell}\n")
+    with pytest.raises(DomainError, match="field larger than field limit"):
+        read_columns(f, ("x",))
+
+
+def test_undecodable_bytes_are_refused(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_bytes(b"x\n1.0\n\xff\xfe3.0\n")
+    with pytest.raises(DomainError, match="codec can't decode"):
+        read_columns(f, ("x",))
+
+
+def test_columns_of_unequal_length_are_refused(tmp_path):
+    f = tmp_path / "t.csv"
+    with pytest.raises(DimensionMismatch, match="differ in length"):
+        write_table(f, ("a", "b", "c"), ([1.0, 2.0], None, [1.0]))
+    with pytest.raises(DimensionMismatch):
+        write_table(f, ("a",), (None,))
+    assert not f.exists()
