@@ -72,7 +72,6 @@ from .estimation import (
 )
 from .law import (
     ExistenceResult,
-    MarginalLaw,
     char_fn_joint,
     char_fn_x,
     existence_check,
@@ -86,9 +85,7 @@ from .paths import (
     OuPath,
     SimulationGrid,
     TruncationPolicy,
-    WbouEnsemble,
     WbouPath,
-    YPath,
     derivative_identity_residual,
     max_abs_increment,
     ou_from_increments,
@@ -97,13 +94,11 @@ from .paths import (
     simulate_ou,
     simulate_wbou,
     simulate_wbou_ensemble,
-    simulate_y,
     wbou_from_increments,
     write_path_csv,
 )
 from .rng import as_generator, substream
 from .svmodel import (
-    SvEnsemble,
     SvPath,
     SvSpec,
     big_r,

@@ -19,8 +19,12 @@ _BLOCK = 8192
 
 
 def write_table(out, header, columns) -> None:
-    """Write equal-length columns under the header names; None is empty."""
+    """Write equal-length 1-D columns under the header names; None is
+    empty."""
     cols = [None if c is None else np.asarray(c) for c in columns]
+    shapes = [c.shape for c in cols if c is not None and c.ndim != 1]
+    if shapes:
+        raise DimensionMismatch(f"columns of {out} must be 1-D, got shapes {shapes}")
     lengths = {len(c) for c in cols if c is not None}
     if len(lengths) != 1:
         raise DimensionMismatch(f"columns of {out} differ in length: {sorted(lengths)}")

@@ -12,8 +12,8 @@ half-line integrals of the driver,
 
     R0 = ( -(G + H) / (2 lam),  (G - H) / 2 ),
 
-so a CarmaSpec is built *from* a simulated path (which carries G and H)
-rather than initialized standalone.  A has eigenvalues +/-lam, and
+so a CarmaSpec is built *from* a simulated single path (which carries
+G and H) rather than initialized standalone.  A has eigenvalues +/-lam, and
 e^{At} grows like e^{lam t}; operations therefore cap lam * t_max
 (default 30) and refuse longer runs rather than overflow silently.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, InvalidLambda
-from .paths import SimulationGrid, WbouPath
+from .errors import DimensionMismatch, DomainError, GridMismatch
+from .paths import SimulationGrid, WbouPath, _check_lambda
 
 __all__ = ["CarmaSpec", "mat_exp_at", "carma_from_wbou", "simulate_carma"]
 
@@ -38,8 +38,7 @@ class CarmaSpec:
     r0: tuple[float, float]
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidLambda(f"lambda must be > 0, got {self.lam}")
+        _check_lambda(self.lam)
 
     @property
     def a_matrix(self) -> np.ndarray:
@@ -52,15 +51,19 @@ class CarmaSpec:
 
 def mat_exp_at(lam: float, t: float) -> np.ndarray:
     """Closed-form e^{At}: [[cosh, sinh/lam], [lam sinh, cosh]] at lam*t."""
-    if not lam > 0:
-        raise InvalidLambda(f"lambda must be > 0, got {lam}")
+    _check_lambda(lam)
     c = math.cosh(lam * t)
     s = math.sinh(lam * t)
     return np.array([[c, s / lam], [lam * s, c]])
 
 
 def carma_from_wbou(path: WbouPath) -> CarmaSpec:
-    """Initial state from the path's (G, H): b'R0 = G + H = X_0."""
+    """Initial state from a single path's (G, H): b'R0 = G + H = X_0.
+    A batch is refused (DimensionMismatch)."""
+    if path.x.ndim != 1:
+        raise DimensionMismatch(
+            f"carma_from_wbou takes a single path, got x of shape {path.x.shape}"
+        )
     lam = path.lam
     return CarmaSpec(
         lam=lam,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,13 +33,12 @@ from scipy import integrate
 
 from .drivers import DriverSpec, LevyMeasure, LevyTriplet
 from .errors import DimensionMismatch, DomainError, ExistenceViolation
-from .paths import TruncationPolicy, _check_lambda
+from .paths import TruncationPolicy
 
 __all__ = [
     "ExistenceResult",
     "existence_check",
     "triplet_of_x",
-    "MarginalLaw",
     "char_fn_x",
     "char_fn_joint",
     "kbar",
@@ -135,6 +133,10 @@ def triplet_of_x(driver: DriverSpec, lam: float) -> LevyTriplet:
     strict because mass sitting exactly at |x| = 1 is mapped onto |y| <= 1
     where the truncation function does not change.  Gaussian part:
     sigma^2 / lam.
+
+    Under the time-scaled convention (the driver runs at rate lam, as in
+    char_fn_x(..., time_scaled=True)) the marginal law does not depend
+    on lam, and its triplet is triplet_of_x(driver, 1.0).
     """
     _require_exists(driver, lam)
     trip = driver.triplet
@@ -225,40 +227,6 @@ def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
         integrand, lo, hi, args=(np.imag,), points=pts, **_QUAD_OPTS
     )
     return complex(np.exp(re + 1j * im))
-
-
-@dataclass(frozen=True)
-class MarginalLaw:
-    """The marginal law of X bundled with its triplet and CF evaluator.
-
-    time_scaled selects the convention where the driver runs at rate
-    lam (increments of L over lam dt per unit grid step); under it the
-    marginal does not depend on lam.
-    """
-
-    driver: DriverSpec
-    lam: float
-    time_scaled: bool = False
-
-    def __post_init__(self):
-        _check_lambda(self.lam)
-        _require_exists(self.driver, self.lam)
-
-    @cached_property
-    def triplet(self) -> LevyTriplet:
-        lam_eff = 1.0 if self.time_scaled else self.lam
-        return triplet_of_x(self.driver, lam_eff)
-
-    def char_fn(self, u):
-        return char_fn_x(self.driver, self.lam, u, time_scaled=self.time_scaled)
-
-    def mean(self) -> float:
-        mu, _ = self.driver.moments()
-        return 2.0 * mu / (1.0 if self.time_scaled else self.lam)
-
-    def variance(self) -> float:
-        _, v = self.driver.moments()
-        return v / (1.0 if self.time_scaled else self.lam)
 
 
 # ---------------------------------------------------------------------------

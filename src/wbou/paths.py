@@ -24,27 +24,32 @@ The recursions actually used are the numerically safe ones
 
 which never form e^{+lam t} and therefore preserve nonnegativity of both
 components exactly in floating point when the driver increments are
-nonnegative.  The classical OU process, the zero-start variant
-Y_t = X_t - X_0, and the compact-window kernel variant share the same
-conventions so that identities across processes hold pathwise.
+nonnegative.  The classical OU process and the compact-window kernel
+variant share the same conventions so that identities across processes
+hold pathwise.
 
 All sampling of X goes through one engine: the generator is split into
 three substreams (past of 0, main window, tail beyond t_max) and the
 main window is drawn as an (n_paths, n) array whose rows are iid paths.
+A WbouPath holds one path, with (n+1,) arrays, or a batch, with
+(n_paths, n+1) arrays; a single path is row 0 of a one-path batch.
 Single paths (simulate_wbou, simulate_ou) draw each half-line as dense
-increments and keep them for replay; ensembles draw G and X^+_{t_max}
-from their law through the driver's sample_weighted_sum, which costs a
-few hundred series terms or jumps per row instead of ln(1/tol)/(lam dt)
-increments.  A one-path ensemble shares the single path's main-window
+increments and keep them for replay; batches (simulate_wbou_ensemble)
+draw G and X^+_{t_max} from their law through the driver's
+sample_weighted_sum, which costs a few hundred series terms or jumps
+per row instead of ln(1/tol)/(lam dt) increments, and keep no
+increments.  A one-path batch shares the single path's main-window
 increments bitwise; only its G and X^+_{t_max} differ.  A smaller
 truncation tol extends a single path's half-line draws (the samplers
-are prefix-consistent); ensembles draw the integrals whole.
+are prefix-consistent); batches draw the integrals whole.  The
+zero-start variant Y_t = X_t - X_0 is the expression path.x - path.x[0]
+(analytics.mean_y and var_y give its moments).
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,16 +71,13 @@ __all__ = [
     "SimulationGrid",
     "TruncationPolicy",
     "WbouPath",
-    "WbouEnsemble",
     "OuPath",
-    "YPath",
     "CompactPath",
     "simulate_wbou",
     "simulate_wbou_ensemble",
     "wbou_from_increments",
     "simulate_ou",
     "ou_from_increments",
-    "simulate_y",
     "simulate_compact_kernel",
     "path_total_variation",
     "max_abs_increment",
@@ -150,12 +152,15 @@ class TruncationPolicy:
 
 @dataclass
 class WbouPath:
-    """A simulated path of X with its split and the driving increments.
+    """A simulated path of X, or a batch of iid paths, with its split.
 
-    ``dl`` holds the main-window driver increments (retained so other
-    representations can replay the identical randomness), ``dl_past``
-    the increments behind G ordered from time 0 walking left, and
-    ``dl_tail`` the increments beyond t_max walking right.
+    The arrays x, x_minus and x_plus have shape (n+1,) for one path and
+    (n_paths, n+1) for a batch; g = X^-_0 and h = X^+_0 are floats or
+    (n_paths,) arrays.  A single path keeps its driver increments so
+    other representations can replay the identical randomness: ``dl``
+    on the main window, ``dl_past`` behind G ordered from time 0 walking
+    left, and ``dl_tail`` beyond t_max walking right.  A batch draws G
+    and X^+_{t_max} by their law and keeps none of them (None).
     """
 
     grid: SimulationGrid
@@ -163,39 +168,21 @@ class WbouPath:
     x: np.ndarray
     x_minus: np.ndarray
     x_plus: np.ndarray
-    g: float
-    h: float
-    dl: np.ndarray
-    dl_past: np.ndarray
-    dl_tail: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.x
+    g: float | np.ndarray
+    h: float | np.ndarray
+    dl: np.ndarray | None = None
+    dl_past: np.ndarray | None = None
+    dl_tail: np.ndarray | None = None
 
     @cached_property
-    def l_cum(self) -> np.ndarray:
-        """Cumulative driver path L_{t_k} - L_0 on the main window."""
+    def l_cum(self) -> np.ndarray | None:
+        """Cumulative driver path L_{t_k} - L_0 on the main window; None
+        when the increments are not kept."""
+        if self.dl is None:
+            return None
         out = np.zeros(self.grid.n + 1)
         np.cumsum(self.dl, out=out[1:])
         return out
-
-
-@dataclass
-class WbouEnsemble:
-    """A batch of paths simulated at once; arrays are (n_paths, n+1)."""
-
-    grid: SimulationGrid
-    lam: float
-    x: np.ndarray
-    x_minus: np.ndarray
-    x_plus: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass
@@ -205,27 +192,8 @@ class OuPath:
     grid: SimulationGrid
     lam: float
     x: np.ndarray
-    x0: float
     dl: np.ndarray
     dl_past: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.x
-
-
-@dataclass
-class YPath:
-    """The zero-start variant Y_t = X_t - X_0 of a simulated path."""
-
-    grid: SimulationGrid
-    lam: float
-    y: np.ndarray
-    base: WbouPath
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.y
 
 
 @dataclass
@@ -237,10 +205,6 @@ class CompactPath:
     lam: float
     a: float
     x: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.x
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +219,21 @@ def _halfline_sum(lam, dt, dl_half, offset):
     return dl_half @ np.exp(-lam * dt * np.arange(offset, dl_half.shape[-1] + offset))
 
 
-def _assemble(lam, grid, g, dl, xp_end) -> WbouEnsemble:
-    """Build the ensemble (x_minus, x_plus, g, h) from the main-window
+def _forward(alpha, g, dl):
+    """x^-_{k+1} = alpha (x^-_k + dl_k) from x^-_0 = g, along axis 1:
+    (n_paths,) starts and (n_paths, n) increments give (n_paths, n+1)."""
+    fwd, _ = lfilter([alpha], [1.0, -alpha], dl, axis=1, zi=(alpha * g)[:, None])
+    return np.concatenate([g[:, None], fwd], axis=1)
+
+
+def _assemble(lam, grid, g, dl, xp_end) -> WbouPath:
+    """Build the batch (x_minus, x_plus, g, h) from the main-window
     increments dl, (n_paths, n), and the half-line integrals g = X^-_0
     and xp_end = X^+_{t_max}, (n_paths,); the recursions run along
     axis 1.
     """
     alpha = math.exp(-lam * grid.dt)
-
-    # x^-_{k+1} = alpha (x^-_k + dl_k), x^-_0 = g
-    fwd, _ = lfilter([alpha], [1.0, -alpha], dl, axis=1, zi=(alpha * g)[:, None])
-    x_minus = np.concatenate([g[:, None], fwd], axis=1)
+    x_minus = _forward(alpha, g, dl)
 
     # x^+_k = alpha x^+_{k+1} + dl_k, x^+_n = xp_end (run in reverse)
     bwd, _ = lfilter(
@@ -273,7 +241,7 @@ def _assemble(lam, grid, g, dl, xp_end) -> WbouEnsemble:
     )
     x_plus = np.concatenate([bwd[:, ::-1], xp_end[:, None]], axis=1)
 
-    return WbouEnsemble(
+    return WbouPath(
         grid=grid, lam=lam, x=x_minus + x_plus,
         x_minus=x_minus, x_plus=x_plus, g=g, h=x_plus[:, 0].copy(),
     )
@@ -286,15 +254,16 @@ def _validate(driver: DriverSpec, lam: float) -> float:
     return lam
 
 
-def _first_path(ens: WbouEnsemble, dl_past, dl, dl_tail) -> WbouPath:
+def _row0(batch: WbouPath, dl_past, dl, dl_tail) -> WbouPath:
+    """The single path in row 0 of a one-path batch, with its increments."""
     return WbouPath(
-        grid=ens.grid,
-        lam=ens.lam,
-        x=ens.x[0],
-        x_minus=ens.x_minus[0],
-        x_plus=ens.x_plus[0],
-        g=float(ens.g[0]),
-        h=float(ens.h[0]),
+        grid=batch.grid,
+        lam=batch.lam,
+        x=batch.x[0],
+        x_minus=batch.x_minus[0],
+        x_plus=batch.x_plus[0],
+        g=float(batch.g[0]),
+        h=float(batch.h[0]),
         dl=dl[0],
         dl_past=dl_past[0],
         dl_tail=dl_tail[0],
@@ -311,7 +280,7 @@ def _simulate(driver, lam, grid, n_paths, trunc, rng, *, by_law):
     from its sample_weighted_sum and no half-line increments exist
     (None); otherwise each half-line is a dense (n_paths, m_half) draw,
     kept for replay.  Returns the
-    assembled ensemble and the arrays (dl_past, dl, dl_tail).
+    assembled batch and the arrays (dl_past, dl, dl_tail).
     """
     lam = _validate(driver, lam)
     if n_paths < 1:
@@ -361,7 +330,7 @@ def simulate_wbou(
     seed with a smaller truncation tolerance extends the half-line draws
     instead of reshuffling them.
     """
-    return _first_path(*_simulate(driver, lam, grid, 1, trunc, rng, by_law=False))
+    return _row0(*_simulate(driver, lam, grid, 1, trunc, rng, by_law=False))
 
 
 def simulate_wbou_ensemble(
@@ -372,14 +341,15 @@ def simulate_wbou_ensemble(
     *,
     trunc: TruncationPolicy | None = None,
     rng=None,
-) -> WbouEnsemble:
+) -> WbouPath:
     """Simulate a batch of independent paths with vectorized draws.
 
-    G and X^+_{t_max} are drawn by their law (the driver's
-    sample_weighted_sum), not as half-line increments.  With n_paths = 1
-    the main-window increments are those of simulate_wbou for an
-    identically seeded generator; only the two half-line integrals
-    differ.
+    The arrays of the result are (n_paths, n+1).  G and X^+_{t_max} are
+    drawn by their law (the driver's sample_weighted_sum), not as
+    half-line increments, so the batch keeps no increments.  With
+    n_paths = 1 the main-window increments are those of simulate_wbou
+    for an identically seeded generator; only the two half-line
+    integrals differ.
     """
     return _simulate(driver, lam, grid, n_paths, trunc, rng, by_law=True)[0]
 
@@ -407,9 +377,9 @@ def wbou_from_increments(
     dl_tail = np.zeros(0) if dl_tail is None else np.asarray(dl_tail, dtype=float)
 
     rows = [a[None, :] for a in (dl_past, dl, dl_tail)]
-    ens = _assemble(lam, grid, _halfline_sum(lam, grid.dt, rows[0], 1), rows[1],
-                    _halfline_sum(lam, grid.dt, rows[2], 0))
-    return _first_path(ens, *rows)
+    batch = _assemble(lam, grid, _halfline_sum(lam, grid.dt, rows[0], 1), rows[1],
+                      _halfline_sum(lam, grid.dt, rows[2], 0))
+    return _row0(batch, *rows)
 
 
 def simulate_ou(
@@ -426,11 +396,9 @@ def simulate_ou(
     the truncated past integral G, and the path is the X^- component of
     the simulate_wbou path drawn from an identically seeded generator.
     """
-    ens, dl_past, dl, _ = _simulate(driver, lam, grid, 1, trunc, rng, by_law=False)
-    return OuPath(
-        grid=grid, lam=ens.lam, x=ens.x_minus[0], x0=float(ens.g[0]),
-        dl=dl[0], dl_past=dl_past[0],
-    )
+    batch, dl_past, dl, _ = _simulate(driver, lam, grid, 1, trunc, rng, by_law=False)
+    return OuPath(grid=grid, lam=batch.lam, x=batch.x_minus[0], dl=dl[0],
+                  dl_past=dl_past[0])
 
 
 def ou_from_increments(
@@ -441,37 +409,20 @@ def ou_from_increments(
     dl_past: np.ndarray | None = None,
     x0: float | None = None,
 ) -> OuPath:
-    """Assemble an OU path from explicit increments (replay entry point)."""
+    """Assemble an OU path from explicit increments (replay entry point).
+
+    The start is x0 if given, else the past integral G of dl_past (0.0
+    without one).
+    """
     lam = _check_lambda(lam)
     dl = np.asarray(dl, dtype=float)
     if dl.shape != (grid.n,):
         raise DimensionMismatch(f"expected {grid.n} increments, got {dl.shape}")
+    dl_past = np.zeros(0) if dl_past is None else np.asarray(dl_past, dtype=float)
     if x0 is None:
-        if dl_past is not None and len(dl_past):
-            dl_past = np.asarray(dl_past, dtype=float)
-            x0 = float(_halfline_sum(lam, grid.dt, dl_past, 1))
-        else:
-            x0 = 0.0
-    alpha = math.exp(-lam * grid.dt)
-    fwd, _ = lfilter([alpha], [1.0, -alpha], dl, zi=np.array([alpha * x0]))
-    x = np.concatenate([[x0], fwd])
-    return OuPath(
-        grid=grid, lam=lam, x=x, x0=float(x0), dl=dl,
-        dl_past=np.zeros(0) if dl_past is None else np.asarray(dl_past, dtype=float),
-    )
-
-
-def simulate_y(
-    driver: DriverSpec,
-    lam: float,
-    grid: SimulationGrid,
-    *,
-    trunc: TruncationPolicy | None = None,
-    rng=None,
-) -> YPath:
-    """Simulate Y_t = X_t - X_0; Y_0 = 0 exactly."""
-    base = simulate_wbou(driver, lam, grid, trunc=trunc, rng=rng)
-    return YPath(grid=grid, lam=base.lam, y=base.x - base.x[0], base=base)
+        x0 = _halfline_sum(lam, grid.dt, dl_past, 1)
+    x = _forward(math.exp(-lam * grid.dt), np.array([x0], dtype=float), dl[None, :])[0]
+    return OuPath(grid=grid, lam=lam, x=x, dl=dl, dl_past=dl_past)
 
 
 def simulate_compact_kernel(
@@ -507,35 +458,40 @@ def simulate_compact_kernel(
 
 
 def path_total_variation(path) -> float:
-    """Sum of absolute increments along the grid."""
-    return float(np.abs(np.diff(path.values)).sum())
+    """Sum of absolute increments along the grid; a batch gives the sum
+    over its rows."""
+    return float(np.abs(np.diff(path.x)).sum())
 
 
 def max_abs_increment(path) -> float:
-    """Largest absolute one-step increment along the grid."""
-    return float(np.abs(np.diff(path.values)).max())
+    """Largest absolute one-step increment along the grid; a batch gives
+    the largest over its rows."""
+    return float(np.abs(np.diff(path.x)).max())
 
 
 def derivative_identity_residual(path: WbouPath) -> float:
     """Residual of the pathwise identity X_t - X_0 = lam int_0^t (X^+ - X^-) ds.
 
     The integral is discretized with the left-endpoint rule, matching
-    the simulation convention; the residual is first order in dt.
+    the simulation convention; the residual is first order in dt.  A
+    batch gives the largest residual over its rows.
     """
-    rhs = np.zeros(len(path.x))
-    np.cumsum(path.lam * path.grid.dt * (path.x_plus - path.x_minus)[:-1], out=rhs[1:])
-    return float(np.abs(path.x - path.x[0] - rhs).max())
+    rhs = np.zeros(path.x.shape)
+    np.cumsum(path.lam * path.grid.dt * (path.x_plus - path.x_minus)[..., :-1], axis=-1,
+              out=rhs[..., 1:])
+    return float(np.abs(path.x - path.x[..., :1] - rhs).max())
 
 
 def write_path_csv(path, out) -> None:
-    """Write t,x,x_minus,x_plus rows at full (round-trip) precision.
+    """Write t,x,x_minus,x_plus rows of a single path at full
+    (round-trip) precision.
 
     Works for any path type; components that do not exist are written
-    as empty fields.
+    as empty fields.  A batch is refused (DimensionMismatch).
     """
     write_table(out, ("t", "x", "x_minus", "x_plus"), (
         path.grid.times,
-        path.values,
+        path.x,
         getattr(path, "x_minus", None),
         getattr(path, "x_plus", None),
     ))

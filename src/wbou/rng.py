@@ -8,16 +8,18 @@ that guarantees:
 * path k of a CLI ``--paths`` fan-out is the single path simulated
   from ``substream(seed, k)`` (``n_paths=1``), whatever the number of
   paths written and in whatever order;
-* the rows of one ensemble are iid paths drawn together from one
+* the rows of one batch (``simulate_wbou_ensemble``,
+  ``simulate_sv_ensemble``) are iid paths drawn together from one
   generator; they are not the fan-out paths;
-* a one-path ensemble shares the single path's main window:
+* a single path is row 0 of a one-path batch in its main window:
   ``simulate_wbou``, ``simulate_ou`` and ``simulate_sv`` draw the same
   main-window increments (and, for SV, the same W increments) as the
-  matching ensemble call with an identically seeded generator, bitwise.
-  Ensembles draw the half-line integrals G and X^+_{t_max} by their law,
-  single paths as dense increments, so only those two values differ;
+  matching ``n_paths=1`` batch call with an identically seeded
+  generator, bitwise.  Batches draw the half-line integrals G and
+  X^+_{t_max} by their law, single paths as dense increments, so only
+  those two values differ;
 * a smaller truncation ``tol`` extends a single path's half-line draws
-  instead of reshuffling them; ensembles draw those integrals whole.
+  instead of reshuffling them; batches draw those integrals whole.
 """
 from __future__ import annotations
 

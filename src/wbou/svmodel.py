@@ -20,6 +20,11 @@ exactly at every grid point:
 
     int_x = explicit * (h/2) coth(h/2),    h = lam * dt.
 
+Both simulators return an SvPath: simulate_sv one path with (n+1,)
+arrays and the components x_minus, x_plus and l_cum that the identity
+needs, simulate_sv_ensemble a batch with (n_paths, n+1) arrays and
+without those components.
+
 Second-order theory for integrated volatility and squared returns over
 windows of length delta:
 
@@ -57,7 +62,6 @@ from .rng import as_generator
 __all__ = [
     "SvSpec",
     "SvPath",
-    "SvEnsemble",
     "simulate_sv",
     "simulate_sv_ensemble",
     "integrated_vol_explicit",
@@ -89,36 +93,26 @@ class SvSpec:
 
 @dataclass
 class SvPath:
-    """Joint (Y, X, int X) path plus the components behind the explicit
-    integrated-volatility identity."""
+    """Joint (Y, X, int X) path, or a batch of iid paths.
+
+    y, x and int_x have shape (n+1,) for one path and (n_paths, n+1) for
+    a batch.  A single path also carries the components behind the
+    explicit integrated-volatility identity (x_minus, x_plus and l_cum
+    of X on its own clock); a batch does not keep them (None).
+    """
 
     grid: SimulationGrid
     spec: SvSpec
     y: np.ndarray
     x: np.ndarray
-    x_minus: np.ndarray
-    x_plus: np.ndarray
     int_x: np.ndarray
-    l_cum: np.ndarray
+    x_minus: np.ndarray | None = None
+    x_plus: np.ndarray | None = None
+    l_cum: np.ndarray | None = None
 
     @property
     def lam(self) -> float:
         return self.spec.lam
-
-
-@dataclass
-class SvEnsemble:
-    """A batch of jointly simulated paths; arrays are (n_paths, n+1)."""
-
-    grid: SimulationGrid
-    spec: SvSpec
-    y: np.ndarray
-    x: np.ndarray
-    int_x: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.y.shape[0]
 
 
 def _scaled_grid(spec: SvSpec, grid: SimulationGrid) -> SimulationGrid:
@@ -136,14 +130,14 @@ def _euler_y(spec: SvSpec, grid: SimulationGrid, x: np.ndarray, dw: np.ndarray):
     return y
 
 
-def _simulate_joint(spec, grid, n_paths, trunc, rng):
+def _simulate_joint(spec, grid, n_paths, trunc, rng) -> SvPath:
     """X on the lam-scaled clock, then Y by Euler-Maruyama with
     left-endpoint volatility; W independent of L.
 
-    y and int_x are (rows, n+1).  n_paths=None asks for the single path,
-    whose inner process is a WbouPath (it carries the components of the
-    explicit identity).  A one-path batch shares its L main window and
-    its W draws; only the batch's half-line integrals are drawn by law.
+    n_paths=None asks for the single path, which keeps the components
+    of the explicit identity from its inner simulate_wbou path.  A
+    one-path batch shares its L main window and its W draws; only the
+    batch's half-line integrals are drawn by law.
     """
     l_gen, w_gen = as_generator(rng).spawn(2)
     inner_grid = _scaled_grid(spec, grid)
@@ -156,7 +150,10 @@ def _simulate_joint(spec, grid, n_paths, trunc, rng):
     dw = w_gen.normal(0.0, math.sqrt(grid.dt), (len(x), grid.n))
     y = _euler_y(spec, grid, x, dw)
     int_x = cumulative_trapezoid(x, dx=grid.dt, initial=0.0, axis=-1)
-    return inner, y, int_x
+    if n_paths is not None:
+        return SvPath(grid=grid, spec=spec, y=y, x=inner.x, int_x=int_x)
+    return SvPath(grid=grid, spec=spec, y=y[0], x=inner.x, int_x=int_x[0],
+                  x_minus=inner.x_minus, x_plus=inner.x_plus, l_cum=inner.l_cum)
 
 
 def simulate_sv(
@@ -169,17 +166,7 @@ def simulate_sv(
     """Simulate one joint path plus the components behind the explicit
     integrated-volatility identity.  It shares the L main window and the
     W draws of a one-path simulate_sv_ensemble with the same generator."""
-    inner, y, int_x = _simulate_joint(spec, grid, None, trunc, rng)
-    return SvPath(
-        grid=grid,
-        spec=spec,
-        y=y[0],
-        x=inner.x,
-        x_minus=inner.x_minus,
-        x_plus=inner.x_plus,
-        int_x=int_x[0],
-        l_cum=inner.l_cum,
-    )
+    return _simulate_joint(spec, grid, None, trunc, rng)
 
 
 def simulate_sv_ensemble(
@@ -189,10 +176,10 @@ def simulate_sv_ensemble(
     *,
     trunc: TruncationPolicy | None = None,
     rng=None,
-) -> SvEnsemble:
-    """Simulate a batch of joint paths with vectorized draws."""
-    inner, y, int_x = _simulate_joint(spec, grid, n_paths, trunc, rng)
-    return SvEnsemble(grid=grid, spec=spec, y=y, x=inner.x, int_x=int_x)
+) -> SvPath:
+    """Simulate a batch of joint paths with vectorized draws; the arrays
+    of the result are (n_paths, n+1)."""
+    return _simulate_joint(spec, grid, n_paths, trunc, rng)
 
 
 def integrated_vol_explicit(path, lam: float | None = None) -> np.ndarray:
@@ -201,7 +188,8 @@ def integrated_vol_explicit(path, lam: float | None = None) -> np.ndarray:
         int_0^t X_u du = (2 L + x^-_0 - x^+_0 - (x^-_t - x^+_t)) / lam
 
     with L the driver's cumulative path on the process's own clock.
-    Works for any path object carrying x_minus, x_plus and l_cum."""
+    Works for any single path carrying x_minus, x_plus and l_cum; a
+    batch keeps none of them and raises MissingComponents."""
     if lam is None:
         lam = getattr(path, "lam", None)
         if lam is None:
@@ -292,5 +280,6 @@ def spot_vol_moments(driver: DriverSpec) -> tuple[float, float]:
 
 
 def write_sv_csv(path: SvPath, out) -> None:
-    """Write t,y,x,int_x rows at full (round-trip) precision."""
+    """Write t,y,x,int_x rows of a single path at full (round-trip)
+    precision; a batch is refused (DimensionMismatch)."""
     write_table(out, ("t", "y", "x", "int_x"), (path.grid.times, path.y, path.x, path.int_x))

@@ -418,7 +418,7 @@ def test_criterion_12_fit_recovery():
         if fit_acf(a, "wbou", (1, 50)).rss < fit_acf(a, "ou", (1, 50)).rss:
             wins_wbou += 1
         xo = simulate_ou(GAMMA11, lam_true, grid,
-                         rng=rng_for("acceptance", "c12", "o", str(i))).values
+                         rng=rng_for("acceptance", "c12", "o", str(i))).x
         a = empirical_acf(xo, 50)
         if fit_acf(a, "ou", (1, 50)).rss < fit_acf(a, "wbou", (1, 50)).rss:
             wins_ou += 1

@@ -1,10 +1,13 @@
 """State-space representation checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from wbou import (
     CarmaSpec,
+    DimensionMismatch,
     DomainError,
     GridMismatch,
     InvalidLambda,
@@ -15,6 +18,7 @@ from wbou import (
     mat_exp_at,
     simulate_carma,
     simulate_wbou,
+    simulate_wbou_ensemble,
     substream,
 )
 
@@ -53,10 +57,11 @@ class TestMatrixExponential:
         assert sorted(vals.real) == pytest.approx([-lam, lam])
 
     def test_lambda_validation(self):
-        with pytest.raises(InvalidLambda):
-            mat_exp_at(0.0, 1.0)
-        with pytest.raises(InvalidLambda):
-            CarmaSpec(-1.0, (0.0, 0.0))
+        for lam in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidLambda):
+                mat_exp_at(lam, 1.0)
+            with pytest.raises(InvalidLambda):
+                CarmaSpec(lam, (0.0, 0.0))
 
 
 class TestInitialState:
@@ -65,6 +70,12 @@ class TestInitialState:
                              rng=substream(81))
         spec = carma_from_wbou(path)
         assert spec.b @ spec.r0 == pytest.approx(path.x[0], rel=1e-14)
+
+    def test_batch_is_refused(self):
+        batch = simulate_wbou_ensemble(GAMMA11, 1.0, SimulationGrid(2.0, 0.1), 2,
+                                       rng=substream(81))
+        with pytest.raises(DimensionMismatch, match="single path"):
+            carma_from_wbou(batch)
 
     def test_symmetric_split_zeroes_second_state(self):
         spec = CarmaSpec(1.0, (-(3.0 + 3.0) / 2.0, (3.0 - 3.0) / 2.0))

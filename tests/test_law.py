@@ -11,7 +11,6 @@ from wbou import (
     DimensionMismatch,
     DomainError,
     ExponentialJumps,
-    MarginalLaw,
     NormalJumps,
     NotASubordinator,
     PointMassJumps,
@@ -196,17 +195,6 @@ class TestJointCf:
             char_fn_joint(GAMMA, 1.0, [0.0, 1.0], [0.5])
         with pytest.raises(DomainError):
             char_fn_joint(GAMMA, 1.0, [1.0, 0.0], [0.5, 0.5])
-
-
-def test_marginal_law_bundle():
-    law = MarginalLaw(GAMMA, 2.0)
-    mu, v = GAMMA.moments()
-    assert law.mean() == pytest.approx(2 * mu / 2.0)
-    assert law.variance() == pytest.approx(v / 2.0)
-    assert law.char_fn(0.9) == pytest.approx(char_fn_x(GAMMA, 2.0, 0.9))
-    scaled = MarginalLaw(GAMMA, 2.0, time_scaled=True)
-    assert scaled.mean() == pytest.approx(2 * mu)
-    assert scaled.triplet.gamma == pytest.approx(triplet_of_x(GAMMA, 1.0).gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Simulation-layer checks: grids, truncation, the split, replay, CSV."""
 
 import csv
+import dataclasses
 import hashlib
 import logging
 import math
@@ -30,7 +31,6 @@ from wbou import (
     simulate_ou,
     simulate_wbou,
     simulate_wbou_ensemble,
-    simulate_y,
     substream,
     wbou_from_increments,
     write_path_csv,
@@ -196,7 +196,7 @@ def test_single_path_is_row_zero_of_one_path_ensemble(name):
     assert np.array_equal(ens.g, math.exp(-lam * grid.dt) * hook(past))
     assert np.array_equal(ens.x_plus[:, -1], hook(tail))
     ou = simulate_ou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
-    assert np.array_equal(ou.x, path.x_minus) and ou.x0 == path.g
+    assert np.array_equal(ou.x, path.x_minus) and ou.x[0] == path.g
 
 
 def test_simulate_logs_route_and_budget(caplog):
@@ -298,7 +298,6 @@ def test_ensemble_when_the_kernel_underflows(name):
 def test_ensemble_shapes():
     ens = simulate_wbou_ensemble(GAMMA11, 1.0, SimulationGrid(1.0, 0.25), 7,
                                  rng=substream(5))
-    assert ens.n_paths == 7
     assert ens.x.shape == (7, 5)
     assert np.array_equal(ens.x, ens.x_minus + ens.x_plus)
     with pytest.raises(DimensionMismatch):
@@ -333,7 +332,7 @@ def test_ou_equals_decaying_component_under_shared_streams():
     wb = simulate_wbou(GAMMA11, 1.0, grid, rng=substream(55))
     ou = simulate_ou(GAMMA11, 1.0, grid, rng=substream(55))
     assert np.array_equal(ou.x, wb.x_minus)
-    assert ou.x0 == wb.g
+    assert ou.x[0] == wb.g
     assert np.array_equal(ou.dl, wb.dl)
 
 
@@ -356,15 +355,8 @@ def test_ou_inherits_upward_jumps_without_smoothing():
 
 
 # ---------------------------------------------------------------------------
-# zero-start variant and compact window
+# compact window
 # ---------------------------------------------------------------------------
-
-def test_zero_start_variant():
-    y = simulate_y(GAMMA11, 1.0, SimulationGrid(1.0, 0.1), rng=substream(3))
-    assert y.y[0] == 0.0
-    assert np.array_equal(y.y, y.base.x - y.base.x[0])
-    assert y.values is y.y
-
 
 def test_compact_window_drift_mass():
     gam, lam, dt, a = 3.0, 1.2, 0.01, 0.5
@@ -411,6 +403,20 @@ def test_compact_window_validation():
 # path functionals
 # ---------------------------------------------------------------------------
 
+def test_functionals_of_a_batch_reduce_over_rows():
+    """On a batch the residual and the largest increment are the largest
+    over rows, the total variation the sum over rows."""
+    batch = simulate_wbou_ensemble(GAMMA11, 1.0, SimulationGrid(1.0, 0.05), 3,
+                                   rng=substream(22))
+    rows = [dataclasses.replace(batch, x=batch.x[i], x_minus=batch.x_minus[i],
+                                x_plus=batch.x_plus[i], g=float(batch.g[i]),
+                                h=float(batch.h[i])) for i in range(3)]
+    assert derivative_identity_residual(batch) == max(map(derivative_identity_residual, rows))
+    assert max_abs_increment(batch) == max(map(max_abs_increment, rows))
+    assert path_total_variation(batch) == pytest.approx(
+        sum(map(path_total_variation, rows)), rel=1e-14)
+
+
 def test_variation_functionals_on_known_path():
     fake = CompactPath(grid=SimulationGrid(0.4, 0.1), lam=1.0, a=0.1,
                        x=np.array([0.0, 2.0, 1.0, 1.0, -1.0]))
@@ -451,6 +457,17 @@ def test_path_csv_round_trip(tmp_path):
         assert float(row["x"]) == path.x[k]
         assert float(row["x_minus"]) == path.x_minus[k]
         assert float(row["x_plus"]) == path.x_plus[k]
+
+
+def test_path_csv_refuses_a_batch(tmp_path):
+    """Even a batch with as many rows as grid points, whose columns have
+    the row count as their length."""
+    grid = SimulationGrid(1.0, 0.25)
+    batch = simulate_wbou_ensemble(GAMMA11, 1.0, grid, grid.n + 1, rng=substream(14))
+    out = tmp_path / "batch.csv"
+    with pytest.raises(DimensionMismatch, match="must be 1-D"):
+        write_path_csv(batch, out)
+    assert not out.exists()
 
 
 def test_path_csv_components_optional(tmp_path):

@@ -1,0 +1,65 @@
+"""One result type per model: a WbouPath and an SvPath each hold either
+one path, with (n+1,) arrays, or a batch, with (n_paths, n+1) arrays.
+A single path keeps what replay and the integrated-volatility identity
+need; a batch keeps only its paths."""
+
+import pytest
+
+import wbou
+from wbou import (
+    DimensionMismatch,
+    MissingComponents,
+    SimulationGrid,
+    SvSpec,
+    gamma_subordinator,
+    integrated_vol_explicit,
+    simulate_sv,
+    simulate_sv_ensemble,
+    simulate_wbou,
+    simulate_wbou_ensemble,
+    substream,
+    write_sv_csv,
+)
+
+GAMMA11 = gamma_subordinator(1.0, 1.0)
+GRID = SimulationGrid(1.0, 0.25)
+ROW = (GRID.n + 1,)
+BATCH = (3, GRID.n + 1)
+
+
+def test_wbou_path_holds_one_path_or_a_batch():
+    path = simulate_wbou(GAMMA11, 1.0, GRID, rng=substream(1))
+    batch = simulate_wbou_ensemble(GAMMA11, 1.0, GRID, 3, rng=substream(1))
+    assert type(path) is type(batch)
+    for name in ("x", "x_minus", "x_plus"):
+        assert getattr(path, name).shape == ROW
+        assert getattr(batch, name).shape == BATCH
+    assert path.l_cum.shape == ROW
+    assert path.dl.shape == (GRID.n,)
+    assert path.dl_past.ndim == path.dl_tail.ndim == 1
+    assert type(path.g) is float and type(path.h) is float
+    assert batch.g.shape == batch.h.shape == (3,)
+    assert batch.dl is None and batch.dl_past is None and batch.dl_tail is None
+    assert batch.l_cum is None
+
+
+def test_sv_path_holds_one_path_or_a_batch(tmp_path):
+    spec = SvSpec(0.0, 0.0, 1.0, GAMMA11)
+    path = simulate_sv(spec, GRID, rng=substream(2))
+    batch = simulate_sv_ensemble(spec, GRID, 3, rng=substream(2))
+    assert type(path) is type(batch)
+    for name in ("y", "x", "int_x", "x_minus", "x_plus", "l_cum"):
+        assert getattr(path, name).shape == ROW
+    for name in ("y", "x", "int_x"):
+        assert getattr(batch, name).shape == BATCH
+    assert batch.x_minus is None and batch.x_plus is None and batch.l_cum is None
+    with pytest.raises(MissingComponents):
+        integrated_vol_explicit(batch)
+    with pytest.raises(DimensionMismatch):
+        write_sv_csv(batch, tmp_path / "sv.csv")
+
+
+@pytest.mark.parametrize("name", ["WbouEnsemble", "SvEnsemble", "YPath", "simulate_y",
+                                  "MarginalLaw"])
+def test_merged_and_removed_names_are_gone(name):
+    assert not hasattr(wbou, name)

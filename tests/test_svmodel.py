@@ -167,7 +167,6 @@ def test_single_path_is_row_zero_of_one_path_ensemble(driver):
 def test_ensemble_shapes():
     ens = simulate_sv_ensemble(spec_with(), SimulationGrid(1.0, 0.5), 6,
                                rng=substream(96))
-    assert ens.n_paths == 6
     assert ens.y.shape == ens.x.shape == ens.int_x.shape == (6, 3)
 
 

@@ -118,6 +118,17 @@ def test_undecodable_bytes_are_refused(tmp_path):
         read_columns(f, ("x",))
 
 
+@pytest.mark.parametrize("bad", [np.zeros((4, 4)), np.zeros((1, 4)), np.float64(1.0)],
+                         ids=["square", "one-row", "scalar"])
+def test_columns_that_are_not_1d_are_refused(tmp_path, bad):
+    """A 2-D column whose length is the row count would otherwise be
+    written as one list repr per cell."""
+    f = tmp_path / "t.csv"
+    with pytest.raises(DimensionMismatch, match="must be 1-D"):
+        write_table(f, ("t", "x"), (np.arange(4.0), bad))
+    assert not f.exists()
+
+
 def test_columns_of_unequal_length_are_refused(tmp_path):
     f = tmp_path / "t.csv"
     with pytest.raises(DimensionMismatch, match="differ in length"):
