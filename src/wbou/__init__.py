@@ -22,7 +22,7 @@ from .analytics import (
     var_x,
     var_y,
 )
-from .carma import CarmaSpec, carma_from_wbou, mat_exp_at, simulate_carma
+from .carma import CarmaSpec, carma_from_wbou, simulate_carma
 from .drivers import (
     BrownianDriver,
     CompoundPoissonDriver,

@@ -13,21 +13,31 @@ half-line integrals of the driver,
     R0 = ( -(G + H) / (2 lam),  (G - H) / 2 ),
 
 so a CarmaSpec is built *from* a simulated single path (which carries
-G and H) rather than initialized standalone.  A has eigenvalues +/-lam, and
-e^{At} grows like e^{lam t}; operations therefore cap lam * t_max
-(default 30) and refuse longer runs rather than overflow silently.
+G and H) rather than initialized standalone.  The modes of A are
+-X^- = lam R^(1) - R^(2) and -X^+ = lam R^(1) + R^(2), so the step
+R_{k+1} = e^{A dt}(R_k + (0, dL_k)') runs as the path engine's recursion
+x^-_{k+1} = alpha (x^-_k + dL_k) from G and x^+_{k+1} = (x^+_k - dL_k) /
+alpha from H, alpha = e^{-lam dt}, and b'R = x^- + x^+.  The second grows
+like e^{lam t}: a replay whose rounding bound 3 eps max|x^+|
+(e^{lam t_max} - 1) / (e^{lam dt} - 1) exceeds REPLAY_TOL * max|x| is refused.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GridMismatch
-from .paths import SimulationGrid, WbouPath, _check_lambda
+from .paths import SimulationGrid, WbouPath, _check_lambda, _forward, _replay_array
 
-__all__ = ["CarmaSpec", "mat_exp_at", "carma_from_wbou", "simulate_carma"]
+__all__ = ["CarmaSpec", "carma_from_wbou", "simulate_carma"]
+
+_log = logging.getLogger("wbou")
+
+#: largest admitted rounding bound of a replay, relative to max|x|
+REPLAY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -39,6 +49,7 @@ class CarmaSpec:
 
     def __post_init__(self):
         _check_lambda(self.lam)
+        _replay_array(self.r0, 2, "r0")
 
     @property
     def a_matrix(self) -> np.ndarray:
@@ -47,14 +58,6 @@ class CarmaSpec:
     @property
     def b(self) -> np.ndarray:
         return np.array([-2.0 * self.lam, 0.0])
-
-
-def mat_exp_at(lam: float, t: float) -> np.ndarray:
-    """Closed-form e^{At}: [[cosh, sinh/lam], [lam sinh, cosh]] at lam*t."""
-    _check_lambda(lam)
-    c = math.cosh(lam * t)
-    s = math.sinh(lam * t)
-    return np.array([[c, s / lam], [lam * s, c]])
 
 
 def carma_from_wbou(path: WbouPath) -> CarmaSpec:
@@ -76,7 +79,6 @@ def simulate_carma(
     dl: np.ndarray,
     grid: SimulationGrid,
     *,
-    lam_t_cap: float = 30.0,
     return_states: bool = False,
 ):
     """Run the state recursion and return the observation b'R_{t_k}.
@@ -87,29 +89,26 @@ def simulate_carma(
 
     matching the left-endpoint kernel convention of the path engine, so
     that with replayed increments the output reproduces the simulated X
-    pathwise.  With return_states=True the full (n+1, 2) state
-    trajectory is returned alongside.
+    pathwise; a replay whose rounding bound exceeds REPLAY_TOL * max|x|
+    raises DomainError.  With return_states=True the full (n+1, 2)
+    state trajectory is returned alongside.
     """
-    dl = np.asarray(dl, dtype=float)
-    if dl.shape != (grid.n,):
-        raise GridMismatch(
-            f"increment array has shape {dl.shape}, grid expects ({grid.n},)"
-        )
-    if spec.lam * grid.t_max > lam_t_cap:
-        raise DomainError(
-            f"lam * t_max = {spec.lam * grid.t_max:.3g} exceeds the cap "
-            f"{lam_t_cap}; the state grows like e^(lam t)"
-        )
-    e_dt = mat_exp_at(spec.lam, grid.dt)
-    states = np.empty((grid.n + 1, 2))
-    states[0] = spec.r0
-    r = np.array(spec.r0, dtype=float)
-    step = np.zeros(2)
-    for k in range(grid.n):
-        step[1] = dl[k]
-        r = e_dt @ (r + step)
-        states[k + 1] = r
-    out = states @ spec.b
+    dl = _replay_array(dl, grid.n, "increment array", GridMismatch)[None, :]
+    lam, (r1, r2) = spec.lam, spec.r0
+    alpha = math.exp(-lam * grid.dt)
+    x_minus = _forward(alpha, np.array([r2 - lam * r1]), dl)[0]
+    x_plus = _forward(1.0 / alpha, np.array([-(lam * r1 + r2)]), -dl)[0]
+    x = x_minus + x_plus
+    lam_t = lam * grid.t_max
+    growth = math.expm1(lam_t) / math.expm1(lam * grid.dt) if lam_t < 700 else math.inf
+    bound = 3.0 * math.ulp(1.0) * float(np.abs(x_plus).max()) * growth
+    scale = float(np.abs(x).max())
+    rel = bound / scale if scale else (math.inf if bound else 0.0)
+    _log.debug("simulate_carma: n=%d lam*t_max=%.6g rounding bound/max|x|=%.3g",
+               grid.n, lam_t, rel)
+    if not rel <= REPLAY_TOL:  # NaN too: the growing mode overflowed
+        raise DomainError(f"replay rounding bound {rel:.3g} * max|x| exceeds {REPLAY_TOL:g} "
+                          f"at lam * t_max = {lam_t:.3g}; the state grows like e^(lam t)")
     if return_states:
-        return out, states
-    return out
+        return x, np.column_stack([-x / (2.0 * lam), (x_minus - x_plus) / 2.0])
+    return x

@@ -59,6 +59,7 @@ from ._table import write_table
 from .drivers import DriverSpec
 from .errors import (
     DimensionMismatch,
+    DomainError,
     ExistenceViolation,
     GridError,
     InvalidLambda,
@@ -91,6 +92,19 @@ def _check_lambda(lam: float) -> float:
     if math.isinf(lam):
         raise InvalidLambda(f"lambda must be finite, got {lam}")
     return float(lam)
+
+
+def _replay_array(a, n, name, mismatch=DimensionMismatch) -> np.ndarray:
+    """a as a 1-D finite float array of length n (any length if n is
+    None; None is empty): a wrong shape raises mismatch, a NaN or inf
+    DomainError."""
+    a = np.asarray(() if a is None else a, dtype=float)
+    if a.ndim != 1 or n is not None and a.size != n:
+        raise mismatch(f"{name} has shape {a.shape}, expected "
+                       f"{'1-D' if n is None else (n,)}")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -368,13 +382,9 @@ def wbou_from_increments(
     one fixed stream of increments and rebuild X deterministically.
     """
     lam = _check_lambda(lam)
-    dl = np.asarray(dl, dtype=float)
-    if dl.shape != (grid.n,):
-        raise DimensionMismatch(
-            f"expected {grid.n} increments, got {dl.shape}"
-        )
-    dl_past = np.zeros(0) if dl_past is None else np.asarray(dl_past, dtype=float)
-    dl_tail = np.zeros(0) if dl_tail is None else np.asarray(dl_tail, dtype=float)
+    dl = _replay_array(dl, grid.n, "dl")
+    dl_past = _replay_array(dl_past, None, "dl_past")
+    dl_tail = _replay_array(dl_tail, None, "dl_tail")
 
     rows = [a[None, :] for a in (dl_past, dl, dl_tail)]
     batch = _assemble(lam, grid, _halfline_sum(lam, grid.dt, rows[0], 1), rows[1],
@@ -415,13 +425,13 @@ def ou_from_increments(
     without one).
     """
     lam = _check_lambda(lam)
-    dl = np.asarray(dl, dtype=float)
-    if dl.shape != (grid.n,):
-        raise DimensionMismatch(f"expected {grid.n} increments, got {dl.shape}")
-    dl_past = np.zeros(0) if dl_past is None else np.asarray(dl_past, dtype=float)
+    dl = _replay_array(dl, grid.n, "dl")
+    dl_past = _replay_array(dl_past, None, "dl_past")
     if x0 is None:
-        x0 = _halfline_sum(lam, grid.dt, dl_past, 1)
-    x = _forward(math.exp(-lam * grid.dt), np.array([x0], dtype=float), dl[None, :])[0]
+        x0 = _halfline_sum(lam, grid.dt, dl_past[None, :], 1)
+    else:
+        x0 = _replay_array([x0], 1, "x0")
+    x = _forward(math.exp(-lam * grid.dt), x0, dl[None, :])[0]
     return OuPath(grid=grid, lam=lam, x=x, dl=dl, dl_past=dl_past)
 
 
@@ -440,8 +450,8 @@ def simulate_compact_kernel(
     kernel weights e^{-lam m dt}, m = 1..a/dt.
     """
     lam = _validate(driver, lam)
-    if a <= 0:
-        raise GridError("window length a must be positive")
+    if not 0 < a < math.inf:
+        raise GridError(f"window length a must be positive and finite, got {a}")
     w = round(a / grid.dt)
     if w < 1 or abs(w * grid.dt - a) > 1e-9 * max(a, 1.0):
         raise GridError(f"a={a} is not an integer multiple of dt={grid.dt}")

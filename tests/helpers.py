@@ -5,10 +5,13 @@ package uses (direct quadrature against the jump density, finite differences,
 Monte Carlo error bars), so agreement between the two is meaningful.
 """
 
+import math
 import zlib
 
 import numpy as np
 from scipy.integrate import quad
+
+from wbou.paths import _check_lambda
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
@@ -268,6 +271,33 @@ def var_y_alt(p, t):
     Var(X_t - X_0) and differs from it for every t > 0."""
     t = np.asarray(t, dtype=float)
     return (p.v * t + p.v / p.lam) * np.exp(-p.lam * t)
+
+
+# ---------------------------------------------------------------------------
+# CARMA(2,0) state recursion as a 2x2 matrix loop
+# ---------------------------------------------------------------------------
+
+def mat_exp_at(lam, t):
+    """Closed-form e^{At}: [[cosh, sinh/lam], [lam sinh, cosh]] at lam*t."""
+    _check_lambda(lam)
+    c = math.cosh(lam * t)
+    s = math.sinh(lam * t)
+    return np.array([[c, s / lam], [lam * s, c]])
+
+
+def carma_loop(spec, dl, dt):
+    """R_{k+1} = e^{A dt}(R_k + (0, dL_k)') step by step on the full state
+    from spec.r0; returns the observation b'R and the (n+1, 2) states."""
+    e_dt = mat_exp_at(spec.lam, dt)
+    states = np.empty((len(dl) + 1, 2))
+    states[0] = spec.r0
+    r = np.array(spec.r0, dtype=float)
+    step = np.zeros(2)
+    for k, d in enumerate(dl):
+        step[1] = d
+        r = e_dt @ (r + step)
+        states[k + 1] = r
+    return states @ spec.b, states
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from wbou import (
     CompactPath,
     DimensionMismatch,
+    DomainError,
     ExponentialJumps,
     GridError,
     InvalidLambda,
@@ -250,9 +251,28 @@ def test_replay_reproduces_path_exactly():
 
 
 def test_replay_validates_increment_count():
-    grid = SimulationGrid(1.0, 0.1)
-    with pytest.raises(DimensionMismatch):
-        wbou_from_increments(1.0, grid, np.zeros(5))
+    """Every replayed array is 1-D, finite and of the expected length:
+    a wrong shape is a DimensionMismatch, a NaN or inf a DomainError."""
+    grid = SimulationGrid(0.4, 0.1)
+    zeros = np.zeros(grid.n)
+    for replay in (wbou_from_increments, ou_from_increments):
+        for dl in (np.zeros(5), np.zeros((1, grid.n))):
+            with pytest.raises(DimensionMismatch):
+                replay(1.0, grid, dl)
+        with pytest.raises(DimensionMismatch, match="dl_past"):
+            replay(1.0, grid, zeros, dl_past=np.ones((2, 3)))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="dl must be finite"):
+                replay(1.0, grid, [0.0, bad, 0.0, 0.0])
+            with pytest.raises(DomainError, match="dl_past must be finite"):
+                replay(1.0, grid, zeros, dl_past=[1.0, bad])
+    with pytest.raises(DimensionMismatch, match="dl_tail"):
+        wbou_from_increments(1.0, grid, zeros, dl_tail=np.ones((2, 3)))
+    with pytest.raises(DomainError, match="dl_tail must be finite"):
+        wbou_from_increments(1.0, grid, zeros, dl_tail=[math.nan])
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(DomainError, match="x0 must be finite"):
+            ou_from_increments(1.0, grid, zeros, x0=bad)
 
 
 def test_deterministic_drift_levels():
@@ -395,8 +415,9 @@ def test_compact_window_validation():
     grid = SimulationGrid(1.0, 0.1)
     with pytest.raises(GridError):
         simulate_compact_kernel(GAMMA11, 1.0, 0.25, grid)
-    with pytest.raises(GridError):
-        simulate_compact_kernel(GAMMA11, 1.0, -1.0, grid)
+    for a in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(GridError):
+            simulate_compact_kernel(GAMMA11, 1.0, a, grid)
 
 
 # ---------------------------------------------------------------------------
