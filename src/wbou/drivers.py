@@ -118,8 +118,8 @@ class LevyMeasure:
 
     def tail_pos(self, y: float, include_endpoint: bool = True) -> float:
         """Mass of [y, inf) for y > 0 (or (y, inf) if not include_endpoint)."""
-        if y <= 0:
-            raise DomainError("tail argument must be positive")
+        if not 0 < y < math.inf:
+            raise DomainError(f"tail argument must be positive and finite, got {y}")
         if self.tail_pos_closed is not None:
             cont = self.tail_pos_closed(y)
         else:
@@ -129,8 +129,8 @@ class LevyMeasure:
 
     def tail_neg(self, y: float, include_endpoint: bool = True) -> float:
         """Mass of (-inf, -y] for y > 0."""
-        if y <= 0:
-            raise DomainError("tail argument must be positive")
+        if not 0 < y < math.inf:
+            raise DomainError(f"tail argument must be positive and finite, got {y}")
         if self.tail_neg_closed is not None:
             cont = self.tail_neg_closed(y)
         else:
@@ -183,8 +183,9 @@ class NormalJumps:
 
     positive = False
 
-    def cf(self, u):
-        return np.exp(1j * u * self.mean - 0.5 * self.var * np.square(u))
+    def cf_minus_one(self, u):
+        """E e^{iuJ} - 1, without cancellation at small u."""
+        return np.expm1(1j * u * self.mean - 0.5 * self.var * np.square(u))
 
     def laplace(self, theta: float) -> float:
         return math.exp(-theta * self.mean + 0.5 * self.var * theta * theta)
@@ -237,8 +238,10 @@ class ExponentialJumps:
 
     positive = True
 
-    def cf(self, u):
-        return self.rate / (self.rate - 1j * np.asarray(u, dtype=float))
+    def cf_minus_one(self, u):
+        """E e^{iuJ} - 1 = iu / (rate - iu)."""
+        u = np.asarray(u, dtype=float)
+        return 1j * u / (self.rate - 1j * u)
 
     def laplace(self, theta: float) -> float:
         if theta <= -self.rate:
@@ -288,8 +291,9 @@ class PointMassJumps:
     def positive(self) -> bool:
         return self.size > 0
 
-    def cf(self, u):
-        return np.exp(1j * np.asarray(u, dtype=float) * self.size)
+    def cf_minus_one(self, u):
+        """E e^{iuJ} - 1, without cancellation at small u."""
+        return np.expm1(1j * np.asarray(u, dtype=float) * self.size)
 
     def laplace(self, theta: float) -> float:
         return math.exp(-theta * self.size)
@@ -464,7 +468,7 @@ class CompoundPoissonDriver(DriverSpec):
         return self.jumps.positive
 
     def psi(self, u):
-        out = self.intensity * (self.jumps.cf(u) - 1.0)
+        out = self.intensity * self.jumps.cf_minus_one(u)
         return out if np.ndim(out) else complex(out)
 
     def cumulant_k(self, theta: float) -> float:

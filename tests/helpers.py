@@ -9,6 +9,7 @@ import math
 import zlib
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from wbou.paths import _check_lambda
@@ -169,6 +170,66 @@ def cf_from_triplet(triplet, u):
         iim += (np.sin(u * c) - comp) * w
     expo = complex(-0.5 * sigma2 * u * u + ire, u * gamma + iim)
     return np.exp(expo)
+
+
+# ---------------------------------------------------------------------------
+# characteristic functions of X_0 in closed form, and by scipy's quad
+# ---------------------------------------------------------------------------
+
+def cf_gamma_oracle(a, b, lam, u):
+    """Gamma(a, b) driver: exp((2a/lam) Li2(iu/b)), Li2(w) = spence(1 - w)."""
+    u = np.asarray(u, dtype=float)
+    return np.exp((2.0 * a / lam) * special.spence(1.0 - 1j * u / b))
+
+
+def cf_cp_exp_oracle(eta, r, lam, u):
+    """Compound Poisson, rate eta, Exp(r) jumps: (1 - iu/r)^(-2 eta/lam)."""
+    return (1.0 - 1j * np.asarray(u, dtype=float) / r) ** (-2.0 * eta / lam)
+
+
+def cf_brownian_oracle(g, s2, lam, u):
+    """Brownian with drift g, variance s2: exp(2igu/lam - s2 u^2/(2 lam))."""
+    u = np.asarray(u, dtype=float)
+    return np.exp(2j * g * u / lam - s2 * u * u / (2.0 * lam))
+
+
+def joint_cf_brownian_oracle(g, s2, lam, times, us, horizon=math.inf):
+    """Gaussian E exp(i sum u_j X_{t_j}) for a Brownian driver, with the
+    kernel integrals taken over [t_0 - horizon, t_n + horizon].
+
+    Over that window int e^{-lam|t-s|} ds = (2 - e^{-lam(t-lo)} -
+    e^{-lam(hi-t)})/lam, and for t_i <= t_j with d = t_j - t_i,
+    int e^{-lam|t_i-s|} e^{-lam|t_j-s|} ds = e^{-lam d} (d + (2 -
+    e^{-2lam(t_i-lo)} - e^{-2lam(hi-t_j)})/(2 lam)); an infinite horizon
+    gives mean 2g/lam and covariance s2 (d + 1/lam) e^{-lam d}.
+    """
+    t = np.asarray(times, dtype=float)
+    u = np.asarray(us, dtype=float)
+    lo, hi = t[0] - horizon, t[-1] + horizon
+    first = (2.0 - np.exp(-lam * (t - lo)) - np.exp(-lam * (hi - t))) / lam
+    ti, tj = np.minimum.outer(t, t), np.maximum.outer(t, t)
+    second = np.exp(-lam * (tj - ti)) * (
+        tj - ti + (2.0 - np.exp(-2.0 * lam * (ti - lo)) - np.exp(-2.0 * lam * (hi - tj)))
+        / (2.0 * lam))
+    return complex(np.exp(1j * g * (u @ first) - 0.5 * s2 * (u @ second @ u)))
+
+
+def cf_exponent_quad(driver, lam, u):
+    """(2/lam) int_0^{|u|} psi(sign(u) v)/v dv by scipy's quad, real and
+    imaginary parts apart, with psi(v)/v -> i * mean patched in at v = 0."""
+    if u == 0:
+        return 0.0 + 0.0j
+    sign = 1.0 if u > 0 else -1.0
+    mu, _ = driver.moments()
+
+    def integrand(v, part):
+        if v == 0.0:
+            return part(1j * sign * mu)
+        return part(driver.psi(sign * v) / v)
+
+    re = quad(integrand, 0.0, abs(u), args=(np.real,), **_QUAD)[0]
+    im = quad(integrand, 0.0, abs(u), args=(np.imag,), **_QUAD)[0]
+    return (2.0 / lam) * (re + 1j * im)
 
 
 def ecf(samples, u):

@@ -1,6 +1,8 @@
 """Stationary-law checks: triplet mapping, CFs, cumulant transform."""
 
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +29,23 @@ from wbou import (
     simulate_wbou_ensemble,
     SimulationGrid,
     substream,
+    TruncationPolicy,
     triplet_of_x,
+    WbouError,
 )
 
-from helpers import cf_from_triplet, ecf, fd_derivative, gamma_x_oracle, phi_x_oracle
+from helpers import (
+    cf_brownian_oracle,
+    cf_cp_exp_oracle,
+    cf_exponent_quad,
+    cf_from_triplet,
+    cf_gamma_oracle,
+    ecf,
+    fd_derivative,
+    gamma_x_oracle,
+    joint_cf_brownian_oracle,
+    phi_x_oracle,
+)
 
 GAMMA = gamma_subordinator(1.2, 0.8)
 CPEXP = compound_poisson(4.0, ExponentialJumps(2.0))
@@ -170,6 +185,100 @@ def test_cf_against_simulated_marginal():
         assert abs(char_fn_x(GAMMA, 1.0, u) - complex(ecf(x0, u))) < 0.02
 
 
+ORACLE_LAMS = [1e-3, 0.05, 0.8, 5.0]
+U_GRID = np.r_[-np.geomspace(1e-3, 200.0, 30), 0.0, np.geomspace(1e-3, 200.0, 30),
+               np.linspace(-200.0, 200.0, 41)]
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+@pytest.mark.parametrize("driver, oracle", [
+    (GAMMA, lambda lam, u: cf_gamma_oracle(1.2, 0.8, lam, u)),
+    (CPEXP, lambda lam, u: cf_cp_exp_oracle(4.0, 2.0, lam, u)),
+    (brownian(0.4, 1.3), lambda lam, u: cf_brownian_oracle(0.4, 1.3, lam, u)),
+], ids=["gamma", "cp-exp", "brownian"])
+def test_cf_matches_closed_form(driver, oracle, lam):
+    err = np.abs(char_fn_x(driver, lam, U_GRID) - oracle(lam, U_GRID))
+    assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+@pytest.mark.parametrize("driver", [CPNORM, compound_poisson(1.5, PointMassJumps(-1.3))],
+                         ids=["cp-normal", "cp-point-mass"])
+def test_cf_matches_quad_exponent(driver, lam):
+    u = np.array([-200.0, -7.5, -0.3, -1e-3, 0.02, 1.0, 40.0, 200.0])
+    want = np.exp([cf_exponent_quad(driver, lam, v) for v in u])
+    assert np.abs(char_fn_x(driver, lam, u) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+@pytest.mark.parametrize("scale", [1e-3, 0.05, 1.0, 20.0])
+def test_joint_cf_matches_gaussian_closed_form(lam, scale):
+    """The oracle integrates the kernel over the same truncated window."""
+    times, us = [0.0, 0.7, 2.0], scale * np.array([0.5, -1.0, 0.8])
+    want = joint_cf_brownian_oracle(0.4, 1.3, lam, times, us,
+                                    TruncationPolicy().horizon(lam))
+    assert abs(char_fn_joint(brownian(0.4, 1.3), lam, times, us) - want) <= 1e-12
+
+
+def test_cf_keeps_the_shape_of_u():
+    u = np.array([[0.5, -1.0, 0.0], [2.0, 3.5, -0.25]])
+    flat = char_fn_x(GAMMA, 0.9, u.ravel())
+    grid = char_fn_x(GAMMA, 0.9, u)
+    assert grid.shape == (2, 3)
+    assert np.array_equal(grid.ravel(), flat)
+    scalar = char_fn_x(GAMMA, 0.9, np.float64(2.0))
+    assert type(scalar) is complex and scalar == flat[3]
+    assert type(char_fn_x(GAMMA, 0.9, np.array(2.0))) is complex
+    assert char_fn_x(GAMMA, 0.9, np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_cf_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="wbou"):
+        char_fn_x(GAMMA, 1.0, [0.5, 2.0])
+        char_fn_joint(GAMMA, 1.0, [0.0, 1.0], [0.7, -0.4])
+    msgs = [r.getMessage() for r in caplog.records]
+    assert len(msgs) == 2
+    assert msgs[0].startswith("char_fn_x: 2 integrals")
+    assert msgs[1].startswith("char_fn_joint: 1 integrals")
+    assert all("largest error estimate" in m for m in msgs)
+
+
+def test_cf_piece_cap_logs_a_warning(caplog):
+    """About 10^5 oscillations of psi(v)/v cannot be resolved in 300 pieces."""
+    driver = compound_poisson(1.0, PointMassJumps(1.0))
+    with caplog.at_level(logging.WARNING, logger="wbou"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = char_fn_x(driver, 1.0, [1.0, 1e6])
+    assert np.all(np.isfinite(val))
+    assert val[0] == pytest.approx(np.exp(cf_exponent_quad(driver, 1.0, 1.0)), abs=1e-12)
+    [rec] = caplog.records
+    assert rec.levelno == logging.WARNING
+    assert "1 of 2 integrals hit the 300-piece cap" in rec.getMessage()
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+def test_cf_rejects_non_finite_u(u):
+    with pytest.raises(DomainError):
+        char_fn_x(GAMMA, 1.0, u)
+
+
+@pytest.mark.parametrize("times, us", [
+    ([0.0, math.nan], [0.5, 0.5]),
+    ([0.0, math.inf], [0.5, 0.5]),
+    ([0.0, 1.0], [0.5, math.nan]),
+    ([0.0, 1.0], [-math.inf, 0.5]),
+])
+def test_joint_cf_rejects_non_finite_inputs(times, us):
+    with pytest.raises(DomainError):
+        char_fn_joint(GAMMA, 1.0, times, us)
+
+
+def test_cf_rejects_infinite_lambda():
+    assert not existence_check(GAMMA, math.inf)
+    with pytest.raises(WbouError):
+        char_fn_x(GAMMA, math.inf, 1.0)
+
+
 class TestJointCf:
     def test_single_point_reduces_to_marginal(self):
         for u in (0.5, -1.2):
@@ -225,6 +334,19 @@ def test_kbar_exponential_jumps_closed_form():
 
 def test_kbar_drift_linear():
     assert kbar(deterministic_drift(1.5), 2.0) == pytest.approx(-6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_kbar_rejects_non_finite_theta(theta):
+    with pytest.raises(DomainError):
+        kbar(GAMMA, theta)
+
+
+@pytest.mark.parametrize("side", ["tail_pos", "tail_neg"])
+@pytest.mark.parametrize("y", [math.nan, math.inf])
+def test_mapped_tail_rejects_non_finite_argument(side, y):
+    with pytest.raises(DomainError):
+        getattr(triplet_of_x(GAMMA, 1.0).measure, side)(y)
 
 
 def test_kbar_rejects_two_sided_drivers():
