@@ -14,7 +14,14 @@ Increment autocorrelations follow from the covariance identity
         = (2 acov(k) - acov(k+1) - acov(k-1)) / (2 (acov(0) - acov(1))).
 
 The first-order value changes sign at a unique rate lambda* ~= 1.25643;
-``lambda_sign_threshold`` computes it.
+``lambda_sign_threshold`` computes it by bisection on the sign of the
+closed-form lag-one numerator 2(lam+1)e^{-lam} - (2 lam+1)e^{-2 lam} - 1
+(math.exp, no NumPy), and its root is bitwise the root of the same
+bisection on increment_acf(., 1).
+
+acov_x and increment_acf share one unchecked helper for the covariance;
+increment_acf checks k once and then calls it with the lags k - 1, k and
+k + 1, so its values are bitwise those of five acov_x calls.
 
 Also included: quantities for the zero-start variant Y_t = X_t - X_0,
 the covariance of the compact-window variant, and the correspondence
@@ -91,10 +98,14 @@ def var_x(p: SecondOrderParams) -> float:
     return p.v / p.lam
 
 
+def _acov(p: SecondOrderParams, hh):
+    """acov_x on a float lag or a float array, unchecked."""
+    return (p.v * hh + p.v / p.lam) * np.exp(-p.lam * hh)
+
+
 def acov_x(p: SecondOrderParams, h):
     """Cov(X_{t+h}, X_t) = V h e^{-lam h} + (V/lam) e^{-lam h}."""
-    hh = _lag(h)
-    return _scalar_ok(h, (p.v * hh + p.v / p.lam) * np.exp(-p.lam * hh))
+    return _scalar_ok(h, _acov(p, _lag(h)))
 
 
 def acf_x(p: SecondOrderParams, h):
@@ -128,13 +139,14 @@ def _check_k(k) -> np.ndarray:
 def increment_acf(p: SecondOrderParams, k):
     """Corr(X_{k+1} - X_k, X_1 - X_0) via the covariance identity.
 
-    This canonical route uses only acov_x and is the value every other
-    part of the package relies on.  Its range over lam > 0, k >= 1 is
-    (-0.5, 1).
+    This canonical route uses only the acov_x expression and is the
+    value every other part of the package relies on; k is checked once,
+    so the lags k - 1, k and k + 1 need no further check.  Its range
+    over lam > 0, k >= 1 is (-0.5, 1).
     """
     kk = _check_k(k)
-    num = 2.0 * acov_x(p, kk) - acov_x(p, kk + 1.0) - acov_x(p, kk - 1.0)
-    den = 2.0 * (acov_x(p, 0.0) - acov_x(p, 1.0))
+    num = 2.0 * _acov(p, kk) - _acov(p, kk + 1.0) - _acov(p, kk - 1.0)
+    den = 2.0 * (_acov(p, 0.0) - _acov(p, 1.0))
     return _scalar_ok(k, num / den)
 
 
@@ -146,22 +158,28 @@ def increment_acf_ou(p: SecondOrderParams, k):
     return _scalar_ok(k, np.exp(-lam * kk) * bracket)
 
 
+def _lag_one_numerator(lam: float) -> float:
+    """lam (2 acov(1) - acov(2) - acov(0)) / V: the numerator of
+    increment_acf(., 1) times lam / V > 0, so it has the same sign."""
+    return (2.0 * (lam + 1.0) * math.exp(-lam)
+            - (2.0 * lam + 1.0) * math.exp(-2.0 * lam) - 1.0)
+
+
 def lambda_sign_threshold() -> float:
     """The rate at which the first-order increment autocorrelation
     changes sign: positive below, negative above.
 
-    Root of the canonical increment_acf(., 1) in lam, bracketed in
-    [0.5, 3], bisection to 1e-8.  The value does not depend on (mu, V).
+    Bisection in lam over [0.5, 3] to 1e-8.  A step needs only the sign
+    of increment_acf(., 1), the sign of the closed-form lag-one
+    numerator 2(lam+1)e^{-lam} - (2 lam+1)e^{-2 lam} - 1, so the steps
+    and the root are bitwise those of the bisection on
+    increment_acf(., 1) itself.  The value does not depend on (mu, V).
     """
-
-    def f(lam: float) -> float:
-        return increment_acf(SecondOrderParams(lam), 1)
-
     lo, hi = 0.5, 3.0
-    flo = f(lo)
+    flo = _lag_one_numerator(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = _lag_one_numerator(mid)
         if flo * fm > 0:
             lo, flo = mid, fm
         else:

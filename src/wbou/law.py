@@ -14,7 +14,9 @@ and tail mass
 
 (mirrored on the negative axis).  Characteristic functions of the
 marginal and of finite-dimensional vectors are evaluated by quadrature
-of the characteristic exponent against the kernel.
+of the characteristic exponent against the kernel, over the whole line:
+the half-lines beyond the outermost times become finite integrals
+(1/lam) int_0^{|c|} psi(sign(c) v)/v dv, so no window is truncated.
 
 That quadrature is one adaptive composite Gauss-Legendre rule shared by
 char_fn_x and char_fn_joint.  Each piece gets a 64-node value and the
@@ -26,7 +28,10 @@ block of 256 pieces per round, and an integral stops at 300 pieces.
 Each call logs one ``wbou`` debug line with the piece count and the
 largest error estimate, and a ``wbou`` warning when an integral stopped
 at the cap above its tolerance (the value is still returned).  The
-tails, kbar and gbar_from_g use scipy's quad at the same tolerance.
+tails, kbar and gbar_from_g use scipy's quad at the same tolerance; the
+tails and kbar keep its error estimate, with one ``wbou`` debug line
+per integral and a ``wbou`` warning when the estimate is above the
+tolerance (again, the value is still returned).
 
 The module also carries the cumulant transform of the marginal under
 the time-scaled convention (driver run at rate lam, making the marginal
@@ -47,7 +52,6 @@ from scipy import integrate
 
 from .drivers import DriverSpec, LevyMeasure, LevyTriplet
 from .errors import DimensionMismatch, DomainError, ExistenceViolation
-from .paths import TruncationPolicy
 
 __all__ = [
     "ExistenceResult",
@@ -102,6 +106,19 @@ def _require_exists(driver: DriverSpec, lam: float) -> None:
         raise ExistenceViolation(res.reason)
 
 
+def _quad(f, a: float, b: float, name: str) -> float:
+    """scipy's quad at _QUAD_OPTS, keeping its error estimate: one debug
+    line per call, and a warning when the estimate is above the 1e-12
+    absolute and relative tolerance (the value is still returned)."""
+    val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s: quad over [%.6g, %.6g], error estimate %.3g", name, a, b, err)
+    if err > max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(val)):
+        _log.warning("%s: quad error estimate %.3g over [%.6g, %.6g] is above the "
+                     "%.0e tolerance", name, err, a, b, _QUAD_OPTS["epsabs"])
+    return val
+
+
 def _pushforward_measure(driver: DriverSpec, lam: float) -> LevyMeasure:
     """Levy measure of X_0 as a density + quadrature-tail accessor."""
     nu = driver.measure
@@ -119,20 +136,16 @@ def _pushforward_measure(driver: DriverSpec, lam: float) -> LevyMeasure:
         # (2/lam) int_{x >= y} ln(x/y) nu(dx), atoms included
         val = 0.0
         if nu.density is not None and nu.support[1] > y:
-            val, _ = integrate.quad(
-                lambda x: math.log(x / y) * nu.density(x),
-                y, nu.support[1], **_QUAD_OPTS,
-            )
+            val = _quad(lambda x: math.log(x / y) * nu.density(x),
+                        y, nu.support[1], "tail_pos")
         val += sum(m * math.log(c / y) for c, m in nu.atoms if c >= y)
         return 2.0 / lam * val
 
     def tail_neg(y: float) -> float:
         val = 0.0
         if nu.density is not None and nu.support[0] < -y:
-            val, _ = integrate.quad(
-                lambda x: math.log(-x / y) * nu.density(x),
-                nu.support[0], -y, **_QUAD_OPTS,
-            )
+            val = _quad(lambda x: math.log(-x / y) * nu.density(x),
+                        nu.support[0], -y, "tail_neg")
         val += sum(m * math.log(-c / y) for c, m in nu.atoms if c <= -y)
         return 2.0 / lam * val
 
@@ -240,7 +253,8 @@ def _integrate(f, a, b, owner, n: int, name: str) -> np.ndarray:
         pieces += np.where(full, 0, wants)
         a, b, owner = a[~done], b[~done], owner[~done]
         mid = 0.5 * (a + b)
-        a, b, owner = np.r_[a, mid], np.r_[mid, b], np.r_[owner, owner]
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        owner = np.concatenate((owner, owner))
     if n:
         _log.debug("%s: %d integrals, %d pieces (at most %d per integral), "
                    "largest error estimate %.3g", name, n, pieces.sum(), pieces.max(),
@@ -292,12 +306,14 @@ def char_fn_x(driver: DriverSpec, lam: float, u, *, time_scaled: bool = False):
 def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
     """Joint characteristic function E exp(i sum_j u_j X_{t_j}).
 
-    Evaluates exp(integral psi(sum_j u_j e^{-lam|t_j - s|}) ds) with the
-    integration window truncated where every kernel weight is below the
-    default truncation tolerance.  The window is split at the times,
-    where the kernel has its kinks, and those pieces are integrated by
-    the adaptive rule described in the module docstring.  Non-finite
-    times or us raise DomainError.
+    Evaluates exp(integral psi(sum_j u_j e^{-lam|t_j - s|}) ds) over the
+    whole line; nothing is truncated.  Before t_0 and after t_n the
+    kernel is c e^{-lam|s - t|} with c_L = sum_j u_j e^{-lam(t_j - t_0)}
+    and c_R = sum_j u_j e^{-lam(t_n - t_j)}, so each outer half-line is
+    (1/lam) int_0^{|c|} psi(sign(c) v)/v dv, the char_fn_x integrand.
+    Those two integrals and [t_0, t_n], split at the times where the
+    kernel has its kinks, are integrated by the adaptive rule described
+    in the module docstring.  Non-finite times or us raise DomainError.
     """
     _require_exists(driver, lam)
     times = _finite(times, "times")
@@ -312,18 +328,27 @@ def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
     # the law is stationary: starting the times at 0 keeps s - t_j free of
     # the rounding of large times
     times = times - times[0]
-    horizon = TruncationPolicy().horizon(lam)
-    edges = np.r_[-horizon, times, times[-1] + horizon]
+    # kernel weights c_L at t_0 and c_R at t_n of the two outer half-lines
+    c = np.array([us @ np.exp(-lam * times), us @ np.exp(-lam * (times[-1] - times))])
+    c = c[c != 0]
+    sign = np.append(np.sign(c), 0.0)     # by owner; the window's is unused
+    # the first integrals are the half-lines with c != 0, as
+    # (1/lam) int_0^{|c|} psi(sign(c) v)/v dv; the last one is the window
+    # [t_0, t_n] split at the times (none for a single time)
+    n_win = len(times) - 1
+    a = np.concatenate((np.zeros(c.size), times[:-1]))
+    b = np.concatenate((np.abs(c), times[1:]))
+    owner = np.minimum(np.arange(c.size + n_win), c.size)
 
-    def integrand(s, _):
+    def integrand(s, k):
         kern = np.zeros_like(s)
         for t_j, u_j in zip(times, us):
             kern += u_j * np.exp(-lam * np.abs(t_j - s))
-        return driver.psi(kern)
+        half = k < c.size
+        return driver.psi(np.where(half, sign[k] * s, kern)) / np.where(half, lam * s, 1.0)
 
-    expo = _integrate(integrand, edges[:-1], edges[1:], np.zeros(len(times) + 1, dtype=int),
-                      1, "char_fn_joint")
-    return complex(np.exp(expo[0]))
+    expo = _integrate(integrand, a, b, owner, c.size + (n_win > 0), "char_fn_joint")
+    return complex(np.exp(expo.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +379,7 @@ def kbar(driver: DriverSpec, theta: float) -> float:
             return -mu
         return driver.cumulant_k(v) / v
 
-    val, _ = integrate.quad(integrand, 0.0, theta, **_QUAD_OPTS)
-    return 2.0 * val
+    return 2.0 * _quad(integrand, 0.0, theta, "kbar")
 
 
 def gbar_from_g(g: Callable[[float], float], y: float) -> float:

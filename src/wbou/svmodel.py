@@ -217,14 +217,20 @@ def _check_delta_s(delta: float, s: int):
 
 def rbar_fn(lam: float, t) -> np.ndarray | float:
     """Double integral of r: rbar(t) = int_0^t int_0^u r(x) dx du,
-    in closed form (lam t e^{-lam t} + 2 lam t + 3 e^{-lam t} - 3)/lam^2."""
+    in closed form (lam t e^{-lam t} + 2 lam t + 3 e^{-lam t} - 3)/lam^2.
+
+    A Python int or float t stays a Python float until np.exp, which
+    saves the array round trip of a scalar call; the values are the same.
+    """
     _check_lambda(lam)
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
+    scalar = isinstance(t, (int, float))
+    tt = float(t) if scalar else np.asarray(t, dtype=float)
+    if (tt < 0) if scalar else np.any(tt < 0):
         raise DomainError("t must be nonnegative")
     lt = lam * tt
-    out = (lt * np.exp(-lt) + 2.0 * lt + 3.0 * np.exp(-lt) - 3.0) / lam**2
-    return float(out) if np.ndim(t) == 0 else out
+    e = np.exp(-lt)
+    out = (lt * e + 2.0 * lt + 3.0 * e - 3.0) / lam**2
+    return float(out) if out.ndim == 0 else out
 
 
 def big_r(lam: float, delta: float, s: int) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
+from wbou.analytics import acov_x
 from wbou.paths import _check_lambda
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
@@ -193,25 +194,15 @@ def cf_brownian_oracle(g, s2, lam, u):
     return np.exp(2j * g * u / lam - s2 * u * u / (2.0 * lam))
 
 
-def joint_cf_brownian_oracle(g, s2, lam, times, us, horizon=math.inf):
-    """Gaussian E exp(i sum u_j X_{t_j}) for a Brownian driver, with the
-    kernel integrals taken over [t_0 - horizon, t_n + horizon].
-
-    Over that window int e^{-lam|t-s|} ds = (2 - e^{-lam(t-lo)} -
-    e^{-lam(hi-t)})/lam, and for t_i <= t_j with d = t_j - t_i,
-    int e^{-lam|t_i-s|} e^{-lam|t_j-s|} ds = e^{-lam d} (d + (2 -
-    e^{-2lam(t_i-lo)} - e^{-2lam(hi-t_j)})/(2 lam)); an infinite horizon
-    gives mean 2g/lam and covariance s2 (d + 1/lam) e^{-lam d}.
-    """
+def joint_cf_brownian_oracle(g, s2, lam, times, us):
+    """Gaussian E exp(i sum u_j X_{t_j}) for a Brownian driver over the
+    whole line: mean 2g/lam per unit of u and covariance
+    s2 (|t_i - t_j| + 1/lam) e^{-lam |t_i - t_j|}."""
     t = np.asarray(times, dtype=float)
     u = np.asarray(us, dtype=float)
-    lo, hi = t[0] - horizon, t[-1] + horizon
-    first = (2.0 - np.exp(-lam * (t - lo)) - np.exp(-lam * (hi - t))) / lam
-    ti, tj = np.minimum.outer(t, t), np.maximum.outer(t, t)
-    second = np.exp(-lam * (tj - ti)) * (
-        tj - ti + (2.0 - np.exp(-2.0 * lam * (ti - lo)) - np.exp(-2.0 * lam * (hi - tj)))
-        / (2.0 * lam))
-    return complex(np.exp(1j * g * (u @ first) - 0.5 * s2 * (u @ second @ u)))
+    d = np.abs(np.subtract.outer(t, t))
+    cov = (d + 1.0 / lam) * np.exp(-lam * d)
+    return complex(np.exp(1j * g * u.sum() * 2.0 / lam - 0.5 * s2 * (u @ cov @ u)))
 
 
 def cf_exponent_quad(driver, lam, u):
@@ -325,6 +316,42 @@ def first_order_increment_acf_alt(p):
         0.5 * (1.0 + lam)
         + 0.5 * (1.0 + lam - np.exp(lam) + lam ** 2 * np.exp(-lam)) / den
     )
+
+
+def increment_acf_acov(p, k):
+    """increment_acf composed of five validated acov_x calls, as the
+    package once evaluated it; bitwise the package's value."""
+    kk = np.asarray(k).astype(float)
+    num = 2.0 * acov_x(p, kk) - acov_x(p, kk + 1.0) - acov_x(p, kk - 1.0)
+    den = 2.0 * (acov_x(p, 0.0) - acov_x(p, 1.0))
+    out = num / den
+    return float(out) if np.ndim(k) == 0 else out
+
+
+def sign_threshold_bisection(acf1):
+    """Bisection for the root of lam -> acf1(lam) over [0.5, 3] to 1e-8,
+    the steps lambda_sign_threshold takes on its closed-form numerator."""
+    lo, hi = 0.5, 3.0
+    flo = acf1(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = acf1(mid)
+        if flo * fm > 0:
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        if hi - lo < 1e-8:
+            break
+    return 0.5 * (lo + hi)
+
+
+def rbar_array(lam, t):
+    """rbar_fn through an array for every t, as the package once did."""
+    _check_lambda(lam)
+    tt = np.asarray(t, dtype=float)
+    lt = lam * tt
+    out = (lt * np.exp(-lt) + 2.0 * lt + 3.0 * np.exp(-lt) - 3.0) / lam**2
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def var_y_alt(p, t):

@@ -32,8 +32,8 @@ from wbou import (
     var_y,
 )
 
-from helpers import (corr_se, first_order_increment_acf_alt, increment_acf_alt,
-                     mean_se, var_y_alt)
+from helpers import (corr_se, first_order_increment_acf_alt, increment_acf_acov,
+                     increment_acf_alt, mean_se, sign_threshold_bisection, var_y_alt)
 
 P1 = SecondOrderParams(1.0, mu=0.3, v=2.0)
 
@@ -154,15 +154,41 @@ def test_increment_acf_ranges():
 
 
 def test_increment_lag_validation():
-    with pytest.raises(BadLag):
-        increment_acf(P1, 0)
-    with pytest.raises(BadLag):
-        increment_acf(P1, 1.5)
+    for k in (0, 1.5, np.array(0), np.array([1, 2.5]), np.array([3, -1])):
+        with pytest.raises(BadLag):
+            increment_acf(P1, k)
     with pytest.raises(BadLag):
         increment_acf_ou(P1, -3)
 
 
+BITWISE_LAMS = (1e-3, 0.05, 0.8, 1.2564, 3.0, 40.0)
+LAGS = (1, 7, np.int64(3), 2.0, np.float64(4.0), np.array(5), np.arange(1, 41),
+        np.array([[1.0, 2.0], [9.0, 3.0]]), [1, 2, 3])
+
+
+@pytest.mark.parametrize("lam", BITWISE_LAMS)
+@pytest.mark.parametrize("mu, v", [(0.0, 1.0), (0.3, 2.0), (-1.5, 0.25), (4.0, 1e-3)])
+def test_increment_acf_is_bitwise_the_acov_route(lam, mu, v):
+    p = SecondOrderParams(lam, mu=mu, v=v)
+    for k in LAGS:
+        got, want = increment_acf(p, k), increment_acf_acov(p, k)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        if np.ndim(k) == 0:
+            assert type(got) is float
+
+
 class TestSignThreshold:
+    def test_is_the_bisection_on_increment_acf(self):
+        """The closed-form numerator takes bitwise the steps of the
+        bisection on increment_acf(., 1), by either route."""
+        star = lambda_sign_threshold()
+        assert star == 1.2564312079921365
+        assert star == sign_threshold_bisection(
+            lambda lam: increment_acf(SecondOrderParams(lam), 1))
+        assert star == sign_threshold_bisection(
+            lambda lam: increment_acf_acov(SecondOrderParams(lam), 1))
+
     def test_value(self):
         assert lambda_sign_threshold() == pytest.approx(1.25643120862617,
                                                         abs=2e-8)

@@ -5,6 +5,7 @@ checking exit codes (0 success, 1 I/O, 2 validation), the one-line
 summaries on stdout, and the CSV files written to ``tmp_path``.
 """
 import hashlib
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import wbou
 from wbou.analytics import (
     SecondOrderParams,
     acf_ou,
@@ -584,9 +586,12 @@ def test_console_script_version():
 
 
 def test_module_invocation_help():
+    # the child imports the same wbou as this process, installed or not
+    src = os.path.dirname(os.path.dirname(wbou.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "wbou.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for cmd in ("simulate", "theory", "acf", "fit", "signature", "sv"):

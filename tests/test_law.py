@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import special
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from wbou import (
     DimensionMismatch,
@@ -29,10 +29,11 @@ from wbou import (
     simulate_wbou_ensemble,
     SimulationGrid,
     substream,
-    TruncationPolicy,
     triplet_of_x,
     WbouError,
 )
+
+from wbou.drivers import DriverSpec, LevyMeasure, LevyTriplet
 
 from helpers import (
     cf_brownian_oracle,
@@ -213,10 +214,20 @@ def test_cf_matches_quad_exponent(driver, lam):
 @pytest.mark.parametrize("lam", ORACLE_LAMS)
 @pytest.mark.parametrize("scale", [1e-3, 0.05, 1.0, 20.0])
 def test_joint_cf_matches_gaussian_closed_form(lam, scale):
-    """The oracle integrates the kernel over the same truncated window."""
+    """The oracle is the whole-line Gaussian law: nothing is truncated."""
     times, us = [0.0, 0.7, 2.0], scale * np.array([0.5, -1.0, 0.8])
-    want = joint_cf_brownian_oracle(0.4, 1.3, lam, times, us,
-                                    TruncationPolicy().horizon(lam))
+    want = joint_cf_brownian_oracle(0.4, 1.3, lam, times, us)
+    assert abs(char_fn_joint(brownian(0.4, 1.3), lam, times, us) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("times, us", [
+    ([0.0], [0.9]),                                  # no window, two half-lines
+    ([0.0, 1.0], [1.0, -2.0]),                       # c_L = 1 - 2 e^{-ln 2} = 0
+    ([0.0, 0.1, 0.15, 1.9, 4.0], [0.3, -0.7, 1.1, 0.2, -0.4]),
+])
+def test_joint_cf_whole_line_edge_cases(times, us):
+    lam = math.log(2.0)
+    want = joint_cf_brownian_oracle(0.4, 1.3, lam, times, us)
     assert abs(char_fn_joint(brownian(0.4, 1.3), lam, times, us) - want) <= 1e-12
 
 
@@ -239,7 +250,8 @@ def test_cf_logs_one_debug_line(caplog):
     msgs = [r.getMessage() for r in caplog.records]
     assert len(msgs) == 2
     assert msgs[0].startswith("char_fn_x: 2 integrals")
-    assert msgs[1].startswith("char_fn_joint: 1 integrals")
+    # the two outer half-lines and the window between the times
+    assert msgs[1].startswith("char_fn_joint: 3 integrals")
     assert all("largest error estimate" in m for m in msgs)
 
 
@@ -334,6 +346,47 @@ def test_kbar_exponential_jumps_closed_form():
 
 def test_kbar_drift_linear():
     assert kbar(deterministic_drift(1.5), 2.0) == pytest.approx(-6.0, rel=1e-12)
+
+
+def test_tails_and_kbar_log_their_quad_error(caplog):
+    tails = triplet_of_x(CPNORM, 1.0).measure
+    with caplog.at_level(logging.DEBUG, logger="wbou"):
+        tails.tail_pos(0.5)
+        tails.tail_neg(0.5)
+        kbar(GAMMA, 1.0)
+        kbar(GAMMA, 0.0)           # nothing to integrate, nothing logged
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+    msgs = [r.getMessage() for r in caplog.records]
+    assert msgs[0].startswith("tail_pos: quad over [0.5, inf]")
+    assert msgs[1].startswith("tail_neg: quad over [-inf, -0.5]")
+    assert msgs[2].startswith("kbar: quad over [0, 1]")
+    assert all("error estimate" in m for m in msgs)
+
+
+class _WigglyDriver(DriverSpec):
+    """Jump density 1 + sin(1e5 x) on (0, 1): too many oscillations for
+    quad's 300 subintervals."""
+
+    @property
+    def measure(self):
+        return LevyMeasure(density=lambda x: 1.0 + math.sin(1e5 * x), support=(0.0, 1.0))
+
+    @property
+    def triplet(self):
+        return LevyTriplet(0.0, 0.0, self.measure)
+
+
+def test_tail_quad_error_above_tolerance_logs_a_warning(caplog):
+    tails = triplet_of_x(_WigglyDriver(), 1.0).measure
+    with caplog.at_level(logging.WARNING, logger="wbou"), pytest.warns(IntegrationWarning):
+        val = tails.tail_pos(0.5)
+    # the value is still returned, (2/lam)(ln 2 - 1/2) up to the O(1e-5)
+    # oscillating part and quad's error, which it estimates at about 4e-3
+    assert val == pytest.approx(2.0 * (math.log(2.0) - 0.5), abs=1e-2)
+    [rec] = caplog.records
+    assert rec.levelno == logging.WARNING
+    msg = rec.getMessage()
+    assert msg.startswith("tail_pos: quad error estimate") and "above the 1e-12 tolerance" in msg
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf])

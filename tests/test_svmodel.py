@@ -41,7 +41,7 @@ from wbou import (
 from wbou.paths import _assemble
 from wbou.svmodel import _euler_y
 
-from helpers import mean_se, pairwise_coarsen, var_se
+from helpers import mean_se, pairwise_coarsen, rbar_array, var_se
 
 GAMMA11 = gamma_subordinator(1.0, 1.0)
 
@@ -251,6 +251,46 @@ def test_r_anchors():
 def test_r_matches_process_acf():
     t = np.linspace(0.0, 4.0, 17)
     assert np.allclose(r_of(1.7, t), (1.7 * t + 1.0) * np.exp(-1.7 * t), rtol=1e-14)
+
+
+BITWISE_LAMS = (1e-3, 0.05, 0.8, 1.2564, 3.0, 40.0)
+
+
+@pytest.mark.parametrize("lam", BITWISE_LAMS)
+def test_rbar_scalar_path_is_bitwise_the_array_route(lam):
+    ts = (0.0, 1, 2, True, 0.25, 1.0, 7.3, 100.0, np.float64(0.5), np.int64(3),
+          np.array(2.0), np.array([0.0, 0.5, 9.0]), [1.0, 2.0])
+    for t in ts:
+        got, want = rbar_fn(lam, t), rbar_array(lam, t)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        if np.ndim(t) == 0:
+            assert type(got) is float
+
+
+@pytest.mark.parametrize("lam", BITWISE_LAMS)
+@pytest.mark.parametrize("mu, v, delta", [(3.0, 2.0, 1.0), (0.7, 0.1, 0.25), (0.0, 5.0, 2)])
+def test_corr_squared_returns_is_bitwise_the_array_route(lam, mu, v, delta):
+    for s in range(1, 11):
+        want = big_r(lam, delta, s) / (6.0 * rbar_array(lam, delta) + 2.0 * delta**2 * mu**2 / v)
+        got = corr_squared_returns(mu, v, lam, delta, s)
+        assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("t", [-1e-300, -0.5, -2, np.float64(-1.0), np.array(-1.0),
+                               np.array([1.0, -1.0])])
+def test_rbar_rejects_negative_t(t):
+    with pytest.raises(DomainError):
+        rbar_fn(1.0, t)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+def test_rbar_and_corr_squared_returns_reject_bad_lambda(lam):
+    for t in (1.0, np.array([1.0])):
+        with pytest.raises(InvalidLambda):
+            rbar_fn(lam, t)
+    with pytest.raises(InvalidLambda):
+        corr_squared_returns(1.0, 1.0, lam, 1.0, 1)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
