@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .drivers import DriverSpec
 from .errors import BadLag, DomainError, NegativeLag
-from .paths import _check_lambda
 
 __all__ = [
     "SecondOrderParams",
@@ -67,11 +67,9 @@ class SecondOrderParams:
     v: float = 1.0
 
     def __post_init__(self):
-        _check_lambda(self.lam)
-        if not (math.isfinite(self.mu) and 0 < self.v < math.inf):
-            raise DomainError(
-                f"driver moments must be finite with v > 0, got mu={self.mu}, v={self.v}"
-            )
+        _checks.lam(self.lam)
+        _checks.finite(self.mu, "mu")
+        _checks.positive(self.v, "v")
 
     @classmethod
     def from_driver(cls, driver: DriverSpec, lam: float) -> "SecondOrderParams":
@@ -79,15 +77,8 @@ class SecondOrderParams:
         return cls(lam, mu, v)
 
 
-def _lag(h) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0):
-        raise NegativeLag("lag must be nonnegative")
-    return h
-
-
-def _scalar_ok(h, out):
-    return float(out) if np.ndim(h) == 0 else out
+def _scalar_ok(out):
+    return float(out) if out.ndim == 0 else out
 
 
 def mean_x(p: SecondOrderParams) -> float:
@@ -105,35 +96,26 @@ def _acov(p: SecondOrderParams, hh):
 
 def acov_x(p: SecondOrderParams, h):
     """Cov(X_{t+h}, X_t) = V h e^{-lam h} + (V/lam) e^{-lam h}."""
-    return _scalar_ok(h, _acov(p, _lag(h)))
+    return _scalar_ok(_acov(p, _checks.nonnegative(h, "lag", NegativeLag)))
 
 
 def acf_x(p: SecondOrderParams, h):
     """Corr(X_{t+h}, X_t) = (lam h + 1) e^{-lam h}."""
-    hh = _lag(h)
-    return _scalar_ok(h, (p.lam * hh + 1.0) * np.exp(-p.lam * hh))
+    hh = _checks.nonnegative(h, "lag", NegativeLag)
+    return _scalar_ok((p.lam * hh + 1.0) * np.exp(-p.lam * hh))
 
 
 def acf_ou(p: SecondOrderParams, h):
     """Classical OU comparison: Corr(U_{t+h}, U_t) = e^{-lam h}."""
-    hh = _lag(h)
-    return _scalar_ok(h, np.exp(-p.lam * hh))
+    hh = _checks.nonnegative(h, "lag", NegativeLag)
+    return _scalar_ok(np.exp(-p.lam * hh))
 
 
 def msd(p: SecondOrderParams, h):
     """Mean-square displacement E (X_{t+h} - X_t)^2."""
-    hh = _lag(h)
+    hh = _checks.nonnegative(h, "lag", NegativeLag)
     e = np.exp(-p.lam * hh)
-    return _scalar_ok(h, (2.0 * p.v / p.lam) * (1.0 - e - p.lam * hh * e))
-
-
-def _check_k(k) -> np.ndarray:
-    kk = np.asarray(k)
-    if not np.issubdtype(kk.dtype, np.integer) and not np.all(kk == np.round(kk)):
-        raise BadLag("increment lag k must be an integer")
-    if np.any(kk < 1):
-        raise BadLag("increment lag k must be >= 1")
-    return kk.astype(float)
+    return _scalar_ok((2.0 * p.v / p.lam) * (1.0 - e - p.lam * hh * e))
 
 
 def increment_acf(p: SecondOrderParams, k):
@@ -144,18 +126,18 @@ def increment_acf(p: SecondOrderParams, k):
     so the lags k - 1, k and k + 1 need no further check.  Its range
     over lam > 0, k >= 1 is (-0.5, 1).
     """
-    kk = _check_k(k)
+    kk = _checks.whole(k, 1, "increment lag k", BadLag)
     num = 2.0 * _acov(p, kk) - _acov(p, kk + 1.0) - _acov(p, kk - 1.0)
     den = 2.0 * (_acov(p, 0.0) - _acov(p, 1.0))
-    return _scalar_ok(k, num / den)
+    return _scalar_ok(num / den)
 
 
 def increment_acf_ou(p: SecondOrderParams, k):
     """Classical OU increment autocorrelation; always in (-0.5, 0)."""
-    kk = _check_k(k)
+    kk = _checks.whole(k, 1, "increment lag k", BadLag)
     lam = p.lam
     bracket = 0.5 + 0.5 * (1.0 - math.exp(lam)) / (1.0 - math.exp(-lam))
-    return _scalar_ok(k, np.exp(-lam * kk) * bracket)
+    return _scalar_ok(np.exp(-lam * kk) * bracket)
 
 
 def _lag_one_numerator(lam: float) -> float:
@@ -195,7 +177,7 @@ def lambda_sign_threshold() -> float:
 
 def mean_y(p: SecondOrderParams, t) -> float:
     """E Y_t = 0 for all t."""
-    _lag(t)
+    _checks.nonnegative(t, "t", NegativeLag)
     return 0.0
 
 
@@ -216,10 +198,9 @@ def compact_cov(lam: float, a: float, t: float, s: float) -> float:
     (e^{-lam(t-s)} - e^{-lam(2a + s - t)}) / (2 lam) for 0 <= t-s <= a,
     and 0 beyond the window.  Scale by V for a general driver.
     """
-    _check_lambda(lam)
-    if a <= 0:
-        raise DomainError("window length a must be positive")
-    gap = t - s
+    _checks.lam(lam)
+    _checks.positive(a, "window length a")
+    gap = _checks.finite(t, "t") - _checks.finite(s, "s")
     if gap < 0:
         return compact_cov(lam, a, s, t)
     if gap > a:

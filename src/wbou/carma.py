@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .errors import DimensionMismatch, DomainError, GridMismatch
-from .paths import SimulationGrid, WbouPath, _check_lambda, _forward, _replay_array
+from .paths import SimulationGrid, WbouPath, _forward
 
 __all__ = ["CarmaSpec", "carma_from_wbou", "simulate_carma"]
 
@@ -48,8 +49,8 @@ class CarmaSpec:
     r0: tuple[float, float]
 
     def __post_init__(self):
-        _check_lambda(self.lam)
-        _replay_array(self.r0, 2, "r0")
+        _checks.lam(self.lam)
+        _checks.replay_array(self.r0, 2, "r0")
 
     @property
     def a_matrix(self) -> np.ndarray:
@@ -93,7 +94,7 @@ def simulate_carma(
     raises DomainError.  With return_states=True the full (n+1, 2)
     state trajectory is returned alongside.
     """
-    dl = _replay_array(dl, grid.n, "increment array", GridMismatch)[None, :]
+    dl = _checks.replay_array(dl, grid.n, "increment array", GridMismatch)[None, :]
     lam, (r1, r2) = spec.lam, spec.r0
     alpha = math.exp(-lam * grid.dt)
     x_minus = _forward(alpha, np.array([r2 - lam * r1]), dl)[0]

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _checks
 from ._table import write_table
 from .analytics import (
     SecondOrderParams,
@@ -166,14 +166,8 @@ def _inject_config(argv: list[str]) -> list[str]:
     return rest[:1] + injected + rest[1:]
 
 
-def _at_least(value: int, low: int, flag: str) -> int:
-    if value < low:
-        raise DomainError(f"{flag} must be >= {low}, got {value}")
-    return value
-
-
 def _out_paths(out: str, n: int) -> list[Path]:
-    _at_least(n, 1, "--paths")
+    _checks.whole(n, 1, "--paths")
     base = Path(out)
     if n == 1:
         return [base]
@@ -207,12 +201,11 @@ def cmd_theory(args) -> int:
     lam = getattr(args, "lambda")
     p = SecondOrderParams(lam)
     if args.kind == "acf":
-        if not 0 < args.dh < float("inf"):
-            raise DomainError(f"--dh must be positive and finite, got {args.dh}")
-        hs = np.arange(_at_least(args.max_lag, 0, "--max-lag") + 1) * args.dh
+        hs = (np.arange(_checks.whole(args.max_lag, 0, "--max-lag") + 1)
+              * _checks.positive(args.dh, "--dh"))
         write_table(args.out, ("h", "acf_wbou", "acf_ou"), (hs, acf_x(p, hs), acf_ou(p, hs)))
     elif args.kind == "increment-acf":
-        ks = np.arange(1, _at_least(args.max_lag, 1, "--max-lag") + 1)
+        ks = np.arange(1, _checks.whole(args.max_lag, 1, "--max-lag") + 1)
         write_table(args.out, ("k", "rho_wbou", "rho_ou"),
                     (ks, increment_acf(p, ks), increment_acf_ou(p, ks)))
     else:  # sv
@@ -220,7 +213,7 @@ def cmd_theory(args) -> int:
             mu, v = spot_vol_moments(parse_driver(args.driver))
         else:
             mu, v = args.mu, args.v
-        ss = range(1, _at_least(args.max_s, 1, "--max-s") + 1)
+        ss = range(1, _checks.whole(args.max_s, 1, "--max-s") + 1)
         write_table(args.out, ("s", "R", "cov_iv", "corr_sq_returns"), (
             ss,
             [big_r(lam, args.delta, s) for s in ss],

@@ -25,6 +25,7 @@ deterministic drift.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +33,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
+from . import _checks
 from .errors import DomainError, NotASubordinator
 
 __all__ = [
@@ -51,19 +53,22 @@ __all__ = [
     "deterministic_drift",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
+
+_log = logging.getLogger("wbou")
 
 
-def _check_finite(obj, *names):
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise DomainError(f"{type(obj).__name__}.{name} must be finite, got {value}")
-
-
-def _check_dt(dt):
-    if not dt > 0:
-        raise DomainError("dt must be positive")
+def _quad(f, a: float, b: float, name: str) -> float:
+    """scipy's quad at _QUAD_OPTS, keeping its error estimate: one debug
+    line per call, and a warning when the estimate is above the 1e-12
+    absolute and relative tolerance (the value is still returned)."""
+    val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s: quad over [%.6g, %.6g], error estimate %.3g", name, a, b, err)
+    if err > max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(val)):
+        _log.warning("%s: quad error estimate %.3g over [%.6g, %.6g] is above the "
+                     "%.0e tolerance", name, err, a, b, _QUAD_OPTS["epsabs"])
+    return val
 
 
 def _weights(dt, lam, m):
@@ -113,13 +118,11 @@ class LevyMeasure:
         hi = min(hi, self.support[1])
         if not lo < hi:
             return 0.0
-        val, _ = integrate.quad(fn, lo, hi, **_QUAD_OPTS)
-        return val
+        return _quad(fn, lo, hi, "measure")
 
     def tail_pos(self, y: float, include_endpoint: bool = True) -> float:
         """Mass of [y, inf) for y > 0 (or (y, inf) if not include_endpoint)."""
-        if not 0 < y < math.inf:
-            raise DomainError(f"tail argument must be positive and finite, got {y}")
+        _checks.positive(y, "tail argument")
         if self.tail_pos_closed is not None:
             cont = self.tail_pos_closed(y)
         else:
@@ -129,8 +132,7 @@ class LevyMeasure:
 
     def tail_neg(self, y: float, include_endpoint: bool = True) -> float:
         """Mass of (-inf, -y] for y > 0."""
-        if not 0 < y < math.inf:
-            raise DomainError(f"tail argument must be positive and finite, got {y}")
+        _checks.positive(y, "tail argument")
         if self.tail_neg_closed is not None:
             cont = self.tail_neg_closed(y)
         else:
@@ -177,9 +179,8 @@ class NormalJumps:
     var: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "mean", "var")
-        if self.var <= 0:
-            raise DomainError("normal jump variance must be positive")
+        _checks.finite(self.mean, "NormalJumps.mean")
+        _checks.positive(self.var, "NormalJumps.var")
 
     positive = False
 
@@ -232,9 +233,7 @@ class ExponentialJumps:
     rate: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "rate")
-        if self.rate <= 0:
-            raise DomainError("exponential jump rate must be positive")
+        _checks.positive(self.rate, "ExponentialJumps.rate")
 
     positive = True
 
@@ -283,8 +282,7 @@ class PointMassJumps:
     size: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "size")
-        if self.size == 0:
+        if _checks.finite(self.size, "PointMassJumps.size") == 0:
             raise DomainError("jump size must be nonzero")
 
     @property
@@ -378,7 +376,6 @@ class DriverSpec:
         raise NotImplementedError
 
     def sample_increment(self, dt: float, rng) -> float:
-        _check_dt(dt)
         return float(self.sample_increments(dt, rng, ()))
 
     def law_terms(self, dt: float, lam: float, m: int, tol: float) -> float | None:
@@ -408,9 +405,8 @@ class BrownianDriver(DriverSpec):
     sigma2: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "gamma", "sigma2")
-        if self.sigma2 < 0:
-            raise DomainError("sigma2 must be nonnegative")
+        _checks.finite(self.gamma, "BrownianDriver.gamma")
+        _checks.nonnegative(self.sigma2, "BrownianDriver.sigma2")
 
     def psi(self, u):
         u = np.asarray(u, dtype=float)
@@ -432,7 +428,7 @@ class BrownianDriver(DriverSpec):
         return LevyTriplet(self.gamma, self.sigma2, LevyMeasure())
 
     def sample_increments(self, dt, rng, size):
-        _check_dt(dt)
+        _checks.positive(dt, "dt")
         return rng.normal(self.gamma * dt, math.sqrt(self.sigma2 * dt), size)
 
     def law_terms(self, dt, lam, m, tol):
@@ -440,7 +436,7 @@ class BrownianDriver(DriverSpec):
 
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
         # a weighted sum of iid normals is one normal, exactly
-        _check_dt(dt)
+        _checks.positive(dt, "dt")
         w = _weights(dt, lam, m)
         return rng.normal(self.gamma * dt * w.sum(), math.sqrt(self.sigma2 * dt * (w @ w)),
                           n_paths)
@@ -459,9 +455,7 @@ class CompoundPoissonDriver(DriverSpec):
     jumps: NormalJumps | ExponentialJumps | PointMassJumps = NormalJumps()
 
     def __post_init__(self):
-        _check_finite(self, "intensity")
-        if self.intensity < 0:
-            raise DomainError("intensity must be nonnegative")
+        _checks.nonnegative(self.intensity, "CompoundPoissonDriver.intensity")
 
     @property
     def nonnegative(self) -> bool:
@@ -511,7 +505,7 @@ class CompoundPoissonDriver(DriverSpec):
     def sample_increments(self, dt, rng, size):
         # counts and jump sums come from two child streams, so a draw of
         # size k is the prefix of any longer draw from the same generator
-        _check_dt(dt)
+        _checks.positive(dt, "dt")
         count_gen, sum_gen = rng.spawn(2)
         counts = count_gen.poisson(self.intensity * dt, size)
         return self.jumps.sample_sum(sum_gen, counts)
@@ -522,7 +516,7 @@ class CompoundPoissonDriver(DriverSpec):
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
         # exact in the discrete law: a Poisson(intensity m dt) number of
         # jumps per row, each in a uniform cell and weighted by its kernel
-        _check_dt(dt)
+        _checks.positive(dt, "dt")
         return _scatter_sum(rng, n_paths, self.intensity * dt * m, _weights(dt, lam, m),
                             lambda k: self.jumps.sample_sum(rng, np.ones(k)))
 
@@ -538,9 +532,8 @@ class GammaSubordinatorDriver(DriverSpec):
     rate: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "shape", "rate")
-        if self.shape <= 0 or self.rate <= 0:
-            raise DomainError("shape and rate must be positive")
+        _checks.positive(self.shape, "GammaSubordinatorDriver.shape")
+        _checks.positive(self.rate, "GammaSubordinatorDriver.rate")
 
     nonnegative = True
     _law_is_exact = False
@@ -576,7 +569,7 @@ class GammaSubordinatorDriver(DriverSpec):
         return LevyTriplet((a / b) * (1.0 - math.exp(-b)), 0.0, self.measure)
 
     def sample_increments(self, dt, rng, size):
-        _check_dt(dt)
+        _checks.positive(dt, "dt")
         return rng.gamma(self.shape * dt, 1.0 / self.rate, size)
 
     def law_terms(self, dt, lam, m, tol):
@@ -594,7 +587,7 @@ class GammaSubordinatorDriver(DriverSpec):
         rest is (aT/b) e^{-Gamma_max/(aT)} = tol * mu / lam.  Below
         Gamma_max the Gamma_i are a Poisson(Gamma_max) number of uniforms.
         """
-        _check_dt(dt)
+        _checks.positive(dt, "dt")
         gmax = self.law_terms(dt, lam, m, tol)
         if gmax is None:
             raise DomainError("the gamma series needs as many terms as cells; draw densely")
@@ -613,7 +606,7 @@ class DriftDriver(DriverSpec):
     gamma: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self, "gamma")
+        _checks.finite(self.gamma, "DriftDriver.gamma")
 
     def psi(self, u):
         u = np.asarray(u, dtype=float)
@@ -642,14 +635,14 @@ class DriftDriver(DriverSpec):
         return LevyTriplet(self.gamma, 0.0, LevyMeasure())
 
     def sample_increments(self, dt, rng, size):
-        _check_dt(dt)
+        _checks.positive(dt, "dt")
         return np.full(size, self.gamma * dt)
 
     def law_terms(self, dt, lam, m, tol):
         return 0.0
 
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
-        _check_dt(dt)
+        _checks.positive(dt, "dt")
         return np.full(n_paths, self.gamma * dt * _weights(dt, lam, m).sum())
 
 

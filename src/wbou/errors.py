@@ -6,7 +6,7 @@ class WbouError(Exception):
 
 
 class InvalidLambda(WbouError):
-    """The mean-reversion rate must be strictly positive."""
+    """The mean-reversion rate must be positive and finite."""
 
 
 class ExistenceViolation(WbouError):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
+from . import _checks
 from ._table import read_columns, write_table
 from .analytics import SecondOrderParams, acf_ou, acf_x
 from .errors import (
@@ -66,11 +67,9 @@ class Series:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _checks.finite(np.asarray(self.values, dtype=float), "series")
         if vals.ndim != 1 or len(vals) < 2:
             raise DomainError("series must be 1-D with at least 2 entries")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("series contains non-finite entries")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -111,7 +110,8 @@ def empirical_acf(series, max_lag: int) -> AcfEstimate:
     """n-normalized mean-subtracted autocorrelation up to max_lag."""
     x = _values(series)
     n = len(x)
-    if not 0 <= max_lag < n:
+    max_lag = _checks.whole(max_lag, 0, "max_lag", LagTooLarge)
+    if max_lag >= n:
         raise LagTooLarge(f"max_lag must be in [0, {n - 1}], got {max_lag}")
     d = x - x.mean()
     scale = max(1.0, float(np.abs(x).max()))
@@ -161,19 +161,17 @@ def fit_acf(acf: AcfEstimate, model: str, lag_range: tuple[int, int]) -> FitResu
     it down; a minimizer stuck at a search bound is flagged.  A
     non-finite rho within the window raises DomainError.
     """
-    min_lag, max_lag = int(lag_range[0]), int(lag_range[1])
-    if min_lag < 1:
-        raise EmptyRange("min_lag must be >= 1")
+    min_lag = _checks.whole(lag_range[0], 1, "min_lag", EmptyRange)
+    max_lag = _checks.whole(lag_range[1], min_lag, "max_lag", EmptyRange)
     avail = int(acf.lags[-1])
-    if max_lag > avail or min_lag > max_lag:
+    if max_lag > avail:
         raise EmptyRange(
             f"lag window [{min_lag}, {max_lag}] not within available lags "
             f"[0, {avail}]"
         )
     lags = np.arange(min_lag, max_lag + 1, dtype=float)
-    rho_hat = acf.rho[min_lag : max_lag + 1]
-    if not np.all(np.isfinite(rho_hat)):
-        raise DomainError(f"rho is not finite within the lag window [{min_lag}, {max_lag}]")
+    rho_hat = _checks.finite(acf.rho[min_lag : max_lag + 1],
+                             f"rho within the lag window [{min_lag}, {max_lag}]")
 
     def rss(lam: float) -> float:
         return float(np.sum((rho_hat - model_curve(model, lam, lags)) ** 2))
@@ -211,7 +209,8 @@ def signature_plot(series, max_skip: int) -> np.ndarray:
     array of rows (k, RV_k).
     """
     x = _values(series)
-    if not 1 <= max_skip < len(x) / 2:
+    max_skip = _checks.whole(max_skip, 1, "max_skip", SkipTooLarge)
+    if max_skip >= len(x) / 2:
         raise SkipTooLarge(
             f"max_skip must be in [1, {math.ceil(len(x) / 2) - 1}], got {max_skip}"
         )

@@ -28,10 +28,11 @@ block of 256 pieces per round, and an integral stops at 300 pieces.
 Each call logs one ``wbou`` debug line with the piece count and the
 largest error estimate, and a ``wbou`` warning when an integral stopped
 at the cap above its tolerance (the value is still returned).  The
-tails, kbar and gbar_from_g use scipy's quad at the same tolerance; the
-tails and kbar keep its error estimate, with one ``wbou`` debug line
-per integral and a ``wbou`` warning when the estimate is above the
-tolerance (again, the value is still returned).
+tails, kbar and gbar_from_g use scipy's quad at the same tolerance
+through drivers._quad, the one wrapper that every quad call of the
+package goes through: it keeps the error estimate, with one ``wbou``
+debug line per integral and a ``wbou`` warning when the estimate is
+above the tolerance (again, the value is still returned).
 
 The module also carries the cumulant transform of the marginal under
 the time-scaled convention (driver run at rate lam, making the marginal
@@ -48,10 +49,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
-from .drivers import DriverSpec, LevyMeasure, LevyTriplet
-from .errors import DimensionMismatch, DomainError, ExistenceViolation
+from . import _checks
+from .drivers import DriverSpec, LevyMeasure, LevyTriplet, _quad
+from .errors import DimensionMismatch, DomainError, ExistenceViolation, InvalidLambda
 
 __all__ = [
     "ExistenceResult",
@@ -63,8 +64,6 @@ __all__ = [
     "gbar_from_g",
     "g_from_gbar",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
 _log = logging.getLogger("wbou")
 
@@ -93,8 +92,10 @@ def existence_check(driver: DriverSpec, lam: float) -> ExistenceResult:
     The requirements are lam > 0 and a finite log-moment of the driver;
     violations are reported, not raised.
     """
-    if not lam > 0 or math.isinf(lam):
-        return ExistenceResult(False, f"lambda must be finite and > 0, got {lam}")
+    try:
+        _checks.lam(lam)
+    except InvalidLambda as exc:
+        return ExistenceResult(False, str(exc))
     if not driver.log_moment_finite():
         return ExistenceResult(False, "driver log-moment is infinite")
     return ExistenceResult(True)
@@ -104,19 +105,6 @@ def _require_exists(driver: DriverSpec, lam: float) -> None:
     res = existence_check(driver, lam)
     if not res:
         raise ExistenceViolation(res.reason)
-
-
-def _quad(f, a: float, b: float, name: str) -> float:
-    """scipy's quad at _QUAD_OPTS, keeping its error estimate: one debug
-    line per call, and a warning when the estimate is above the 1e-12
-    absolute and relative tolerance (the value is still returned)."""
-    val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("%s: quad over [%.6g, %.6g], error estimate %.3g", name, a, b, err)
-    if err > max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(val)):
-        _log.warning("%s: quad error estimate %.3g over [%.6g, %.6g] is above the "
-                     "%.0e tolerance", name, err, a, b, _QUAD_OPTS["epsabs"])
-    return val
 
 
 def _pushforward_measure(driver: DriverSpec, lam: float) -> LevyMeasure:
@@ -267,13 +255,6 @@ def _integrate(f, a, b, owner, n: int, name: str) -> np.ndarray:
     return value
 
 
-def _finite(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"{name} must be finite")
-    return x
-
-
 def char_fn_x(driver: DriverSpec, lam: float, u, *, time_scaled: bool = False):
     """Characteristic function of the stationary marginal X_0.
 
@@ -290,7 +271,7 @@ def char_fn_x(driver: DriverSpec, lam: float, u, *, time_scaled: bool = False):
     """
     _require_exists(driver, lam)
     lam_eff = 1.0 if time_scaled else lam
-    u = _finite(u, "u")
+    u = _checks.finite(np.asarray(u, dtype=float), "u")
     flat = u.ravel()
     nz = np.flatnonzero(flat)
     sign = np.sign(flat[nz])
@@ -316,8 +297,8 @@ def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
     in the module docstring.  Non-finite times or us raise DomainError.
     """
     _require_exists(driver, lam)
-    times = _finite(times, "times")
-    us = _finite(us, "us")
+    times = _checks.finite(np.asarray(times, dtype=float), "times")
+    us = _checks.finite(np.asarray(us, dtype=float), "us")
     if times.shape != us.shape or times.ndim != 1 or len(times) == 0:
         raise DimensionMismatch("times and us must be 1-D of equal length")
     if len(times) > 1 and not np.all(np.diff(times) > 0):
@@ -366,9 +347,7 @@ def kbar(driver: DriverSpec, theta: float) -> float:
     generating function is finite, enabling central-stencil
     differentiation at 0.  Non-finite theta raises DomainError.
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
-    if theta == 0:
+    if _checks.finite(theta, "theta") == 0:
         return 0.0
     mu, _ = driver.moments()
     # touching cumulant_k validates that the driver is a subordinator
@@ -385,10 +364,8 @@ def kbar(driver: DriverSpec, theta: float) -> float:
 def gbar_from_g(g: Callable[[float], float], y: float) -> float:
     """Levy density of X_0 from the driver's Levy density g:
     gbar(y) = 2 int_1^inf g(x y) dx, for y > 0 (time-scaled convention)."""
-    if y <= 0:
-        raise DomainError("y must be positive")
-    val, _ = integrate.quad(lambda x: g(x * y), 1.0, math.inf, **_QUAD_OPTS)
-    return 2.0 * val
+    _checks.positive(y, "y")
+    return 2.0 * _quad(lambda x: g(x * y), 1.0, math.inf, "gbar_from_g")
 
 
 def g_from_gbar(
@@ -397,6 +374,5 @@ def g_from_gbar(
     y: float,
 ) -> float:
     """Exact inverse of gbar_from_g: g(y) = (-gbar(y) - y gbar'(y)) / 2."""
-    if y <= 0:
-        raise DomainError("y must be positive")
+    _checks.positive(y, "y")
     return 0.5 * (-gbar(y) - y * gbar_prime(y))

@@ -55,15 +55,10 @@ from functools import cached_property
 import numpy as np
 from scipy.signal import lfilter
 
+from . import _checks
 from ._table import write_table
 from .drivers import DriverSpec
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    ExistenceViolation,
-    GridError,
-    InvalidLambda,
-)
+from .errors import DimensionMismatch, ExistenceViolation, GridError
 from .rng import as_generator
 
 _log = logging.getLogger("wbou")
@@ -86,27 +81,6 @@ __all__ = [
     "write_path_csv",
 ]
 
-def _check_lambda(lam: float) -> float:
-    if not lam > 0:
-        raise InvalidLambda(f"lambda must be > 0, got {lam}")
-    if math.isinf(lam):
-        raise InvalidLambda(f"lambda must be finite, got {lam}")
-    return float(lam)
-
-
-def _replay_array(a, n, name, mismatch=DimensionMismatch) -> np.ndarray:
-    """a as a 1-D finite float array of length n (any length if n is
-    None; None is empty): a wrong shape raises mismatch, a NaN or inf
-    DomainError."""
-    a = np.asarray(() if a is None else a, dtype=float)
-    if a.ndim != 1 or n is not None and a.size != n:
-        raise mismatch(f"{name} has shape {a.shape}, expected "
-                       f"{'1-D' if n is None else (n,)}")
-    if not np.isfinite(a).all():
-        raise DomainError(f"{name} must be finite")
-    return a
-
-
 @dataclass(frozen=True)
 class SimulationGrid:
     """Uniform grid 0, dt, 2dt, ..., t_max with t_max an exact multiple of dt."""
@@ -115,10 +89,8 @@ class SimulationGrid:
     dt: float
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf and 0 < self.t_max < math.inf):
-            raise GridError(
-                f"t_max and dt must be positive and finite, got {self.t_max}, {self.dt}"
-            )
+        _checks.positive(self.t_max, "t_max", GridError)
+        _checks.positive(self.dt, "dt", GridError)
         n = round(self.t_max / self.dt)
         if n < 1 or abs(n * self.dt - self.t_max) > 1e-9 * max(self.t_max, 1.0):
             raise GridError(
@@ -150,8 +122,7 @@ class TruncationPolicy:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if not 0 < self.tol < 1:
-            raise GridError("tol must lie in (0, 1)")
+        _checks.positive(self.tol, "tol", GridError, hi=1.0)
 
     def horizon(self, lam: float) -> float:
         return -math.log(self.tol) / lam
@@ -262,7 +233,7 @@ def _assemble(lam, grid, g, dl, xp_end) -> WbouPath:
 
 
 def _validate(driver: DriverSpec, lam: float) -> float:
-    lam = _check_lambda(lam)
+    lam = _checks.lam(lam)
     if not driver.log_moment_finite():
         raise ExistenceViolation("driver log-moment is infinite")
     return lam
@@ -297,8 +268,7 @@ def _simulate(driver, lam, grid, n_paths, trunc, rng, *, by_law):
     assembled batch and the arrays (dl_past, dl, dl_tail).
     """
     lam = _validate(driver, lam)
-    if n_paths < 1:
-        raise DimensionMismatch("n_paths must be >= 1")
+    n_paths = _checks.whole(n_paths, 1, "n_paths", DimensionMismatch)
     trunc = trunc or TruncationPolicy()
     dt = grid.dt
     m_half = trunc.n_steps(lam, dt)
@@ -381,10 +351,10 @@ def wbou_from_increments(
     This is the replay entry point: refinement studies coarsen or refine
     one fixed stream of increments and rebuild X deterministically.
     """
-    lam = _check_lambda(lam)
-    dl = _replay_array(dl, grid.n, "dl")
-    dl_past = _replay_array(dl_past, None, "dl_past")
-    dl_tail = _replay_array(dl_tail, None, "dl_tail")
+    lam = _checks.lam(lam)
+    dl = _checks.replay_array(dl, grid.n, "dl")
+    dl_past = _checks.replay_array(dl_past, None, "dl_past")
+    dl_tail = _checks.replay_array(dl_tail, None, "dl_tail")
 
     rows = [a[None, :] for a in (dl_past, dl, dl_tail)]
     batch = _assemble(lam, grid, _halfline_sum(lam, grid.dt, rows[0], 1), rows[1],
@@ -424,13 +394,13 @@ def ou_from_increments(
     The start is x0 if given, else the past integral G of dl_past (0.0
     without one).
     """
-    lam = _check_lambda(lam)
-    dl = _replay_array(dl, grid.n, "dl")
-    dl_past = _replay_array(dl_past, None, "dl_past")
+    lam = _checks.lam(lam)
+    dl = _checks.replay_array(dl, grid.n, "dl")
+    dl_past = _checks.replay_array(dl_past, None, "dl_past")
     if x0 is None:
         x0 = _halfline_sum(lam, grid.dt, dl_past[None, :], 1)
     else:
-        x0 = _replay_array([x0], 1, "x0")
+        x0 = _checks.replay_array([x0], 1, "x0")
     x = _forward(math.exp(-lam * grid.dt), x0, dl[None, :])[0]
     return OuPath(grid=grid, lam=lam, x=x, dl=dl, dl_past=dl_past)
 
@@ -450,8 +420,7 @@ def simulate_compact_kernel(
     kernel weights e^{-lam m dt}, m = 1..a/dt.
     """
     lam = _validate(driver, lam)
-    if not 0 < a < math.inf:
-        raise GridError(f"window length a must be positive and finite, got {a}")
+    _checks.positive(a, "window length a", GridError)
     w = round(a / grid.dt)
     if w < 1 or abs(w * grid.dt - a) > 1e-9 * max(a, 1.0):
         raise GridError(f"a={a} is not an integer multiple of dt={grid.dt}")

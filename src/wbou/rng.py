@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _checks
+
 __all__ = ["substream", "as_generator"]
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream identified by ``key`` under ``seed``."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(_checks.whole(seed, 0, "seed"),
+                                spawn_key=tuple(_checks.whole(k, 0, "key") for k in key))
     return np.random.default_rng(ss)
 
 
@@ -40,4 +43,6 @@ def as_generator(rng) -> np.random.Generator:
         return np.random.default_rng()
     if isinstance(rng, np.random.Generator):
         return rng
+    if isinstance(rng, (int, float)):
+        rng = _checks.whole(rng, 0, "seed")
     return np.random.default_rng(rng)

@@ -47,16 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from . import _checks
 from ._table import write_table
 from .drivers import DriverSpec
-from .errors import DomainError, MissingComponents, NotASubordinator
-from .paths import (
-    SimulationGrid,
-    TruncationPolicy,
-    _check_lambda,
-    simulate_wbou,
-    simulate_wbou_ensemble,
-)
+from .errors import MissingComponents, NotASubordinator
+from .paths import SimulationGrid, TruncationPolicy, simulate_wbou, simulate_wbou_ensemble
 from .rng import as_generator
 
 __all__ = [
@@ -84,7 +79,9 @@ class SvSpec:
     driver: DriverSpec
 
     def __post_init__(self):
-        _check_lambda(self.lam)
+        _checks.lam(self.lam)
+        _checks.finite(self.alpha, "alpha")
+        _checks.finite(self.beta, "beta")
         if not self.driver.nonnegative:
             raise NotASubordinator(
                 "spot volatility requires a nondecreasing (subordinator) driver"
@@ -194,6 +191,7 @@ def integrated_vol_explicit(path, lam: float | None = None) -> np.ndarray:
         lam = getattr(path, "lam", None)
         if lam is None:
             raise MissingComponents("pass lam or a path that knows its rate")
+    lam = _checks.lam(lam)
     xm = getattr(path, "x_minus", None)
     xp = getattr(path, "x_plus", None)
     lc = getattr(path, "l_cum", None)
@@ -208,13 +206,6 @@ def integrated_vol_explicit(path, lam: float | None = None) -> np.ndarray:
 # second-order theory for integrated volatility and squared returns
 
 
-def _check_delta_s(delta: float, s: int):
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    if s != int(s) or s < 1:
-        raise DomainError("s must be an integer >= 1")
-
-
 def rbar_fn(lam: float, t) -> np.ndarray | float:
     """Double integral of r: rbar(t) = int_0^t int_0^u r(x) dx du,
     in closed form (lam t e^{-lam t} + 2 lam t + 3 e^{-lam t} - 3)/lam^2.
@@ -222,12 +213,8 @@ def rbar_fn(lam: float, t) -> np.ndarray | float:
     A Python int or float t stays a Python float until np.exp, which
     saves the array round trip of a scalar call; the values are the same.
     """
-    _check_lambda(lam)
-    scalar = isinstance(t, (int, float))
-    tt = float(t) if scalar else np.asarray(t, dtype=float)
-    if (tt < 0) if scalar else np.any(tt < 0):
-        raise DomainError("t must be nonnegative")
-    lt = lam * tt
+    lam = _checks.lam(lam)
+    lt = lam * _checks.nonnegative(t, "t")
     e = np.exp(-lt)
     out = (lt * e + 2.0 * lt + 3.0 * e - 3.0) / lam**2
     return float(out) if out.ndim == 0 else out
@@ -243,18 +230,16 @@ def big_r(lam: float, delta: float, s: int) -> float:
     e^{-x} - e^{x} = -2 sinh(x), which avoid the cancellation of both
     brackets at small lam * d.
     """
-    _check_delta_s(delta, s)
-    _check_lambda(lam)
-    ld, lds = lam * delta, lam * delta * int(s)
+    lam = _checks.lam(lam)
+    ld = lam * _checks.positive(delta, "delta")
+    lds = ld * _checks.whole(s, 1, "s")
     bracket = (lds + 3.0) * 4.0 * math.sinh(0.5 * ld) ** 2 - 2.0 * ld * math.sinh(ld)
     return math.exp(-lds) * bracket / lam**2
 
 
 def cov_integrated_vol(v: float, lam: float, delta: float, s: int) -> float:
     """Cov of integrated volatility over windows s apart: V * R(delta s)."""
-    if v <= 0:
-        raise DomainError("driver variance v must be positive")
-    return v * big_r(lam, delta, s)
+    return _checks.positive(v, "driver variance v") * big_r(lam, delta, s)
 
 
 def corr_squared_returns(
@@ -267,11 +252,10 @@ def corr_squared_returns(
     (mu, v) are the mean and variance of the stationary spot volatility;
     for this model pass spot_vol_moments(driver), i.e. (2 mu_L, V_L).
     """
-    if v <= 0:
-        raise DomainError("spot-volatility variance v must be positive")
-    _check_delta_s(delta, s)
-    denom = 6.0 * rbar_fn(lam, delta) + 2.0 * delta**2 * mu**2 / v
-    return big_r(lam, delta, s) / denom
+    _checks.finite(mu, "mu")
+    _checks.positive(v, "spot-volatility variance v")
+    r = big_r(lam, delta, s)
+    return r / (6.0 * rbar_fn(lam, delta) + 2.0 * delta**2 * mu**2 / v)
 
 
 def spot_vol_moments(driver: DriverSpec) -> tuple[float, float]:

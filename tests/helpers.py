@@ -13,7 +13,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from wbou.analytics import acov_x
-from wbou.paths import _check_lambda
+from wbou import _checks
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
@@ -347,7 +347,7 @@ def sign_threshold_bisection(acf1):
 
 def rbar_array(lam, t):
     """rbar_fn through an array for every t, as the package once did."""
-    _check_lambda(lam)
+    _checks.lam(lam)
     tt = np.asarray(t, dtype=float)
     lt = lam * tt
     out = (lt * np.exp(-lt) + 2.0 * lt + 3.0 * np.exp(-lt) - 3.0) / lam**2
@@ -367,7 +367,7 @@ def var_y_alt(p, t):
 
 def mat_exp_at(lam, t):
     """Closed-form e^{At}: [[cosh, sinh/lam], [lam sinh, cosh]] at lam*t."""
-    _check_lambda(lam)
+    _checks.lam(lam)
     c = math.cosh(lam * t)
     s = math.sinh(lam * t)
     return np.array([[c, s / lam], [lam * s, c]])

@@ -227,13 +227,25 @@ _FAULTY_INPUTS = {
     ["fit", "--input", "{frac_lag}", "--max-lag", "2"],
     ["signature", "--input", "{binary}", "--max-skip", "1", "--out", "{out}"],
     ["signature", "--input", "{huge_cell}", "--max-skip", "1", "--out", "{out}"],
+    ["theory", "sv", "--lambda", "1", "--delta", "nan", "--out", "{out}"],
+    ["theory", "sv", "--lambda", "1", "--delta", "inf", "--out", "{out}"],
+    ["theory", "sv", "--lambda", "1", "--mu", "nan", "--out", "{out}"],
+    ["theory", "sv", "--lambda", "1", "--mu", "inf", "--out", "{out}"],
+    ["theory", "sv", "--lambda", "1", "--v", "inf", "--out", "{out}"],
+    ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--alpha", "nan", "--t-max", "1",
+     "--dt", "0.1", "--out", "{out}"],
+    ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--beta", "inf", "--t-max", "1",
+     "--dt", "0.1", "--out", "{out}"],
+    _simulate_args("{out}", extra=["--seed", "-1"]),
 ], ids=["paths-0", "t-max-nan", "dt-inf", "lambda-inf", "sv-lambda-inf", "sv-paths-0",
         "acf-bad-cell", "signature-bad-cell", "fit-bad-cell", "theory-acf-max-lag-neg",
         "theory-iacf-max-lag-0", "theory-sv-max-s-0", "driver-gamma-nan",
         "driver-brownian-inf", "driver-cpoisson-nan", "driver-jump-rate-inf",
         "driver-drift-nan", "sv-driver-nan", "theory-acf-lambda-inf", "theory-acf-dh-nan",
         "theory-acf-dh-0", "fit-nan-rho", "fit-inf-rho", "fit-fractional-lag",
-        "signature-undecodable", "signature-huge-quoted-cell"])
+        "signature-undecodable", "signature-huge-quoted-cell", "theory-sv-delta-nan",
+        "theory-sv-delta-inf", "theory-sv-mu-nan", "theory-sv-mu-inf", "theory-sv-v-inf",
+        "sv-alpha-nan", "sv-beta-inf", "simulate-seed-negative"])
 def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
     inputs = {"bad": _table_with_bad_cell(tmp_path / "bad.csv")}
     for name, text in _FAULTY_INPUTS.items():

@@ -2,7 +2,8 @@
 
 Only ``_table`` opens files for writing, so the CSV format has one
 owner.  Only ``cli`` prints; the library reports through the ``wbou``
-logger.
+logger.  Only ``_checks`` tests numbers for NaN or inf and raises
+InvalidLambda, so the numeric-input policy has one owner too.
 """
 import ast
 from pathlib import Path
@@ -14,6 +15,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wbou"
 #: calls that write a file whatever their arguments
 WRITE_CALLS = {"write_text", "write_bytes", "save", "savez", "savez_compressed",
                "savetxt", "tofile"}
+
+#: math or numpy tests for NaN and inf
+FINITENESS_CALLS = {"isfinite", "isinf", "isnan"}
+
+#: (module, function) allowed a finiteness test outside _checks:
+#: read_acf_csv's mask finds the file line of the first bad row, which a
+#: check that only accepts or refuses cannot report
+FINITENESS_EXEMPT = [("estimation.py", "read_acf_csv")]
 
 
 def _calls(path):
@@ -40,6 +49,31 @@ def _writes(name, call) -> bool:
     modes += call.args[first : first + 1]
     return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
                or set(m.value) & set("wax+") for m in modes)
+
+
+def _checks_numbers(node) -> bool:
+    """True for a call of isfinite, isinf or isnan, and for a raise of
+    InvalidLambda."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (func.id if isinstance(func, ast.Name)
+                else getattr(func, "attr", None)) in FINITENESS_CALLS
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == "InvalidLambda"
+    return False
+
+
+def _functions_where(pred, tree):
+    """Names of the innermost functions (None at module level) holding
+    a node for which pred is true."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if pred(child):
+                yield owner
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from walk(child, child.name if inner else owner)
+    return set(walk(tree, None))
 
 
 def _modules_where(pred):
@@ -73,3 +107,23 @@ def test_only_table_module_opens_files_for_writing():
 def test_only_cli_prints():
     assert _modules_where(lambda name, call: name == "print"
                           and isinstance(call.func, ast.Name)) == ["cli.py"]
+
+
+@pytest.mark.parametrize("src, checks", [
+    ("math.isfinite(x)", True),
+    ("np.isnan(a).any()", True),
+    ("isinf(x)", True),
+    ("raise InvalidLambda('lambda must be > 0')", True),
+    ("raise errors.InvalidLambda", True),
+    ("raise DomainError('x must be finite')", False),
+    ("0 < x < math.inf", False),
+])
+def test_finiteness_rule_finds_the_tests(src, checks):
+    found = _functions_where(_checks_numbers, ast.parse(f"def f(x):\n    {src}\n"))
+    assert found == ({"f"} if checks else set())
+
+
+def test_only_checks_module_tests_numbers_for_finiteness():
+    found = sorted((p.name, fn) for p in SRC.glob("*.py") if p.name != "_checks.py"
+                   for fn in _functions_where(_checks_numbers, ast.parse(p.read_text())))
+    assert found == FINITENESS_EXEMPT
