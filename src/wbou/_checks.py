@@ -6,6 +6,7 @@ in [0, inf), a count a whole number >= its lower end.  Each check raises
 the WbouError subclass its caller names.  A Python int or float is
 checked by chained comparisons alone, which are false for NaN and reach
 no NumPy call; an array is checked by whole-array NumPy reductions.
+A closed form of finite inputs must come out finite too (``in_range``).
 Like ``_table``, this module imports no wbou module but ``errors``.
 """
 from __future__ import annotations
@@ -85,3 +86,24 @@ def replay_array(a, n: int | None, name: str, mismatch=DimensionMismatch) -> np.
         raise mismatch(f"{name} has shape {a.shape}, expected "
                        f"{'1-D' if n is None else (n,)}")
     return finite(a, name)
+
+
+def in_range(name: str, fn, *args, numpy: bool = False):
+    """fn(*args), a closed form of finite inputs, if it stays in the float
+    range; else DomainError naming ``name(*args)``.  Python floats signal
+    an overflow by OverflowError, by ZeroDivisionError (a divisor that
+    underflowed to 0) or by an inf or NaN result; with numpy, NumPy's
+    overflow, division by zero and invalid operations raise too instead
+    of warning.  Underflow is accepted."""
+    try:
+        if numpy:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                out = fn(*args)
+        else:
+            out = fn(*args)
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        pass
+    else:
+        if -math.inf < out < math.inf if isinstance(out, float) else np.isfinite(out).all():
+            return out
+    raise DomainError(f"{name}({', '.join(map(repr, args))}) overflows the float range")

@@ -12,12 +12,11 @@ so that E exp(i u L_t) = exp(t psi(u)), together with the first two
 moments of L(1) and an exact increment sampler.  Every supported family
 has finite variance, hence finite log-moment.
 
-``sample_weighted_sum`` draws the kernel-weighted sums that stand for
-the truncated half-line integrals of the moving average.  Brownian,
-drift and compound Poisson drivers draw them exactly in the discrete
-law, the gamma subordinator by a truncated series representation
-(Bondesson 1982; Rosinski 2001), with a number of random draws per
-path that does not grow as the grid is refined.
+``sample_weighted_sum`` draws the truncated half-line integrals G and
+X^+_{t_max} of every path.  Brownian, drift and compound Poisson drivers
+draw them exactly in the discrete law, the gamma subordinator by a
+truncated series (Bondesson 1982; Rosinski 2001) whose number of draws
+per path does not grow as the grid is refined, or by the dense default.
 
 Families: Brownian motion with drift, compound Poisson (normal,
 exponential, or fixed-size jumps), the gamma subordinator, and pure
@@ -74,6 +73,13 @@ def _quad(f, a: float, b: float, name: str) -> float:
 def _weights(dt, lam, m):
     """Kernel weights e^{-lam dt j}, j = 0..m-1."""
     return np.exp(-lam * dt * np.arange(m))
+
+
+def _halfline(dt, lam, m, tol, n_paths=1):
+    """The arguments of law_terms and sample_weighted_sum, checked: dt
+    positive, lam a rate, m and n_paths whole numbers >= 1, tol in (0, 1)."""
+    return (_checks.positive(dt, "dt"), _checks.lam(lam), _checks.whole(m, 1, "m"),
+            _checks.positive(tol, "tol", hi=1.0), _checks.whole(n_paths, 1, "n_paths"))
 
 
 def _scatter_sum(rng, n_paths, mean_count, w, sizes):
@@ -140,22 +146,6 @@ class LevyMeasure:
         keep = (lambda c: c <= -y) if include_endpoint else (lambda c: c < -y)
         return cont + sum(m for c, m in self.atoms if keep(c))
 
-    def mean_outside_unit(self) -> float:
-        """integral of x 1_{|x|>1} nu(dx), by quadrature plus atoms."""
-        val = self._quad(lambda x: x * self.density(x), 1.0, math.inf)
-        val += self._quad(lambda x: x * self.density(x), -math.inf, -1.0)
-        return val + sum(c * m for c, m in self.atoms if abs(c) > 1.0)
-
-    def mean_inside_unit(self) -> float:
-        """integral of x 1_{|x|<=1} nu(dx)."""
-        val = self._quad(lambda x: x * self.density(x), -1.0, 1.0)
-        return val + sum(c * m for c, m in self.atoms if abs(c) <= 1.0)
-
-    def second_moment(self) -> float:
-        """integral of x^2 nu(dx)."""
-        val = self._quad(lambda x: x * x * self.density(x), -math.inf, math.inf)
-        return val + sum(c * c * m for c, m in self.atoms)
-
 
 @dataclass(frozen=True)
 class LevyTriplet:
@@ -189,6 +179,7 @@ class NormalJumps:
         return np.expm1(1j * u * self.mean - 0.5 * self.var * np.square(u))
 
     def laplace(self, theta: float) -> float:
+        theta = _checks.finite(theta, "theta")
         return math.exp(-theta * self.mean + 0.5 * self.var * theta * theta)
 
     @property
@@ -243,7 +234,7 @@ class ExponentialJumps:
         return 1j * u / (self.rate - 1j * u)
 
     def laplace(self, theta: float) -> float:
-        if theta <= -self.rate:
+        if _checks.finite(theta, "theta") <= -self.rate:
             raise DomainError(
                 f"Laplace transform finite only for theta > {-self.rate}"
             )
@@ -294,7 +285,7 @@ class PointMassJumps:
         return np.expm1(1j * np.asarray(u, dtype=float) * self.size)
 
     def laplace(self, theta: float) -> float:
-        return math.exp(-theta * self.size)
+        return math.exp(-_checks.finite(theta, "theta") * self.size)
 
     @property
     def moment1(self) -> float:
@@ -368,20 +359,18 @@ class DriverSpec:
     def sample_increments(self, dt: float, rng, size) -> np.ndarray:
         """Exact draws of L increments over windows of length dt.
 
-        Samplers must be prefix-consistent: the first k values of a draw
-        of size m > k equal a draw of size k from an identically seeded
-        generator.  A longer truncation horizon then extends the
-        half-line draws of a path instead of reshuffling them.
+        The engine draws a main window here, as one (n_paths, n) array.
+        Samplers are prefix-consistent: the first k values of a draw of
+        size m > k equal a draw of size k from an identically seeded
+        generator.
         """
         raise NotImplementedError
 
-    def sample_increment(self, dt: float, rng) -> float:
-        return float(self.sample_increments(dt, rng, ()))
-
     def law_terms(self, dt: float, lam: float, m: int, tol: float) -> float | None:
         """Expected number of random terms per row that sample_weighted_sum
-        draws, or None when the family has no law route for these inputs
-        and the m increments must be drawn densely."""
+        draws from its law, or None when it draws the m increments
+        densely.  It only names the route; the engine logs it."""
+        _halfline(dt, lam, m, tol)
         return None
 
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol) -> np.ndarray:
@@ -389,12 +378,14 @@ class DriverSpec:
         the increments over m consecutive windows of length dt.
 
         This is a truncated half-line integral: the weight at the far end
-        is about tol.  Families with a law route (law_terms is not None)
-        draw the sum from its law instead of its m increments.  A law
-        that is not exact keeps its expected neglected mass below
-        tol * mu / lam, the mass the truncation itself neglects.
+        is about tol.  This exact default weights (n_paths, m) drawn
+        increments; families with a law route (law_terms is not None)
+        draw the sum from its law, and a law that is not exact keeps its
+        expected neglected mass below tol * mu / lam, the mass the
+        truncation itself neglects.
         """
-        raise NotImplementedError
+        dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
+        return self.sample_increments(dt, rng, (n_paths, m)) @ _weights(dt, lam, m)
 
 
 @dataclass(frozen=True)
@@ -409,7 +400,7 @@ class BrownianDriver(DriverSpec):
         _checks.nonnegative(self.sigma2, "BrownianDriver.sigma2")
 
     def psi(self, u):
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(_checks.finite(u, "u"), dtype=float)
         out = 1j * u * self.gamma - 0.5 * self.sigma2 * u * u
         return out if out.ndim else complex(out)
 
@@ -432,11 +423,12 @@ class BrownianDriver(DriverSpec):
         return rng.normal(self.gamma * dt, math.sqrt(self.sigma2 * dt), size)
 
     def law_terms(self, dt, lam, m, tol):
+        _halfline(dt, lam, m, tol)
         return 1.0
 
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
         # a weighted sum of iid normals is one normal, exactly
-        _checks.positive(dt, "dt")
+        dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
         w = _weights(dt, lam, m)
         return rng.normal(self.gamma * dt * w.sum(), math.sqrt(self.sigma2 * dt * (w @ w)),
                           n_paths)
@@ -462,7 +454,7 @@ class CompoundPoissonDriver(DriverSpec):
         return self.jumps.positive
 
     def psi(self, u):
-        out = self.intensity * self.jumps.cf_minus_one(u)
+        out = self.intensity * self.jumps.cf_minus_one(_checks.finite(u, "u"))
         return out if np.ndim(out) else complex(out)
 
     def cumulant_k(self, theta: float) -> float:
@@ -511,12 +503,13 @@ class CompoundPoissonDriver(DriverSpec):
         return self.jumps.sample_sum(sum_gen, counts)
 
     def law_terms(self, dt, lam, m, tol):
+        _halfline(dt, lam, m, tol)
         return self.intensity * dt * m
 
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
         # exact in the discrete law: a Poisson(intensity m dt) number of
         # jumps per row, each in a uniform cell and weighted by its kernel
-        _checks.positive(dt, "dt")
+        dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
         return _scatter_sum(rng, n_paths, self.intensity * dt * m, _weights(dt, lam, m),
                             lambda k: self.jumps.sample_sum(rng, np.ones(k)))
 
@@ -539,12 +532,12 @@ class GammaSubordinatorDriver(DriverSpec):
     _law_is_exact = False
 
     def psi(self, u):
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(_checks.finite(u, "u"), dtype=float)
         out = -self.shape * np.log(1.0 - 1j * u / self.rate)
         return out if out.ndim else complex(out)
 
     def cumulant_k(self, theta: float) -> float:
-        if theta <= -self.rate:
+        if _checks.finite(theta, "theta") <= -self.rate:
             raise DomainError(
                 f"Laplace transform finite only for theta > {-self.rate}"
             )
@@ -575,6 +568,7 @@ class GammaSubordinatorDriver(DriverSpec):
     def law_terms(self, dt, lam, m, tol):
         """Gamma_max of the series in sample_weighted_sum, or None (dense)
         when the series would need as many terms as there are cells."""
+        _halfline(dt, lam, m, tol)
         lam_t = lam * m * dt
         gmax = self.shape * m * dt * math.log(lam_t / tol) if lam_t > tol else 0.0
         return gmax if 0.0 < gmax < m else None
@@ -586,11 +580,12 @@ class GammaSubordinatorDriver(DriverSpec):
         Gamma_i < Gamma_max = aT ln(lam T / tol); the expected mass of the
         rest is (aT/b) e^{-Gamma_max/(aT)} = tol * mu / lam.  Below
         Gamma_max the Gamma_i are a Poisson(Gamma_max) number of uniforms.
+        Where law_terms is None (coarse grids) the sum is the dense default.
         """
-        _checks.positive(dt, "dt")
+        dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
         gmax = self.law_terms(dt, lam, m, tol)
         if gmax is None:
-            raise DomainError("the gamma series needs as many terms as cells; draw densely")
+            return super().sample_weighted_sum(dt, lam, m, rng, n_paths, tol)
         a_t = self.shape * m * dt
         return _scatter_sum(
             rng, n_paths, gmax, _weights(dt, lam, m),
@@ -609,7 +604,7 @@ class DriftDriver(DriverSpec):
         _checks.finite(self.gamma, "DriftDriver.gamma")
 
     def psi(self, u):
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(_checks.finite(u, "u"), dtype=float)
         out = 1j * u * self.gamma
         return out if out.ndim else complex(out)
 
@@ -621,7 +616,7 @@ class DriftDriver(DriverSpec):
     def cumulant_k(self, theta: float) -> float:
         if self.gamma < 0:
             raise NotASubordinator("negative drift is decreasing")
-        return -self.gamma * theta
+        return -self.gamma * _checks.finite(theta, "theta")
 
     def moments(self):
         return (self.gamma, 0.0)
@@ -639,10 +634,11 @@ class DriftDriver(DriverSpec):
         return np.full(size, self.gamma * dt)
 
     def law_terms(self, dt, lam, m, tol):
+        _halfline(dt, lam, m, tol)
         return 0.0
 
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
-        _checks.positive(dt, "dt")
+        dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
         return np.full(n_paths, self.gamma * dt * _weights(dt, lam, m).sum())
 
 

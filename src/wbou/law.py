@@ -267,7 +267,7 @@ def char_fn_x(driver: DriverSpec, lam: float, u, *, time_scaled: bool = False):
     With time_scaled=True the driver runs at rate lam and the marginal
     law (hence this function) does not depend on lam.  Scalar u gives a
     Python complex; array u gives a complex array of the same shape.
-    Non-finite u raises DomainError.
+    Non-finite u, or a u whose exponent overflows, raises DomainError.
     """
     _require_exists(driver, lam)
     lam_eff = 1.0 if time_scaled else lam
@@ -275,11 +275,16 @@ def char_fn_x(driver: DriverSpec, lam: float, u, *, time_scaled: bool = False):
     flat = u.ravel()
     nz = np.flatnonzero(flat)
     sign = np.sign(flat[nz])
+
+    def exponent(lam_eff, u_nz):
+        return (2.0 / lam_eff) * _integrate(
+            lambda v, k: driver.psi(sign[k] * v) / v,
+            np.zeros(nz.size), np.abs(u_nz), np.arange(nz.size), nz.size, "char_fn_x",
+        )
+
     expo = np.zeros(flat.size, dtype=complex)
-    expo[nz] = (2.0 / lam_eff) * _integrate(
-        lambda v, k: driver.psi(sign[k] * v) / v,
-        np.zeros(nz.size), np.abs(flat[nz]), np.arange(nz.size), nz.size, "char_fn_x",
-    )
+    expo[nz] = _checks.in_range("char_fn_x exponent", exponent, lam_eff, flat[nz],
+                                numpy=True)
     out = np.exp(expo).reshape(u.shape)
     return complex(out) if out.ndim == 0 else out
 
@@ -294,7 +299,8 @@ def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
     (1/lam) int_0^{|c|} psi(sign(c) v)/v dv, the char_fn_x integrand.
     Those two integrals and [t_0, t_n], split at the times where the
     kernel has its kinks, are integrated by the adaptive rule described
-    in the module docstring.  Non-finite times or us raise DomainError.
+    in the module docstring.  Non-finite times or us, and us so large
+    that the exponent overflows, raise DomainError.
     """
     _require_exists(driver, lam)
     times = _checks.finite(np.asarray(times, dtype=float), "times")
@@ -328,8 +334,11 @@ def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
         half = k < c.size
         return driver.psi(np.where(half, sign[k] * s, kern)) / np.where(half, lam * s, 1.0)
 
-    expo = _integrate(integrand, a, b, owner, c.size + (n_win > 0), "char_fn_joint")
-    return complex(np.exp(expo.sum()))
+    def exponent(lam, times, us):
+        return _integrate(integrand, a, b, owner, c.size + (n_win > 0), "char_fn_joint").sum()
+
+    return complex(np.exp(_checks.in_range("char_fn_joint exponent", exponent, lam, times, us,
+                                           numpy=True)))
 
 
 # ---------------------------------------------------------------------------

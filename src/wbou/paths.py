@@ -28,22 +28,16 @@ nonnegative.  The classical OU process and the compact-window kernel
 variant share the same conventions so that identities across processes
 hold pathwise.
 
-All sampling of X goes through one engine: the generator is split into
-three substreams (past of 0, main window, tail beyond t_max) and the
-main window is drawn as an (n_paths, n) array whose rows are iid paths.
-A WbouPath holds one path, with (n+1,) arrays, or a batch, with
-(n_paths, n+1) arrays; a single path is row 0 of a one-path batch.
-Single paths (simulate_wbou, simulate_ou) draw each half-line as dense
-increments and keep them for replay; batches (simulate_wbou_ensemble)
-draw G and X^+_{t_max} from their law through the driver's
-sample_weighted_sum, which costs a few hundred series terms or jumps
-per row instead of ln(1/tol)/(lam dt) increments, and keep no
-increments.  A one-path batch shares the single path's main-window
-increments bitwise; only its G and X^+_{t_max} differ.  A smaller
-truncation tol extends a single path's half-line draws (the samplers
-are prefix-consistent); batches draw the integrals whole.  The
-zero-start variant Y_t = X_t - X_0 is the expression path.x - path.x[0]
-(analytics.mean_y and var_y give its moments).
+All sampling of X goes through one engine and one route: the generator
+is split into three substreams (past of 0, main window, tail beyond
+t_max), the main window is drawn as an (n_paths, n) array whose rows are
+iid paths, and G and X^+_{t_max} are drawn whole by the driver's
+sample_weighted_sum, a few hundred series terms or jumps per row instead
+of ln(1/tol)/(lam dt) increments.  A WbouPath holds one path, with
+(n+1,) arrays and its main-window increments, or a batch, with
+(n_paths, n+1) arrays; a single path is row 0 of a one-path batch,
+bitwise.  The zero-start variant Y_t = X_t - X_0 is the expression
+path.x - path.x[0] (analytics.mean_y and var_y give its moments).
 """
 from __future__ import annotations
 
@@ -57,7 +51,7 @@ from scipy.signal import lfilter
 
 from . import _checks
 from ._table import write_table
-from .drivers import DriverSpec
+from .drivers import DriverSpec, _weights
 from .errors import DimensionMismatch, ExistenceViolation, GridError
 from .rng import as_generator
 
@@ -113,10 +107,9 @@ class TruncationPolicy:
 
     The kernel weight at the horizon equals ``tol``: the half-lines are
     truncated at T = -ln(tol)/lam, so the neglected mean mass is of
-    order tol * mu / lam.  Ensembles of a gamma driver spend the same
-    budget again on Bondesson's series for the truncated integrals:
-    terms with Gamma_i >= aT ln(lam T / tol) are dropped, and their
-    expected mass is tol * mu / lam.
+    order tol * mu / lam.  A gamma driver on its series route spends the
+    same budget again: terms with Gamma_i >= aT ln(lam T / tol) are
+    dropped, and their expected mass is tol * mu / lam.
     """
 
     tol: float = 1e-12
@@ -141,11 +134,9 @@ class WbouPath:
 
     The arrays x, x_minus and x_plus have shape (n+1,) for one path and
     (n_paths, n+1) for a batch; g = X^-_0 and h = X^+_0 are floats or
-    (n_paths,) arrays.  A single path keeps its driver increments so
-    other representations can replay the identical randomness: ``dl``
-    on the main window, ``dl_past`` behind G ordered from time 0 walking
-    left, and ``dl_tail`` beyond t_max walking right.  A batch draws G
-    and X^+_{t_max} by their law and keeps none of them (None).
+    (n_paths,) arrays.  A single path keeps its main-window driver
+    increments ``dl`` so other representations can replay the identical
+    randomness; a batch keeps none (None).
     """
 
     grid: SimulationGrid
@@ -156,8 +147,6 @@ class WbouPath:
     g: float | np.ndarray
     h: float | np.ndarray
     dl: np.ndarray | None = None
-    dl_past: np.ndarray | None = None
-    dl_tail: np.ndarray | None = None
 
     @cached_property
     def l_cum(self) -> np.ndarray | None:
@@ -178,7 +167,6 @@ class OuPath:
     lam: float
     x: np.ndarray
     dl: np.ndarray
-    dl_past: np.ndarray
 
 
 @dataclass
@@ -194,14 +182,6 @@ class CompactPath:
 
 # ---------------------------------------------------------------------------
 # assembly core
-
-
-def _halfline_sum(lam, dt, dl_half, offset):
-    """Left-endpoint kernel sum over dense half-line increments: the
-    increment j steps away carries e^{-lam dt (j + offset)}.  G has
-    offset 1 (the increment over [-(j+1)dt, -jdt) has left endpoint
-    -(j+1)dt), X^+ at t_max offset 0."""
-    return dl_half @ np.exp(-lam * dt * np.arange(offset, dl_half.shape[-1] + offset))
 
 
 def _forward(alpha, g, dl):
@@ -239,7 +219,7 @@ def _validate(driver: DriverSpec, lam: float) -> float:
     return lam
 
 
-def _row0(batch: WbouPath, dl_past, dl, dl_tail) -> WbouPath:
+def _row0(batch: WbouPath, dl) -> WbouPath:
     """The single path in row 0 of a one-path batch, with its increments."""
     return WbouPath(
         grid=batch.grid,
@@ -250,22 +230,17 @@ def _row0(batch: WbouPath, dl_past, dl, dl_tail) -> WbouPath:
         g=float(batch.g[0]),
         h=float(batch.h[0]),
         dl=dl[0],
-        dl_past=dl_past[0],
-        dl_tail=dl_tail[0],
     )
 
 
-def _simulate(driver, lam, grid, n_paths, trunc, rng, *, by_law):
+def _simulate(driver, lam, grid, n_paths, trunc, rng):
     """The simulation engine: n_paths iid rows, one generator layout.
 
     The generator is split into three substreams (past of 0, main
     window, tail beyond t_max).  The main window is drawn as one
-    (n_paths, n) array.  With by_law, and when the driver's law_terms
-    offers a law route, the half-line integrals G and X^+_{t_max} come
-    from its sample_weighted_sum and no half-line increments exist
-    (None); otherwise each half-line is a dense (n_paths, m_half) draw,
-    kept for replay.  Returns the
-    assembled batch and the arrays (dl_past, dl, dl_tail).
+    (n_paths, n) array, and G and X^+_{t_max} by the driver's
+    sample_weighted_sum from the other two; law_terms only names the
+    route in the debug line.  Returns the assembled batch and dl.
     """
     lam = _validate(driver, lam)
     n_paths = _checks.whole(n_paths, 1, "n_paths", DimensionMismatch)
@@ -274,19 +249,12 @@ def _simulate(driver, lam, grid, n_paths, trunc, rng, *, by_law):
     m_half = trunc.n_steps(lam, dt)
     past_gen, main_gen, tail_gen = as_generator(rng).spawn(3)
     dl = driver.sample_increments(dt, main_gen, (n_paths, grid.n))
-    terms = driver.law_terms(dt, lam, m_half, trunc.tol) if by_law else None
-    if terms is None:
-        dl_past = driver.sample_increments(dt, past_gen, (n_paths, m_half))
-        dl_tail = driver.sample_increments(dt, tail_gen, (n_paths, m_half))
-        g = _halfline_sum(lam, dt, dl_past, 1)
-        xp_end = _halfline_sum(lam, dt, dl_tail, 0)
-    else:
-        # G's weights are one step further out: e^{-lam dt (j + 1)}
-        g = math.exp(-lam * dt) * driver.sample_weighted_sum(
-            dt, lam, m_half, past_gen, n_paths, trunc.tol)
-        xp_end = driver.sample_weighted_sum(dt, lam, m_half, tail_gen, n_paths, trunc.tol)
-        dl_past = dl_tail = None
+    # G's weights are one step further out: e^{-lam dt (j + 1)}
+    g = math.exp(-lam * dt) * driver.sample_weighted_sum(
+        dt, lam, m_half, past_gen, n_paths, trunc.tol)
+    xp_end = driver.sample_weighted_sum(dt, lam, m_half, tail_gen, n_paths, trunc.tol)
     if _log.isEnabledFor(logging.DEBUG):
+        terms = driver.law_terms(dt, lam, m_half, trunc.tol)
         horizon_mass = trunc.tol * abs(driver.moments()[0]) / lam
         series_mass = 0.0 if terms is None or driver._law_is_exact else horizon_mass
         route = f"dense {m_half} draws/row" if terms is None else f"law {terms:.6g} terms/row"
@@ -296,7 +264,7 @@ def _simulate(driver, lam, grid, n_paths, trunc, rng, *, by_law):
             n_paths, grid.n, lam, dt, m_half, m_half * dt,
             horizon_mass + series_mass, horizon_mass, series_mass, route,
         )
-    return _assemble(lam, grid, g, dl, xp_end), dl_past, dl, dl_tail
+    return _assemble(lam, grid, g, dl, xp_end), dl
 
 
 def simulate_wbou(
@@ -307,14 +275,9 @@ def simulate_wbou(
     trunc: TruncationPolicy | None = None,
     rng=None,
 ) -> WbouPath:
-    """Simulate one path of X on the grid, keeping every increment.
-
-    Both half-lines are dense draws, kept on the path for replay.  The
-    driver samplers draw each substream element by element, so the same
-    seed with a smaller truncation tolerance extends the half-line draws
-    instead of reshuffling them.
-    """
-    return _row0(*_simulate(driver, lam, grid, 1, trunc, rng, by_law=False))
+    """Simulate one path of X on the grid, keeping its main-window
+    increments: row 0 of simulate_wbou_ensemble(..., 1), bitwise."""
+    return _row0(*_simulate(driver, lam, grid, 1, trunc, rng))
 
 
 def simulate_wbou_ensemble(
@@ -329,13 +292,10 @@ def simulate_wbou_ensemble(
     """Simulate a batch of independent paths with vectorized draws.
 
     The arrays of the result are (n_paths, n+1).  G and X^+_{t_max} are
-    drawn by their law (the driver's sample_weighted_sum), not as
-    half-line increments, so the batch keeps no increments.  With
-    n_paths = 1 the main-window increments are those of simulate_wbou
-    for an identically seeded generator; only the two half-line
-    integrals differ.
+    drawn by the driver's sample_weighted_sum, and the batch keeps no
+    increments.
     """
-    return _simulate(driver, lam, grid, n_paths, trunc, rng, by_law=True)[0]
+    return _simulate(driver, lam, grid, n_paths, trunc, rng)[0]
 
 
 def wbou_from_increments(
@@ -350,16 +310,16 @@ def wbou_from_increments(
 
     This is the replay entry point: refinement studies coarsen or refine
     one fixed stream of increments and rebuild X deterministically.
+    dl_past (from 0 walking left) and dl_tail (from t_max walking right)
+    get the weights of sample_weighted_sum's dense default.
     """
     lam = _checks.lam(lam)
-    dl = _checks.replay_array(dl, grid.n, "dl")
-    dl_past = _checks.replay_array(dl_past, None, "dl_past")
-    dl_tail = _checks.replay_array(dl_tail, None, "dl_tail")
-
-    rows = [a[None, :] for a in (dl_past, dl, dl_tail)]
-    batch = _assemble(lam, grid, _halfline_sum(lam, grid.dt, rows[0], 1), rows[1],
-                      _halfline_sum(lam, grid.dt, rows[2], 0))
-    return _row0(batch, *rows)
+    dl = _checks.replay_array(dl, grid.n, "dl")[None, :]
+    past = _checks.replay_array(dl_past, None, "dl_past")[None, :]
+    tail = _checks.replay_array(dl_tail, None, "dl_tail")[None, :]
+    g = math.exp(-lam * grid.dt) * (past @ _weights(grid.dt, lam, past.shape[1]))
+    xp_end = tail @ _weights(grid.dt, lam, tail.shape[1])
+    return _row0(_assemble(lam, grid, g, dl, xp_end), dl)
 
 
 def simulate_ou(
@@ -376,9 +336,8 @@ def simulate_ou(
     the truncated past integral G, and the path is the X^- component of
     the simulate_wbou path drawn from an identically seeded generator.
     """
-    batch, dl_past, dl, _ = _simulate(driver, lam, grid, 1, trunc, rng, by_law=False)
-    return OuPath(grid=grid, lam=batch.lam, x=batch.x_minus[0], dl=dl[0],
-                  dl_past=dl_past[0])
+    batch, dl = _simulate(driver, lam, grid, 1, trunc, rng)
+    return OuPath(grid=grid, lam=batch.lam, x=batch.x_minus[0], dl=dl[0])
 
 
 def ou_from_increments(
@@ -392,17 +351,17 @@ def ou_from_increments(
     """Assemble an OU path from explicit increments (replay entry point).
 
     The start is x0 if given, else the past integral G of dl_past (0.0
-    without one).
+    without one), weighted as in wbou_from_increments.
     """
     lam = _checks.lam(lam)
     dl = _checks.replay_array(dl, grid.n, "dl")
-    dl_past = _checks.replay_array(dl_past, None, "dl_past")
+    past = _checks.replay_array(dl_past, None, "dl_past")[None, :]
     if x0 is None:
-        x0 = _halfline_sum(lam, grid.dt, dl_past[None, :], 1)
+        x0 = math.exp(-lam * grid.dt) * (past @ _weights(grid.dt, lam, past.shape[1]))
     else:
         x0 = _checks.replay_array([x0], 1, "x0")
     x = _forward(math.exp(-lam * grid.dt), x0, dl[None, :])[0]
-    return OuPath(grid=grid, lam=lam, x=x, dl=dl, dl_past=dl_past)
+    return OuPath(grid=grid, lam=lam, x=x, dl=dl)
 
 
 def simulate_compact_kernel(

@@ -11,15 +11,11 @@ that guarantees:
 * the rows of one batch (``simulate_wbou_ensemble``,
   ``simulate_sv_ensemble``) are iid paths drawn together from one
   generator; they are not the fan-out paths;
-* a single path is row 0 of a one-path batch in its main window:
-  ``simulate_wbou``, ``simulate_ou`` and ``simulate_sv`` draw the same
-  main-window increments (and, for SV, the same W increments) as the
-  matching ``n_paths=1`` batch call with an identically seeded
-  generator, bitwise.  Batches draw the half-line integrals G and
-  X^+_{t_max} by their law, single paths as dense increments, so only
-  those two values differ;
-* a smaller truncation ``tol`` extends a single path's half-line draws
-  instead of reshuffling them; batches draw those integrals whole.
+* a single path (``simulate_wbou``, ``simulate_ou``, ``simulate_sv``)
+  is row 0 of the matching ``n_paths=1`` batch call with an identically
+  seeded generator, bitwise;
+* every path draws the half-line integrals G and X^+_{t_max} whole, so
+  two truncation ``tol`` values give independent draws of them.
 """
 from __future__ import annotations
 

@@ -23,7 +23,8 @@ exactly at every grid point:
 Both simulators return an SvPath: simulate_sv one path with (n+1,)
 arrays and the components x_minus, x_plus and l_cum that the identity
 needs, simulate_sv_ensemble a batch with (n_paths, n+1) arrays and
-without those components.
+without those components.  The single path's y, x and int_x are row 0
+of the one-path batch from an identically seeded generator, bitwise.
 
 Second-order theory for integrated volatility and squared returns over
 windows of length delta:
@@ -37,7 +38,8 @@ windows of length delta:
         = R(delta s) / (6 rbar(delta) + 2 delta^2 mu_x^2 / v_x)
 
 where (mu_x, v_x) are the mean and variance of the *spot volatility*
-(2 mu and V for this model; see spot_vol_moments).
+(2 mu and V for this model; see spot_vol_moments).  A closed form that
+leaves the float range at finite inputs raises DomainError.
 """
 from __future__ import annotations
 
@@ -132,9 +134,8 @@ def _simulate_joint(spec, grid, n_paths, trunc, rng) -> SvPath:
     left-endpoint volatility; W independent of L.
 
     n_paths=None asks for the single path, which keeps the components
-    of the explicit identity from its inner simulate_wbou path.  A
-    one-path batch shares its L main window and its W draws; only the
-    batch's half-line integrals are drawn by law.
+    of the explicit identity from its inner simulate_wbou path; it is
+    row 0 of the one-path batch.
     """
     l_gen, w_gen = as_generator(rng).spawn(2)
     inner_grid = _scaled_grid(spec, grid)
@@ -161,8 +162,8 @@ def simulate_sv(
     rng=None,
 ) -> SvPath:
     """Simulate one joint path plus the components behind the explicit
-    integrated-volatility identity.  It shares the L main window and the
-    W draws of a one-path simulate_sv_ensemble with the same generator."""
+    integrated-volatility identity.  Its y, x and int_x are row 0 of
+    simulate_sv_ensemble(spec, grid, 1) with the same generator."""
     return _simulate_joint(spec, grid, None, trunc, rng)
 
 
@@ -206,6 +207,12 @@ def integrated_vol_explicit(path, lam: float | None = None) -> np.ndarray:
 # second-order theory for integrated volatility and squared returns
 
 
+def _rbar(lam, t):
+    lt = lam * t
+    e = np.exp(-lt)
+    return (lt * e + 2.0 * lt + 3.0 * e - 3.0) / lam**2
+
+
 def rbar_fn(lam: float, t) -> np.ndarray | float:
     """Double integral of r: rbar(t) = int_0^t int_0^u r(x) dx du,
     in closed form (lam t e^{-lam t} + 2 lam t + 3 e^{-lam t} - 3)/lam^2.
@@ -213,11 +220,17 @@ def rbar_fn(lam: float, t) -> np.ndarray | float:
     A Python int or float t stays a Python float until np.exp, which
     saves the array round trip of a scalar call; the values are the same.
     """
-    lam = _checks.lam(lam)
-    lt = lam * _checks.nonnegative(t, "t")
-    e = np.exp(-lt)
-    out = (lt * e + 2.0 * lt + 3.0 * e - 3.0) / lam**2
+    out = _checks.in_range("rbar_fn", _rbar, _checks.lam(lam), _checks.nonnegative(t, "t"),
+                           numpy=True)
     return float(out) if out.ndim == 0 else out
+
+
+def _big_r(lam, delta, s):
+    lam = _checks.lam(lam)
+    ld = lam * _checks.positive(delta, "delta")
+    lds = ld * _checks.whole(s, 1, "s")
+    bracket = (lds + 3.0) * 4.0 * math.sinh(0.5 * ld) ** 2 - 2.0 * ld * math.sinh(ld)
+    return math.exp(-lds) * bracket / lam**2
 
 
 def big_r(lam: float, delta: float, s: int) -> float:
@@ -230,16 +243,16 @@ def big_r(lam: float, delta: float, s: int) -> float:
     e^{-x} - e^{x} = -2 sinh(x), which avoid the cancellation of both
     brackets at small lam * d.
     """
-    lam = _checks.lam(lam)
-    ld = lam * _checks.positive(delta, "delta")
-    lds = ld * _checks.whole(s, 1, "s")
-    bracket = (lds + 3.0) * 4.0 * math.sinh(0.5 * ld) ** 2 - 2.0 * ld * math.sinh(ld)
-    return math.exp(-lds) * bracket / lam**2
+    return _checks.in_range("big_r", _big_r, lam, delta, s)
+
+
+def _cov(v, lam, delta, s):
+    return _checks.positive(v, "driver variance v") * _big_r(lam, delta, s)
 
 
 def cov_integrated_vol(v: float, lam: float, delta: float, s: int) -> float:
     """Cov of integrated volatility over windows s apart: V * R(delta s)."""
-    return _checks.positive(v, "driver variance v") * big_r(lam, delta, s)
+    return _checks.in_range("cov_integrated_vol", _cov, v, lam, delta, s)
 
 
 def corr_squared_returns(
@@ -252,10 +265,14 @@ def corr_squared_returns(
     (mu, v) are the mean and variance of the stationary spot volatility;
     for this model pass spot_vol_moments(driver), i.e. (2 mu_L, V_L).
     """
+    return _checks.in_range("corr_squared_returns", _corr, mu, v, lam, delta, s)
+
+
+def _corr(mu, v, lam, delta, s):
     _checks.finite(mu, "mu")
     _checks.positive(v, "spot-volatility variance v")
-    r = big_r(lam, delta, s)
-    return r / (6.0 * rbar_fn(lam, delta) + 2.0 * delta**2 * mu**2 / v)
+    r = _big_r(lam, delta, s)
+    return r / (6.0 * float(_rbar(_checks.lam(lam), delta)) + 2.0 * delta**2 * mu**2 / v)
 
 
 def spot_vol_moments(driver: DriverSpec) -> tuple[float, float]:

@@ -12,8 +12,8 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
+from wbou import TruncationPolicy, _checks, as_generator, wbou_from_increments
 from wbou.analytics import acov_x
-from wbou import _checks
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
@@ -396,3 +396,35 @@ def pairwise_coarsen(dl):
     """Merge adjacent increments pairwise (refinement with common randomness)."""
     dl = np.asarray(dl, dtype=float)
     return dl.reshape(dl.shape[:-1] + (dl.shape[-1] // 2, 2)).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# dense half-line reference
+# ---------------------------------------------------------------------------
+
+def dense_draws(driver, lam, grid, *, trunc=None, rng=None):
+    """(dl_past, dl, dl_tail): the increments of the engine's three children
+    (past of 0, main window, tail beyond t_max), drawn as (1, m) arrays.
+
+    The engine draws only dl and takes G and X^+_{t_max} whole from the
+    driver's hook; these dense half-lines are the reference that
+    refinement studies coarsen and replay.  Replayed by replay_dense they
+    rebuild the engine's path bitwise wherever the hook takes its dense
+    default (gamma on a coarse grid).
+    """
+    m = (trunc or TruncationPolicy()).n_steps(lam, grid.dt)
+    past, main, tail = as_generator(rng).spawn(3)
+    return tuple(driver.sample_increments(grid.dt, gen, (1, k))[0]
+                 for gen, k in ((past, m), (main, grid.n), (tail, m)))
+
+
+def replay_dense(lam, grid, draws):
+    """wbou_from_increments over (dl_past, dl, dl_tail)."""
+    dl_past, dl, dl_tail = draws
+    return wbou_from_increments(lam, grid, dl, dl_past=dl_past, dl_tail=dl_tail)
+
+
+def coarsen_draws(draws):
+    """Each of (dl_past, dl, dl_tail) merged pairwise, an odd last
+    increment of a half-line dropped."""
+    return tuple(pairwise_coarsen(a[: 2 * (len(a) // 2)]) for a in draws)

@@ -48,19 +48,20 @@ from wbou import (
     simulate_wbou,
     simulate_wbou_ensemble,
     triplet_of_x,
-    wbou_from_increments,
 )
 from wbou.drivers import ExponentialJumps, NormalJumps, PointMassJumps
 from wbou.svmodel import simulate_sv_ensemble
 
 from helpers import (
+    coarsen_draws,
     corr_se,
+    dense_draws,
     ecf,
     fd_derivative,
     gamma_x_oracle,
     mean_se,
-    pairwise_coarsen,
     phi_x_oracle,
+    replay_dense,
     rng_for,
     var_se,
 )
@@ -74,19 +75,16 @@ def _report(num: int, name: str, ok, detail: str) -> None:
     assert ok, f"criterion {num:02d} {name}: {detail}"
 
 
-def _even(a: np.ndarray) -> np.ndarray:
-    return a[: 2 * (len(a) // 2)]
-
-
-def _coarsen(path, lam: float, t_max: float, dt_fine: float):
-    """Rebuild the same path on a grid twice as coarse (shared randomness)."""
-    return wbou_from_increments(
-        lam,
-        SimulationGrid(t_max, 2 * dt_fine),
-        pairwise_coarsen(path.dl),
-        dl_past=pairwise_coarsen(_even(path.dl_past)),
-        dl_tail=pairwise_coarsen(_even(path.dl_tail)),
-    )
+def _fine_and_coarse(driver, lam: float, t_max: float, dt: float, rng, levels: int = 1):
+    """The dense reference increments on the grid of step dt and their
+    pairwise coarsenings, levels times (shared randomness), each with
+    its replayed path: a list of (draws, path) from the finest grid."""
+    draws = dense_draws(driver, lam, SimulationGrid(t_max, dt), rng=rng)
+    out = [(draws, replay_dense(lam, SimulationGrid(t_max, dt), draws))]
+    for _ in range(levels):
+        dt, draws = 2 * dt, coarsen_draws(draws)
+        out.append((draws, replay_dense(lam, SimulationGrid(t_max, dt), draws)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +142,10 @@ def test_criterion_03_continuity_contrast():
     ratios_wbou, ratios_ou = [], []
     rng = rng_for("acceptance", "c03")
     for _ in range(100):
-        fine = simulate_wbou(driver, lam, grid_f, rng=rng)
-        coarse = _coarsen(fine, lam, t_max, dt)
+        (d_f, fine), (d_c, coarse) = _fine_and_coarse(driver, lam, t_max, dt, rng)
         ratios_wbou.append(max_abs_increment(fine) / max_abs_increment(coarse))
-        ou_f = ou_from_increments(lam, grid_f, fine.dl, dl_past=fine.dl_past)
-        ou_c = ou_from_increments(lam, coarse.grid, coarse.dl,
-                                  dl_past=coarse.dl_past)
+        ou_f = ou_from_increments(lam, grid_f, d_f[1], dl_past=d_f[0])
+        ou_c = ou_from_increments(lam, coarse.grid, d_c[1], dl_past=d_c[0])
         ratios_ou.append(max_abs_increment(ou_f) / max_abs_increment(ou_c))
     rw, ro = np.mean(ratios_wbou), np.mean(ratios_ou)
     _report(3, "continuity-contrast",
@@ -166,7 +162,6 @@ def test_criterion_04_derivative_identity():
     from wbou import derivative_identity_residual
 
     lam, t_max, dt = 1.0, 20.0, 0.005
-    grid_f = SimulationGrid(t_max, dt)
     details = []
     ok = True
     for label, driver in (("brownian", brownian(0.0, 1.0)),
@@ -174,8 +169,7 @@ def test_criterion_04_derivative_identity():
         rng = rng_for("acceptance", "c04", label)
         ratios = []
         for _ in range(5):
-            fine = simulate_wbou(driver, lam, grid_f, rng=rng)
-            coarse = _coarsen(fine, lam, t_max, dt)
+            (_, fine), (_, coarse) = _fine_and_coarse(driver, lam, t_max, dt, rng)
             ratios.append(derivative_identity_residual(fine)
                           / derivative_identity_residual(coarse))
         r = float(np.mean(ratios))
@@ -327,13 +321,10 @@ def test_criterion_10_integrated_vol_first_order():
     suffix so that run history stays traceable.
     """
     lam, t_max, dt = 1.0, 2.0, 0.005
-    grid_f = SimulationGrid(t_max, dt)
     rng = rng_for("acceptance", "c10")
     r1s, r2s, resid = [], [], 0.0
     for _ in range(20):
-        fine = simulate_wbou(GAMMA11, lam, grid_f, rng=rng)
-        mid = _coarsen(fine, lam, t_max, dt)
-        coarse = _coarsen(mid, lam, t_max, 2 * dt)
+        fine, mid, coarse = (p for _, p in _fine_and_coarse(GAMMA11, lam, t_max, dt, rng, 2))
 
         def gap(path):
             """Sup gap and worst |gap - kappa(h) explicit| relative to it."""

@@ -237,6 +237,9 @@ _FAULTY_INPUTS = {
     ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--beta", "inf", "--t-max", "1",
      "--dt", "0.1", "--out", "{out}"],
     _simulate_args("{out}", extra=["--seed", "-1"]),
+    ["theory", "sv", "--lambda", "1", "--delta", "1e308", "--out", "{out}"],
+    ["theory", "sv", "--lambda", "1e-300", "--out", "{out}"],
+    ["theory", "sv", "--lambda", "1", "--mu", "1e308", "--out", "{out}"],
 ], ids=["paths-0", "t-max-nan", "dt-inf", "lambda-inf", "sv-lambda-inf", "sv-paths-0",
         "acf-bad-cell", "signature-bad-cell", "fit-bad-cell", "theory-acf-max-lag-neg",
         "theory-iacf-max-lag-0", "theory-sv-max-s-0", "driver-gamma-nan",
@@ -245,7 +248,8 @@ _FAULTY_INPUTS = {
         "theory-acf-dh-0", "fit-nan-rho", "fit-inf-rho", "fit-fractional-lag",
         "signature-undecodable", "signature-huge-quoted-cell", "theory-sv-delta-nan",
         "theory-sv-delta-inf", "theory-sv-mu-nan", "theory-sv-mu-inf", "theory-sv-v-inf",
-        "sv-alpha-nan", "sv-beta-inf", "simulate-seed-negative"])
+        "sv-alpha-nan", "sv-beta-inf", "simulate-seed-negative", "theory-sv-delta-huge",
+        "theory-sv-lambda-tiny", "theory-sv-mu-huge"])
 def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
     inputs = {"bad": _table_with_bad_cell(tmp_path / "bad.csv")}
     for name, text in _FAULTY_INPUTS.items():
@@ -553,8 +557,9 @@ def _fixed_series(path):
 
 #: SHA-256 of CLI outputs for fixed inputs and seeds (numpy 2.4, scipy 1.17,
 #: x86-64).  A change to any digest is a change of output that has to be
-#: announced; the simulate and sv digests follow the one-engine stream
-#: layout, theory sv the sinh form of big_r.
+#: announced; the simulate and sv digests follow the one-route stream
+#: layout (G and X^+_{t_max} drawn whole, through the driver's hook),
+#: theory sv the sinh form of big_r.
 FROZEN = {
     "theory_acf": (["theory", "acf", "--lambda", "1", "--max-lag", "50", "--dh", "0.1"],
                    "9681ee55fd1524ec1641f004d392655334a95672ab147a22edb22115c8c32af6"),
@@ -569,10 +574,10 @@ FROZEN = {
                   "eb1de915a066e24faf45aef35e8754b687ec915b29cd073b2af4bfe15ab6d454"),
     "simulate": (["simulate", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "2",
                   "--dt", "0.01", "--seed", "7"],
-                 "457088300126fbbe2e95084f5e64ad586e9ff4b4cd6241af6804843e21823608"),
+                 "c13ed72276bcf8a4e186be35f76cf797f1e513f24fe6db5f687a788992d2a060"),
     "sv": (["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "2",
             "--dt", "0.01", "--seed", "7"],
-           "d5f6568a21d1cd0d1d9df3086e23b3223fd629c4a403cce8a26522c8f330e77c"),
+           "7a3f807c01e929b51a431b2ce68a08f4a59130a8c229b6b6a5ed644f0b7cf1fd"),
 }
 
 

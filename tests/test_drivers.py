@@ -197,17 +197,6 @@ def test_measure_tails_match_quadrature(d, y):
         measure_tail_quad(meas, y, "neg"), abs=1e-10)
 
 
-@pytest.mark.parametrize("d", DRIVERS_WITH_JUMPS)
-def test_measure_moment_helpers_match_quadrature(d):
-    meas = d.measure
-    assert meas.mean_outside_unit() == pytest.approx(
-        measure_moment_quad(meas, 1, (1.0, np.inf)), abs=1e-9)
-    assert meas.mean_inside_unit() == pytest.approx(
-        measure_moment_quad(meas, 1, (0.0, 1.0)), abs=1e-9)
-    assert meas.second_moment() == pytest.approx(
-        measure_moment_quad(meas, 2, (0.0, np.inf)), abs=1e-9)
-
-
 def test_brownian_measure_is_zero():
     assert brownian(1.0, 2.0).measure.is_zero
     assert deterministic_drift(3.0).measure.is_zero
@@ -219,8 +208,8 @@ def test_triplet_reproduces_moments(d):
     """mean = gamma + outside-unit mean, var = sigma2 + second moment."""
     trip = d.triplet
     mu, v = d.moments()
-    mean_out = 0.0 if trip.measure.is_zero else trip.measure.mean_outside_unit()
-    m2 = 0.0 if trip.measure.is_zero else trip.measure.second_moment()
+    mean_out = measure_moment_quad(trip.measure, 1, (1.0, np.inf))
+    m2 = measure_moment_quad(trip.measure, 2, (0.0, np.inf))
     assert trip.gamma + mean_out == pytest.approx(mu, abs=1e-9)
     assert trip.sigma2 + m2 == pytest.approx(v, abs=1e-9)
 
@@ -285,14 +274,14 @@ class TestSampling:
         assert np.all(dl == 0.5)
 
     def test_scalar_increment(self):
-        x = gamma_subordinator(1.0, 1.0).sample_increment(0.1, substream(5))
+        x = float(gamma_subordinator(1.0, 1.0).sample_increments(0.1, substream(5), ()))
         assert isinstance(x, float)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(DomainError):
             brownian().sample_increments(0.0, substream(1), 10)
         with pytest.raises(DomainError):
-            gamma_subordinator(1.0, 1.0).sample_increment(-1.0, substream(1))
+            gamma_subordinator(1.0, 1.0).sample_increments(-1.0, substream(1), ())
 
     def test_sampling_is_reproducible(self):
         d = compound_poisson(5.0, ExponentialJumps(1.0))
@@ -391,12 +380,14 @@ def test_gamma_series_budget(a, b, lam, dt, tol):
 
 
 def test_law_terms_pick_the_route():
-    """Gamma falls back to dense draws when Gamma_max reaches the cell
-    count (coarse grids); the exact laws always apply."""
+    """Gamma falls back to the dense default when Gamma_max reaches the
+    cell count (coarse grids): its m increments, drawn and weighted.
+    The exact laws always apply."""
     m = TruncationPolicy().n_steps(1.0, 0.1)
-    assert gamma_subordinator(1.0, 1.0).law_terms(0.1, 1.0, m, 1e-12) is None
-    with pytest.raises(DomainError):
-        gamma_subordinator(1.0, 1.0).sample_weighted_sum(0.1, 1.0, m, substream(1), 2, 1e-12)
+    gamma = gamma_subordinator(1.0, 1.0)
+    assert gamma.law_terms(0.1, 1.0, m, 1e-12) is None
+    dense = gamma.sample_increments(0.1, substream(1), (2, m)) @ np.exp(-0.1 * np.arange(m))
+    assert np.array_equal(gamma.sample_weighted_sum(0.1, 1.0, m, substream(1), 2, 1e-12), dense)
     assert compound_poisson(10.0, ExponentialJumps(1.0)).law_terms(0.1, 1.0, m, 1e-12) \
         == pytest.approx(m)
     assert brownian().law_terms(0.1, 1.0, m, 1e-12) == 1.0
@@ -415,8 +406,8 @@ def _counting_gamma():
 
 
 def test_ensembles_draw_only_the_main_window_densely():
-    """Ensembles take G and X^+_{t_max} from the hook; single paths and
-    the coarse-grid fallback draw both half-lines densely."""
+    """Every path takes G and X^+_{t_max} from the hook; only the
+    coarse-grid fallback draws both half-lines densely, inside the hook."""
     drv, sizes = _counting_gamma()
     fine, coarse = SimulationGrid(1.0, 1e-3), SimulationGrid(1.0, 0.1)
     simulate_wbou_ensemble(drv, 1.0, fine, 3, rng=substream(7))
@@ -430,8 +421,11 @@ def test_ensembles_draw_only_the_main_window_densely():
 
     sizes.clear()
     simulate_wbou(drv, 1.0, fine, rng=substream(9))
-    m = TruncationPolicy().n_steps(1.0, fine.dt)
-    assert sorted(sizes) == [(1, fine.n), (1, m), (1, m)]
+    assert sizes == [(1, fine.n)]
+
+    sizes.clear()
+    simulate_wbou(drv, 1.0, coarse, rng=substream(9))
+    assert sorted(sizes) == [(1, coarse.n), (1, m), (1, m)]
 
 
 def test_log_moment_flag():

@@ -5,7 +5,8 @@ NaN, inf, -inf, 0 and -1 in turn, in place of a valid value; a sequence
 argument gets each value at each position.  Every number must be
 finite, so NaN and +-inf must raise a WbouError subclass; 0 and -1 must
 raise one or give only finite numbers.  Warnings are errors in this
-suite, so a NaN that NumPy warns about fails as well.
+suite, so a NaN that NumPy warns about fails as well.  The numeric
+methods of the drivers and jump distributions get the same treatment.
 """
 import dataclasses
 import math
@@ -105,6 +106,33 @@ CASES = [
     ("cov_integrated_vol", W.cov_integrated_vol, dict(v=1.2, lam=0.8, delta=1.0, s=2)),
     ("corr_squared_returns", W.corr_squared_returns,
      dict(mu=0.6, v=1.2, lam=0.8, delta=1.0, s=2)),
+]
+
+#: the numeric driver methods: each family's psi, law_terms and
+#: sample_weighted_sum (gamma on its series and on its dense default),
+#: the subordinators' cumulant_k and the jump distributions' laplace
+DRIVERS = {"gamma": GAMMA, "brownian": BM, "drift": W.deterministic_drift(1.0),
+           "cp-exponential": W.compound_poisson(3.0, W.ExponentialJumps(1.5)),
+           "cp-normal": W.compound_poisson(3.0, W.NormalJumps(0.1, 0.5))}
+HALF_LINE = {name: dict(dt=0.01, lam=0.8, m=400, tol=1e-6) for name in DRIVERS}
+HALF_LINE["gamma-coarse"] = dict(dt=0.1, lam=0.8, m=40, tol=1e-6)
+
+
+def _weighted_sum(driver):
+    return lambda dt, lam, m, n_paths, tol: driver.sample_weighted_sum(
+        dt, lam, m, W.substream(1), n_paths, tol)
+
+
+CASES += [
+    *[(f"{name}.psi", d.psi, dict(u=u)) for name, d in DRIVERS.items() for u in (1.3, [0.5, -1.0])],
+    *[(f"{name}.cumulant_k", DRIVERS[name].cumulant_k, dict(theta=0.5))
+      for name in ("gamma", "drift", "cp-exponential")],
+    *[(f"{type(j).__name__}.laplace", j.laplace, dict(theta=0.5))
+      for j in (W.NormalJumps(0.1, 0.5), W.ExponentialJumps(1.5), W.PointMassJumps(0.5))],
+    *[(f"{name}.law_terms", DRIVERS[name.split("-coarse")[0]].law_terms, kw)
+      for name, kw in HALF_LINE.items()],
+    *[(f"{name}.sample_weighted_sum", _weighted_sum(DRIVERS[name.split("-coarse")[0]]),
+       dict(kw, n_paths=2)) for name, kw in HALF_LINE.items()],
 ]
 
 #: public callables outside the table, and why

@@ -45,6 +45,7 @@ from helpers import (
     fd_derivative,
     gamma_x_oracle,
     joint_cf_brownian_oracle,
+    measure_moment_quad,
     phi_x_oracle,
 )
 
@@ -130,8 +131,8 @@ def test_mapped_negative_tail():
 @pytest.mark.parametrize("driver", [GAMMA, CPEXP, CPNORM])
 def test_mapped_second_moment_scales_by_lambda(driver):
     lam = 2.4
-    m2_driver = driver.measure.second_moment()
-    m2_mapped = triplet_of_x(driver, lam).measure.second_moment()
+    m2_driver = measure_moment_quad(driver.measure, 2, (0.0, np.inf))
+    m2_mapped = measure_moment_quad(triplet_of_x(driver, lam).measure, 2, (0.0, np.inf))
     assert m2_mapped == pytest.approx(m2_driver / lam, rel=1e-8)
 
 
@@ -283,6 +284,19 @@ def test_cf_rejects_non_finite_u(u):
 def test_joint_cf_rejects_non_finite_inputs(times, us):
     with pytest.raises(DomainError):
         char_fn_joint(GAMMA, 1.0, times, us)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: char_fn_x(brownian(0.0, 1.0), 1.0, 1e200),
+    lambda: char_fn_x(brownian(0.0, 1.0), 1.0, [0.5, -1e200]),
+    lambda: char_fn_x(compound_poisson(1.0, NormalJumps(0.0, 1.0)), 1.0, 1e200),
+    lambda: char_fn_joint(brownian(0.0, 1.0), 1.0, [0.0, 1.0], [1e200, 0.5]),
+], ids=["brownian", "brownian-array", "cp-normal", "joint"])
+def test_cf_whose_exponent_overflows_raises_domain_error(call):
+    """A finite u so large that psi's u^2 overflows raises DomainError
+    naming the exponent and its inputs, not a NumPy warning or NaN."""
+    with pytest.raises(DomainError, match="exponent.*overflows the float range"):
+        call()
 
 
 def test_cf_rejects_infinite_lambda():

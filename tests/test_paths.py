@@ -36,9 +36,8 @@ from wbou import (
     wbou_from_increments,
     write_path_csv,
 )
-from wbou.paths import _assemble
 
-from helpers import mean_se, pairwise_coarsen, rng_for, var_se
+from helpers import coarsen_draws, dense_draws, mean_se, replay_dense, rng_for, var_se
 
 GAMMA11 = gamma_subordinator(1.0, 1.0)
 
@@ -146,58 +145,60 @@ def test_cumulative_driver_path():
 
 
 @pytest.mark.parametrize("name", list(SIX_DRIVERS))
-def test_truncation_refinement_extends_rather_than_reshuffles(name):
-    """Squaring tol (doubling the horizon) only appends far-away mass."""
+def test_squaring_tol_moves_replayed_path_by_neglected_mass(name):
+    """Squaring tol (doubling the horizon) only appends far-away mass.
+
+    The engine draws G and X^+_{t_max} whole, so two tolerances give
+    independent draws; the dense reference shares its increments between
+    them (the samplers are prefix-consistent), and its replays differ by
+    at most the neglected-mass bound."""
     driver = SIX_DRIVERS[name]
     grid = SimulationGrid(2.0, 0.01)
     lam, tol = 1.0, 1e-8
-    a = simulate_wbou(driver, lam, grid, trunc=TruncationPolicy(tol=tol),
-                      rng=substream(77))
-    b = simulate_wbou(driver, lam, grid, trunc=TruncationPolicy(tol=tol ** 2),
-                      rng=substream(77))
-    assert np.array_equal(a.dl, b.dl)
-    m = len(a.dl_past)
-    assert len(b.dl_past) > m
-    assert np.array_equal(a.dl_past, b.dl_past[:m])
-    assert np.array_equal(a.dl_tail, b.dl_tail[:m])
+    a = dense_draws(driver, lam, grid, trunc=TruncationPolicy(tol=tol), rng=substream(77))
+    b = dense_draws(driver, lam, grid, trunc=TruncationPolicy(tol=tol ** 2),
+                    rng=substream(77))
+    assert np.array_equal(a[1], b[1])
+    m = len(a[0])
+    assert len(b[0]) > m
+    assert np.array_equal(a[0], b[0][:m]) and np.array_equal(a[2], b[2][:m])
     mu, v = driver.moments()
     bound = 10 * tol * (abs(mu) + math.sqrt(v)) / lam
-    assert np.abs(a.x - b.x).max() <= bound
+    assert np.abs(replay_dense(lam, grid, a).x - replay_dense(lam, grid, b).x).max() <= bound
 
 
 # ---------------------------------------------------------------------------
-# one engine: a one-path ensemble shares the single path's main window
+# one engine: a single path is row 0 of a one-path ensemble
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", list(SIX_DRIVERS))
+#: (driver, grid) per case: the six drivers where gamma takes its series,
+#: and gamma on a coarse grid, where the hook takes its dense default
+ROW0_CASES = {**{name: (drv, SimulationGrid(2.0, 0.01)) for name, drv in SIX_DRIVERS.items()},
+              "gamma-coarse": (GAMMA11, SimulationGrid(2.0, 0.2))}
+
+
+@pytest.mark.parametrize("name", list(ROW0_CASES))
 def test_single_path_is_row_zero_of_one_path_ensemble(name):
-    """The single path and a one-path ensemble share the main-window draws;
-    only G and X^+_{t_max} differ (the ensemble draws them by law), so
-    assembling the path's dl with the ensemble's own g and x_plus[:, -1]
-    gives ensemble row 0 bitwise.  The id keeps its historical name so
-    that runs stay comparable."""
-    driver = SIX_DRIVERS[name]
-    grid = SimulationGrid(2.0, 0.01)
+    """simulate_wbou is row 0 of a one-path ensemble, bitwise, and
+    simulate_ou is its X^- component.  The layout: dl is the (1, n) draw
+    of the main child; G and X^+_{t_max} are the hook's draws from the
+    past and tail children, G one kernel step further out."""
+    driver, grid = ROW0_CASES[name]
     lam, trunc = 1.3, TruncationPolicy(tol=1e-6)
     path = simulate_wbou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
     ens = simulate_wbou_ensemble(driver, lam, grid, 1, trunc=trunc, rng=substream(5, 2))
-    rebuilt = _assemble(lam, grid, ens.g, path.dl[None, :], ens.x_plus[:, -1])
     for field in ("x", "x_minus", "x_plus", "g", "h"):
-        assert np.array_equal(getattr(rebuilt, field), getattr(ens, field))
-    # the path's increments are the (1, m) draws of the past, main and tail children
+        assert np.array_equal(getattr(path, field), getattr(ens, field)[0])
     m = trunc.n_steps(lam, grid.dt)
+    assert (driver.law_terms(grid.dt, lam, m, trunc.tol) is None) == (name == "gamma-coarse")
     past, main, tail = substream(5, 2).spawn(3)
-    assert np.array_equal(path.dl_past, driver.sample_increments(grid.dt, past, (1, m))[0])
     assert np.array_equal(path.dl, driver.sample_increments(grid.dt, main, (1, grid.n))[0])
-    assert np.array_equal(path.dl_tail, driver.sample_increments(grid.dt, tail, (1, m))[0])
-    # the ensemble's G and X^+_{t_max} are the hook's draws from the past
-    # and tail children, G one kernel step further out
-    past, _, tail = substream(5, 2).spawn(3)
     hook = lambda gen: driver.sample_weighted_sum(grid.dt, lam, m, gen, 1, trunc.tol)
     assert np.array_equal(ens.g, math.exp(-lam * grid.dt) * hook(past))
     assert np.array_equal(ens.x_plus[:, -1], hook(tail))
     ou = simulate_ou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
     assert np.array_equal(ou.x, path.x_minus) and ou.x[0] == path.g
+    assert np.array_equal(ou.dl, path.dl)
 
 
 def test_simulate_logs_route_and_budget(caplog):
@@ -241,11 +242,18 @@ def test_frozen_ensemble_digest(name):
 
 
 def test_replay_reproduces_path_exactly():
+    """On a coarse grid the gamma hook takes its dense default, so
+    replaying the dense reference rebuilds the simulated path bitwise;
+    the OU replay of its past and main window rebuilds X^-."""
     grid = SimulationGrid(2.0, 0.05)
     path = simulate_wbou(GAMMA11, 1.3, grid, rng=substream(9))
-    replay = wbou_from_increments(1.3, grid, path.dl, dl_past=path.dl_past,
-                                  dl_tail=path.dl_tail)
+    draws = dense_draws(GAMMA11, 1.3, grid, rng=substream(9))
+    replay = replay_dense(1.3, grid, draws)
+    assert np.array_equal(replay.dl, path.dl)
     assert np.array_equal(replay.x, path.x)
+    assert np.array_equal(replay.x_plus, path.x_plus)
+    ou = ou_from_increments(1.3, grid, draws[1], dl_past=draws[0])
+    assert np.array_equal(ou.x, path.x_minus)
     assert np.array_equal(replay.x_minus, path.x_minus)
     assert replay.g == path.g and replay.h == path.h
 
@@ -449,14 +457,11 @@ def test_derivative_identity_residual_shrinks_with_dt():
     """The left-endpoint residual of dx = lam (x^+ - x^-) dt is O(dt)."""
     lam, t_max, dt = 1.0, 2.0, 0.005
     fine_grid = SimulationGrid(t_max, dt)
-    fine = simulate_wbou(GAMMA11, lam, fine_grid, rng=substream(21))
+    draws = dense_draws(GAMMA11, lam, fine_grid, rng=substream(21))
+    fine = replay_dense(lam, fine_grid, draws)
     res_fine = derivative_identity_residual(fine)
 
-    coarse = wbou_from_increments(
-        lam, SimulationGrid(t_max, 2 * dt), pairwise_coarsen(fine.dl),
-        dl_past=pairwise_coarsen(fine.dl_past[: 2 * (len(fine.dl_past) // 2)]),
-        dl_tail=pairwise_coarsen(fine.dl_tail[: 2 * (len(fine.dl_tail) // 2)]),
-    )
+    coarse = replay_dense(lam, SimulationGrid(t_max, 2 * dt), coarsen_draws(draws))
     res_coarse = derivative_identity_residual(coarse)
     assert 0.0 < res_fine < res_coarse
     assert res_fine < 0.1

@@ -36,10 +36,9 @@ def test_wbou_path_holds_one_path_or_a_batch():
         assert getattr(batch, name).shape == BATCH
     assert path.l_cum.shape == ROW
     assert path.dl.shape == (GRID.n,)
-    assert path.dl_past.ndim == path.dl_tail.ndim == 1
     assert type(path.g) is float and type(path.h) is float
     assert batch.g.shape == batch.h.shape == (3,)
-    assert batch.dl is None and batch.dl_past is None and batch.dl_tail is None
+    assert batch.dl is None
     assert batch.l_cum is None
 
 
@@ -63,3 +62,17 @@ def test_sv_path_holds_one_path_or_a_batch(tmp_path):
                                   "MarginalLaw"])
 def test_merged_and_removed_names_are_gone(name):
     assert not hasattr(wbou, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (wbou.WbouPath, "dl_past"), (wbou.WbouPath, "dl_tail"), (wbou.OuPath, "dl_past"),
+    (wbou.DriverSpec, "sample_increment"), (wbou.LevyMeasure, "mean_outside_unit"),
+    (wbou.LevyMeasure, "mean_inside_unit"), (wbou.LevyMeasure, "second_moment"),
+])
+def test_half_line_increments_and_audit_duplicates_are_gone(owner, name):
+    """Paths keep no half-line increments: every path draws G and
+    X^+_{t_max} whole.  The moment integrals of a measure are the test
+    oracle measure_moment_quad, a scalar draw is sample_increments(dt,
+    rng, ())."""
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__dataclass_fields__", {})

@@ -3,7 +3,11 @@
 Only ``_table`` opens files for writing, so the CSV format has one
 owner.  Only ``cli`` prints; the library reports through the ``wbou``
 logger.  Only ``_checks`` tests numbers for NaN or inf and raises
-InvalidLambda, so the numeric-input policy has one owner too.
+InvalidLambda, so the numeric-input policy has one owner too.  Outside
+``drivers`` (the samplers and the dense default of
+``sample_weighted_sum``), only ``paths._simulate``, once for the main
+window, and ``paths.simulate_compact_kernel`` call ``sample_increments``,
+so the half-lines have one route: the driver hook.
 """
 import ast
 from pathlib import Path
@@ -64,16 +68,28 @@ def _checks_numbers(node) -> bool:
     return False
 
 
-def _functions_where(pred, tree):
-    """Names of the innermost functions (None at module level) holding
-    a node for which pred is true."""
+def _sites_where(pred, tree):
+    """The innermost function (None at module level) holding each node
+    for which pred is true, once per node."""
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if pred(child):
                 yield owner
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from walk(child, child.name if inner else owner)
-    return set(walk(tree, None))
+    return list(walk(tree, None))
+
+
+def _functions_where(pred, tree):
+    """Names of the innermost functions (None at module level) holding
+    a node for which pred is true."""
+    return set(_sites_where(pred, tree))
+
+
+def _samples_increments(node) -> bool:
+    """True for a call of sample_increments, as a function or a method."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "sample_increments"
 
 
 def _modules_where(pred):
@@ -127,3 +143,20 @@ def test_only_checks_module_tests_numbers_for_finiteness():
     found = sorted((p.name, fn) for p in SRC.glob("*.py") if p.name != "_checks.py"
                    for fn in _functions_where(_checks_numbers, ast.parse(p.read_text())))
     assert found == FINITENESS_EXEMPT
+
+
+
+@pytest.mark.parametrize("src, sites", [
+    ("drv.sample_increments(dt, rng, (1, n))", ["f"]),
+    ("sample_increments(dt, rng, 3) + self.sample_increments(dt, rng, 3)", ["f", "f"]),
+    ("drv.sample_weighted_sum(dt, lam, m, rng, 1, tol)", []),
+])
+def test_sampling_rule_counts_each_call(src, sites):
+    assert _sites_where(_samples_increments, ast.parse(f"def f():\n    {src}\n")) == sites
+
+
+def test_only_the_engine_main_window_draws_increments_outside_drivers():
+    """A second half-line route through sample_increments fails here."""
+    found = sorted((p.name, fn) for p in SRC.glob("*.py") if p.name != "drivers.py"
+                   for fn in _sites_where(_samples_increments, ast.parse(p.read_text())))
+    assert found == [("paths.py", "_simulate"), ("paths.py", "simulate_compact_kernel")]

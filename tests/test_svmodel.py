@@ -32,16 +32,13 @@ from wbou import (
     simulate_sv,
     simulate_sv_ensemble,
     simulate_wbou,
-    simulate_wbou_ensemble,
     spot_vol_moments,
     substream,
-    wbou_from_increments,
     write_sv_csv,
 )
-from wbou.paths import _assemble
 from wbou.svmodel import _euler_y
 
-from helpers import mean_se, pairwise_coarsen, rbar_array, var_se
+from helpers import coarsen_draws, dense_draws, mean_se, rbar_array, replay_dense, var_se
 
 GAMMA11 = gamma_subordinator(1.0, 1.0)
 
@@ -138,27 +135,22 @@ def test_same_seed_same_joint_path():
     compound_poisson(5.0, PointMassJumps(0.5)),
 ], ids=["gamma", "drift", "cp-exponential", "cp-point"])
 def test_single_path_is_row_zero_of_one_path_ensemble(driver):
-    """The single path and a one-path ensemble share the main-window draws
-    of L and the W draws; only the ensemble's half-line integrals are
-    drawn by law.  Subordinator drivers only: the model rejects the other
-    kinds.  The id keeps its historical name so that runs stay
-    comparable."""
+    """simulate_sv is row 0 of a one-path simulate_sv_ensemble, bitwise.
+    The layout: X is the simulate_wbou path from the first child of
+    spawn(2) on the lam-scaled grid, W from the second child.
+    Subordinator drivers only: the model rejects the other kinds."""
     spec = spec_with(driver=driver, alpha=0.1, beta=0.2, lam=0.7)
     grid = SimulationGrid(2.0, 0.01)
     path = simulate_sv(spec, grid, rng=substream(96, 1))
     ens = simulate_sv_ensemble(spec, grid, 1, rng=substream(96, 1))
-    # the layout: L from the first child of spawn(2) on the lam-scaled
-    # grid, W from the second child
+    for field in ("y", "x", "int_x"):
+        assert np.array_equal(getattr(path, field), getattr(ens, field)[0])
     inner_grid = SimulationGrid(spec.lam * grid.t_max, spec.lam * grid.dt)
     inner = simulate_wbou(driver, 1.0, inner_grid, rng=substream(96, 1).spawn(2)[0])
-    inner_ens = simulate_wbou_ensemble(driver, 1.0, inner_grid, 1,
-                                       rng=substream(96, 1).spawn(2)[0])
     assert np.array_equal(path.x, inner.x)
-    rebuilt = _assemble(1.0, inner_grid, inner_ens.g, inner.dl[None, :],
-                        inner_ens.x_plus[:, -1])
-    assert np.array_equal(ens.x, rebuilt.x)
+    assert np.array_equal(path.x_minus, inner.x_minus)
+    assert np.array_equal(path.l_cum, inner.l_cum)
     dw = substream(96, 1).spawn(2)[1].normal(0.0, math.sqrt(grid.dt), (1, grid.n))
-    assert np.array_equal(path.y, _euler_y(spec, grid, path.x[None, :], dw)[0])
     assert np.array_equal(ens.y, _euler_y(spec, grid, ens.x, dw))
     assert np.array_equal(ens.int_x, cumulative_trapezoid(ens.x, dx=grid.dt, initial=0.0,
                                                           axis=-1))
@@ -207,14 +199,9 @@ def test_integrated_vol_gap_is_second_order_in_dt():
     by ~0.25, not ~0.5.
     """
     lam, t_max, dt = 1.0, 2.0, 0.005
-    fine = simulate_wbou(GAMMA11, lam, SimulationGrid(t_max, dt),
-                         rng=substream(100))
-    m2 = lambda a: a[: 2 * (len(a) // 2)]
-    coarse = wbou_from_increments(
-        lam, SimulationGrid(t_max, 2 * dt), pairwise_coarsen(fine.dl),
-        dl_past=pairwise_coarsen(m2(fine.dl_past)),
-        dl_tail=pairwise_coarsen(m2(fine.dl_tail)),
-    )
+    draws = dense_draws(GAMMA11, lam, SimulationGrid(t_max, dt), rng=substream(100))
+    fine = replay_dense(lam, SimulationGrid(t_max, dt), draws)
+    coarse = replay_dense(lam, SimulationGrid(t_max, 2 * dt), coarsen_draws(draws))
 
     def gap(path, dt_):
         trap = np.concatenate(
@@ -370,6 +357,32 @@ def test_big_r_validation():
         big_r(1.0, 1.0, 0)
     with pytest.raises(InvalidLambda):
         big_r(-1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: big_r(1.0, 1e308, 1),
+    lambda: big_r(1e-300, 1.0, 1),
+    lambda: rbar_fn(1.0, 1e308),
+    lambda: rbar_fn(1e-300, 1.0),
+    lambda: rbar_fn(1.0, np.array([1.0, 1e308])),
+    lambda: cov_integrated_vol(1e308, 0.01, 10.0, 1),
+    lambda: corr_squared_returns(1e308, 1.0, 1.0, 1.0, 1),
+    lambda: corr_squared_returns(1.0, 1.0, 1.0, 1e-300, 1),
+], ids=["big_r-delta", "big_r-lambda", "rbar-t", "rbar-lambda", "rbar-array-t", "cov-v",
+        "corr-mu", "corr-delta"])
+def test_closed_forms_that_overflow_raise_domain_error(call):
+    """Finite inputs whose closed form leaves the float range (sinh or
+    mu^2 overflows, lam^2 underflows to a zero divisor) raise DomainError
+    naming the closed form and its inputs, not OverflowError,
+    ZeroDivisionError, a NumPy warning or inf."""
+    with pytest.raises(DomainError, match=r"\(.*\) overflows the float range"):
+        call()
+
+
+def test_closed_forms_near_the_float_range_stay_finite():
+    assert math.isfinite(big_r(1.0, 700.0, 1))
+    assert math.isfinite(rbar_fn(1.0, 1e300))
+    assert math.isfinite(corr_squared_returns(1e150, 1.0, 1.0, 1.0, 1))
 
 
 def test_cov_integrated_vol_scaling():
