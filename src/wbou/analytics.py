@@ -124,11 +124,14 @@ def increment_acf(p: SecondOrderParams, k):
     This canonical route uses only the acov_x expression and is the
     value every other part of the package relies on; k is checked once,
     so the lags k - 1, k and k + 1 need no further check.  Its range
-    over lam > 0, k >= 1 is (-0.5, 1).
+    over lam > 0, k >= 1 is (-0.5, 1); DomainError where its positive
+    denominator cancels to 0 (lam below about 1e-8).
     """
     kk = _checks.whole(k, 1, "increment lag k", BadLag)
     num = 2.0 * _acov(p, kk) - _acov(p, kk + 1.0) - _acov(p, kk - 1.0)
     den = 2.0 * (_acov(p, 0.0) - _acov(p, 1.0))
+    if not den > 0:
+        raise DomainError(f"increment_acf: acov(0) - acov(1) cancels to {den} at lam={p.lam}")
     return _scalar_ok(num / den)
 
 
@@ -136,7 +139,9 @@ def increment_acf_ou(p: SecondOrderParams, k):
     """Classical OU increment autocorrelation; always in (-0.5, 0)."""
     kk = _checks.whole(k, 1, "increment lag k", BadLag)
     lam = p.lam
-    bracket = 0.5 + 0.5 * (1.0 - math.exp(lam)) / (1.0 - math.exp(-lam))
+    bracket = _checks.in_range(
+        "increment_acf_ou bracket",
+        lambda lam: 0.5 + 0.5 * (1.0 - math.exp(lam)) / (1.0 - math.exp(-lam)), lam)
     return _scalar_ok(np.exp(-lam * kk) * bracket)
 
 

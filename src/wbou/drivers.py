@@ -17,6 +17,8 @@ X^+_{t_max} of every path.  Brownian, drift and compound Poisson drivers
 draw them exactly in the discrete law, the gamma subordinator by a
 truncated series (Bondesson 1982; Rosinski 2001) whose number of draws
 per path does not grow as the grid is refined, or by the dense default.
+Each call logs one debug record: its route, rows, the terms it drew and
+the series mass it neglects.
 
 Families: Brownian motion with drift, compound Poisson (normal,
 exponential, or fixed-size jumps), the gamma subordinator, and pure
@@ -75,21 +77,30 @@ def _weights(dt, lam, m):
     return np.exp(-lam * dt * np.arange(m))
 
 
-def _halfline(dt, lam, m, tol, n_paths=1):
-    """The arguments of law_terms and sample_weighted_sum, checked: dt
-    positive, lam a rate, m and n_paths whole numbers >= 1, tol in (0, 1)."""
+def _halfline(dt, lam, m, tol, n_paths):
+    """The arguments of sample_weighted_sum, checked: dt positive, lam a
+    rate, m and n_paths whole numbers >= 1, tol in (0, 1)."""
     return (_checks.positive(dt, "dt"), _checks.lam(lam), _checks.whole(m, 1, "m"),
             _checks.positive(tol, "tol", hi=1.0), _checks.whole(n_paths, 1, "n_paths"))
 
 
-def _scatter_sum(rng, n_paths, mean_count, w, sizes):
-    """Per row, the sum of w[cell] * size over a Poisson(mean_count)
-    number of points at iid uniform cells; sizes(k) draws k iid sizes."""
+def _report(route, n_paths, terms, series_mass=0.0):
+    """The one debug record of a sample_weighted_sum call."""
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("sample_weighted_sum: route=%s rows=%d terms=%d series_mass<=%.3g",
+                   route, n_paths, terms, series_mass)
+
+
+def _scatter_sum(rng, n_paths, mean_count, dt, lam, m, sizes, route, series_mass=0.0):
+    """Per row, the sum of e^{-lam dt cell} * size over a Poisson(mean_count)
+    number of points at iid uniform cells in [0, m), weighting only the
+    drawn cells; sizes(k) draws k iid sizes.  Reports the k points drawn."""
     counts = rng.poisson(mean_count, n_paths)
     k = int(counts.sum())
-    cells = rng.integers(0, len(w), k)
+    cells = rng.integers(0, m, k)
     rows = np.repeat(np.arange(n_paths), counts)
-    return np.bincount(rows, weights=w[cells] * sizes(k), minlength=n_paths)
+    _report(route, n_paths, k, series_mass)
+    return np.bincount(rows, weights=np.exp(-lam * dt * cells) * sizes(k), minlength=n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +328,6 @@ class DriverSpec:
     #: True only when the one-sided process is a.s. nondecreasing.
     nonnegative: bool = False
 
-    #: False when sample_weighted_sum truncates a series and so spends a
-    #: second tol * |mu| / lam of neglected mass.
-    _law_is_exact = True
-
     def psi(self, u):
         """Characteristic exponent; accepts scalars or arrays."""
         raise NotImplementedError
@@ -340,14 +347,6 @@ class DriverSpec:
         """(mean, variance) of L(1)."""
         raise NotImplementedError
 
-    def log_moment_finite(self) -> bool:
-        """Whether E log(1 + |L(1)|) is finite.
-
-        True for every built-in family (all have finite variance); kept
-        as an explicit hook because it is the existence condition for
-        the moving-average process."""
-        return True
-
     @property
     def measure(self) -> LevyMeasure:
         raise NotImplementedError
@@ -366,25 +365,19 @@ class DriverSpec:
         """
         raise NotImplementedError
 
-    def law_terms(self, dt: float, lam: float, m: int, tol: float) -> float | None:
-        """Expected number of random terms per row that sample_weighted_sum
-        draws from its law, or None when it draws the m increments
-        densely.  It only names the route; the engine logs it."""
-        _halfline(dt, lam, m, tol)
-        return None
-
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol) -> np.ndarray:
         """n_paths iid draws of sum_{j<m} e^{-lam dt j} dL_j, with dL_j
         the increments over m consecutive windows of length dt.
 
         This is a truncated half-line integral: the weight at the far end
-        is about tol.  This exact default weights (n_paths, m) drawn
-        increments; families with a law route (law_terms is not None)
-        draw the sum from its law, and a law that is not exact keeps its
-        expected neglected mass below tol * mu / lam, the mass the
-        truncation itself neglects.
+        is about tol.  This exact default (route "dense") weights
+        (n_paths, m) drawn increments; the families draw the sum from its
+        law, and a law that truncates a series keeps the expected mass it
+        neglects below tol * mu / lam, the mass the truncation itself
+        neglects.  Each call logs its route, rows, terms and series mass.
         """
         dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
+        _report("dense", n_paths, n_paths * m)
         return self.sample_increments(dt, rng, (n_paths, m)) @ _weights(dt, lam, m)
 
 
@@ -422,14 +415,11 @@ class BrownianDriver(DriverSpec):
         _checks.positive(dt, "dt")
         return rng.normal(self.gamma * dt, math.sqrt(self.sigma2 * dt), size)
 
-    def law_terms(self, dt, lam, m, tol):
-        _halfline(dt, lam, m, tol)
-        return 1.0
-
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
         # a weighted sum of iid normals is one normal, exactly
         dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
         w = _weights(dt, lam, m)
+        _report("normal", n_paths, n_paths)
         return rng.normal(self.gamma * dt * w.sum(), math.sqrt(self.sigma2 * dt * (w @ w)),
                           n_paths)
 
@@ -502,16 +492,12 @@ class CompoundPoissonDriver(DriverSpec):
         counts = count_gen.poisson(self.intensity * dt, size)
         return self.jumps.sample_sum(sum_gen, counts)
 
-    def law_terms(self, dt, lam, m, tol):
-        _halfline(dt, lam, m, tol)
-        return self.intensity * dt * m
-
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
         # exact in the discrete law: a Poisson(intensity m dt) number of
         # jumps per row, each in a uniform cell and weighted by its kernel
         dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
-        return _scatter_sum(rng, n_paths, self.intensity * dt * m, _weights(dt, lam, m),
-                            lambda k: self.jumps.sample_sum(rng, np.ones(k)))
+        return _scatter_sum(rng, n_paths, self.intensity * dt * m, dt, lam, m,
+                            lambda k: self.jumps.sample_sum(rng, np.ones(k)), "jumps")
 
 
 @dataclass(frozen=True)
@@ -529,7 +515,6 @@ class GammaSubordinatorDriver(DriverSpec):
         _checks.positive(self.rate, "GammaSubordinatorDriver.rate")
 
     nonnegative = True
-    _law_is_exact = False
 
     def psi(self, u):
         u = np.asarray(_checks.finite(u, "u"), dtype=float)
@@ -565,10 +550,9 @@ class GammaSubordinatorDriver(DriverSpec):
         _checks.positive(dt, "dt")
         return rng.gamma(self.shape * dt, 1.0 / self.rate, size)
 
-    def law_terms(self, dt, lam, m, tol):
+    def _gamma_max(self, dt, lam, m, tol):
         """Gamma_max of the series in sample_weighted_sum, or None (dense)
         when the series would need as many terms as there are cells."""
-        _halfline(dt, lam, m, tol)
         lam_t = lam * m * dt
         gmax = self.shape * m * dt * math.log(lam_t / tol) if lam_t > tol else 0.0
         return gmax if 0.0 < gmax < m else None
@@ -580,17 +564,19 @@ class GammaSubordinatorDriver(DriverSpec):
         Gamma_i < Gamma_max = aT ln(lam T / tol); the expected mass of the
         rest is (aT/b) e^{-Gamma_max/(aT)} = tol * mu / lam.  Below
         Gamma_max the Gamma_i are a Poisson(Gamma_max) number of uniforms.
-        Where law_terms is None (coarse grids) the sum is the dense default.
+        Where the series would need m terms or more (coarse grids) the sum
+        is the dense default.
         """
         dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
-        gmax = self.law_terms(dt, lam, m, tol)
+        gmax = self._gamma_max(dt, lam, m, tol)
         if gmax is None:
             return super().sample_weighted_sum(dt, lam, m, rng, n_paths, tol)
         a_t = self.shape * m * dt
         return _scatter_sum(
-            rng, n_paths, gmax, _weights(dt, lam, m),
+            rng, n_paths, gmax, dt, lam, m,
             lambda k: np.exp(-rng.uniform(0.0, gmax, k) / a_t)
             * rng.standard_exponential(k) / self.rate,
+            "series", tol * (self.shape / self.rate) / lam,
         )
 
 
@@ -633,12 +619,9 @@ class DriftDriver(DriverSpec):
         _checks.positive(dt, "dt")
         return np.full(size, self.gamma * dt)
 
-    def law_terms(self, dt, lam, m, tol):
-        _halfline(dt, lam, m, tol)
-        return 0.0
-
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
         dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
+        _report("constant", n_paths, 0)
         return np.full(n_paths, self.gamma * dt * _weights(dt, lam, m).sum())
 
 

@@ -107,19 +107,26 @@ class FitResult:
 
 
 def empirical_acf(series, max_lag: int) -> AcfEstimate:
-    """n-normalized mean-subtracted autocorrelation up to max_lag."""
+    """n-normalized mean-subtracted autocorrelation up to max_lag;
+    DomainError, naming n and max |x|, where it leaves the float range."""
     x = _values(series)
     n = len(x)
     max_lag = _checks.whole(max_lag, 0, "max_lag", LagTooLarge)
     if max_lag >= n:
         raise LagTooLarge(f"max_lag must be in [0, {n - 1}], got {max_lag}")
-    d = x - x.mean()
-    scale = max(1.0, float(np.abs(x).max()))
-    denom_floor = n * (8.0 * np.finfo(float).eps * scale) ** 2
-    # one FFT correlation gives every lag at once; entry h is
-    # sum_i d_i d_{i+h}, entry 0 the full-sample denominator
-    corr = fftconvolve(d, d[::-1])[n - 1 : n + max_lag]
-    if corr[0] <= denom_floor:
+    peak = float(np.abs(x).max())
+
+    def correlation(n, peak):
+        # one FFT correlation gives every lag at once; entry h is
+        # sum_i d_i d_{i+h}, entry 0 the full-sample denominator
+        d = x - x.mean()
+        return fftconvolve(d, d[::-1])[n - 1 : n + max_lag]
+
+    corr = _checks.in_range("empirical_acf[n, max|x|]", correlation, n, peak, numpy=True)
+    # Python floats: a floor that overflows is inf, and a finite corr[0]
+    # below it means the series is flat
+    floor = 8.0 * math.ulp(1.0) * max(1.0, peak)
+    if corr[0] <= n * (floor * floor):
         raise DegenerateSeries("series has (numerically) zero variance")
     return AcfEstimate(lags=np.arange(max_lag + 1), rho=corr / corr[0], n=n)
 
@@ -197,9 +204,12 @@ def fit_acf(acf: AcfEstimate, model: str, lag_range: tuple[int, int]) -> FitResu
 
 
 def realized_volatility(series) -> float:
-    """Sum of squared consecutive differences of the series."""
+    """Sum of squared consecutive differences of the series; DomainError,
+    naming the length and max |x|, where it leaves the float range."""
     x = _values(series)
-    return float(np.sum(np.diff(x) ** 2))
+    return float(_checks.in_range("realized_volatility[n, max|x|]",
+                                  lambda n, peak: np.sum(np.diff(x) ** 2),
+                                  len(x), float(np.abs(x).max()), numpy=True))
 
 
 def signature_plot(series, max_skip: int) -> np.ndarray:

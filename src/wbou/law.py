@@ -89,15 +89,14 @@ class ExistenceResult:
 def existence_check(driver: DriverSpec, lam: float) -> ExistenceResult:
     """Check that the moving average is well defined.
 
-    The requirements are lam > 0 and a finite log-moment of the driver;
-    violations are reported, not raised.
+    The requirements are lam > 0 and a finite log-moment of the driver.
+    Every driver family has finite variance and therefore a finite
+    log-moment, so only lam can fail; violations are reported, not raised.
     """
     try:
         _checks.lam(lam)
     except InvalidLambda as exc:
         return ExistenceResult(False, str(exc))
-    if not driver.log_moment_finite():
-        return ExistenceResult(False, "driver log-moment is infinite")
     return ExistenceResult(True)
 
 

@@ -52,7 +52,7 @@ from scipy.signal import lfilter
 from . import _checks
 from ._table import write_table
 from .drivers import DriverSpec, _weights
-from .errors import DimensionMismatch, ExistenceViolation, GridError
+from .errors import DimensionMismatch, GridError
 from .rng import as_generator
 
 _log = logging.getLogger("wbou")
@@ -75,6 +75,14 @@ __all__ = [
     "write_path_csv",
 ]
 
+
+def _indexable(steps: float, what: str) -> float:
+    """steps if NumPy can index that many steps, else GridError."""
+    if not steps < np.iinfo(np.intp).max:
+        raise GridError(f"{what} needs {steps:.3g} steps, more than NumPy can index")
+    return steps
+
+
 @dataclass(frozen=True)
 class SimulationGrid:
     """Uniform grid 0, dt, 2dt, ..., t_max with t_max an exact multiple of dt."""
@@ -85,7 +93,7 @@ class SimulationGrid:
     def __post_init__(self):
         _checks.positive(self.t_max, "t_max", GridError)
         _checks.positive(self.dt, "dt", GridError)
-        n = round(self.t_max / self.dt)
+        n = round(_indexable(self.t_max / self.dt, f"t_max={self.t_max} at dt={self.dt}"))
         if n < 1 or abs(n * self.dt - self.t_max) > 1e-9 * max(self.t_max, 1.0):
             raise GridError(
                 f"t_max={self.t_max} is not an integer multiple of dt={self.dt}"
@@ -109,7 +117,8 @@ class TruncationPolicy:
     truncated at T = -ln(tol)/lam, so the neglected mean mass is of
     order tol * mu / lam.  A gamma driver on its series route spends the
     same budget again: terms with Gamma_i >= aT ln(lam T / tol) are
-    dropped, and their expected mass is tol * mu / lam.
+    dropped, and their expected mass is tol * mu / lam, which that draw
+    logs.  A horizon NumPy cannot index in steps raises GridError.
     """
 
     tol: float = 1e-12
@@ -118,10 +127,12 @@ class TruncationPolicy:
         _checks.positive(self.tol, "tol", GridError, hi=1.0)
 
     def horizon(self, lam: float) -> float:
-        return -math.log(self.tol) / lam
+        return -math.log(self.tol) / _checks.lam(lam)
 
     def n_steps(self, lam: float, dt: float) -> int:
-        return max(1, math.ceil(self.horizon(lam) / dt - 1e-12))
+        steps = _indexable(self.horizon(lam) / _checks.positive(dt, "dt", GridError),
+                           f"the horizon at lam={lam}, dt={dt}")
+        return max(1, math.ceil(steps - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +223,6 @@ def _assemble(lam, grid, g, dl, xp_end) -> WbouPath:
     )
 
 
-def _validate(driver: DriverSpec, lam: float) -> float:
-    lam = _checks.lam(lam)
-    if not driver.log_moment_finite():
-        raise ExistenceViolation("driver log-moment is infinite")
-    return lam
-
-
 def _row0(batch: WbouPath, dl) -> WbouPath:
     """The single path in row 0 of a one-path batch, with its increments."""
     return WbouPath(
@@ -239,31 +243,24 @@ def _simulate(driver, lam, grid, n_paths, trunc, rng):
     The generator is split into three substreams (past of 0, main
     window, tail beyond t_max).  The main window is drawn as one
     (n_paths, n) array, and G and X^+_{t_max} by the driver's
-    sample_weighted_sum from the other two; law_terms only names the
-    route in the debug line.  Returns the assembled batch and dl.
+    sample_weighted_sum from the other two; a debug line gives the sizes
+    and the horizon, each hook call its route.  Returns the batch and dl.
     """
-    lam = _validate(driver, lam)
+    lam = _checks.lam(lam)
     n_paths = _checks.whole(n_paths, 1, "n_paths", DimensionMismatch)
     trunc = trunc or TruncationPolicy()
     dt = grid.dt
     m_half = trunc.n_steps(lam, dt)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("simulate: n_paths=%d n=%d lam=%.6g dt=%.6g m_half=%d horizon=%.6g "
+                   "horizon_mass<=%.3g", n_paths, grid.n, lam, dt, m_half, m_half * dt,
+                   trunc.tol * abs(driver.moments()[0]) / lam)
     past_gen, main_gen, tail_gen = as_generator(rng).spawn(3)
     dl = driver.sample_increments(dt, main_gen, (n_paths, grid.n))
     # G's weights are one step further out: e^{-lam dt (j + 1)}
     g = math.exp(-lam * dt) * driver.sample_weighted_sum(
         dt, lam, m_half, past_gen, n_paths, trunc.tol)
     xp_end = driver.sample_weighted_sum(dt, lam, m_half, tail_gen, n_paths, trunc.tol)
-    if _log.isEnabledFor(logging.DEBUG):
-        terms = driver.law_terms(dt, lam, m_half, trunc.tol)
-        horizon_mass = trunc.tol * abs(driver.moments()[0]) / lam
-        series_mass = 0.0 if terms is None or driver._law_is_exact else horizon_mass
-        route = f"dense {m_half} draws/row" if terms is None else f"law {terms:.6g} terms/row"
-        _log.debug(
-            "simulate: n_paths=%d n=%d lam=%.6g dt=%.6g m_half=%d horizon=%.6g "
-            "neglected_mass<=%.3g (horizon %.3g + series %.3g) half-lines (past, tail): %s each",
-            n_paths, grid.n, lam, dt, m_half, m_half * dt,
-            horizon_mass + series_mass, horizon_mass, series_mass, route,
-        )
     return _assemble(lam, grid, g, dl, xp_end), dl
 
 
@@ -378,9 +375,9 @@ def simulate_compact_kernel(
     increments over [-a, t_max) are convolved with the left-endpoint
     kernel weights e^{-lam m dt}, m = 1..a/dt.
     """
-    lam = _validate(driver, lam)
+    lam = _checks.lam(lam)
     _checks.positive(a, "window length a", GridError)
-    w = round(a / grid.dt)
+    w = round(_indexable(a / grid.dt, f"a={a} at dt={grid.dt}"))
     if w < 1 or abs(w * grid.dt - a) > 1e-9 * max(a, 1.0):
         raise GridError(f"a={a} is not an integer multiple of dt={grid.dt}")
     gen = as_generator(rng)

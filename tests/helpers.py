@@ -6,6 +6,7 @@ Monte Carlo error bars), so agreement between the two is meaningful.
 """
 
 import math
+import re
 import zlib
 
 import numpy as np
@@ -428,3 +429,19 @@ def coarsen_draws(draws):
     """Each of (dl_past, dl, dl_tail) merged pairwise, an odd last
     increment of a half-line dropped."""
     return tuple(pairwise_coarsen(a[: 2 * (len(a) // 2)]) for a in draws)
+
+
+_HOOK_RECORD = re.compile(r"sample_weighted_sum: route=(\w+) rows=(\d+) terms=(\d+) "
+                          r"series_mass<=(\S+)$")
+
+
+def hook_records(records):
+    """(route, rows, terms, series_mass) of each sample_weighted_sum debug
+    record among the log records, in order; the mass as its printed text."""
+    out = []
+    for r in records:
+        hit = r.name == "wbou" and _HOOK_RECORD.match(r.getMessage())
+        if hit:
+            route, rows, terms, mass = hit.groups()
+            out.append((route, int(rows), int(terms), mass))
+    return out

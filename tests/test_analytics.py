@@ -161,6 +161,27 @@ def test_increment_lag_validation():
         increment_acf_ou(P1, -3)
 
 
+@pytest.mark.parametrize("lam", [800.0, 1e-300])
+def test_increment_acf_ou_bracket_out_of_float_range(lam):
+    # e^{lam} overflows at 800; 1 - e^{-lam} rounds to 0 at 1e-300
+    with pytest.raises(DomainError, match="increment_acf_ou bracket"):
+        increment_acf_ou(SecondOrderParams(lam), [1, 2])
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-9, 1e-300])
+@pytest.mark.parametrize("k", [1, [1, 2, 3]])
+def test_increment_acf_refuses_a_cancelled_denominator(lam, k):
+    # acov(0) - acov(1) cancels to 0: inf or NaN before the check
+    with pytest.raises(DomainError, match="cancels to 0.0"):
+        increment_acf(SecondOrderParams(lam), k)
+
+
+def test_increment_acfs_at_a_large_rate_stay_finite():
+    # the limit lam -> inf: lag 1 at -1/2, every later lag at 0
+    assert increment_acf(SecondOrderParams(800.0), [1, 2]).tolist() == [-0.5, 0.0]
+    assert increment_acf_ou(SecondOrderParams(700.0), [1, 2]).tolist() == [-0.5, 0.0]
+
+
 BITWISE_LAMS = (1e-3, 0.05, 0.8, 1.2564, 3.0, 40.0)
 LAGS = (1, 7, np.int64(3), 2.0, np.float64(4.0), np.array(5), np.arange(1, 41),
         np.array([[1.0, 2.0], [9.0, 3.0]]), [1, 2, 3])

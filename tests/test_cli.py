@@ -194,6 +194,7 @@ _FAULTY_INPUTS = {
     "frac_lag": "lag,rho_hat\n0,1.0\n1.7,0.5\n2,0.25\n",
     "binary": "x\n1.0\n2.0\n\udcff\udcfe3.0\n",
     "huge_cell": 'x\n1.0\n"' + "1" * 200_000 + '"\n2.0\n',
+    "huge_x": "x\n1e200\n-1e200\n1e200\n3.0\n2.0\n1.0\n",
 }
 
 
@@ -240,6 +241,16 @@ _FAULTY_INPUTS = {
     ["theory", "sv", "--lambda", "1", "--delta", "1e308", "--out", "{out}"],
     ["theory", "sv", "--lambda", "1e-300", "--out", "{out}"],
     ["theory", "sv", "--lambda", "1", "--mu", "1e308", "--out", "{out}"],
+    _simulate_args("{out}", extra=["--driver", "brownian", "--t-max", "1e300", "--dt", "1e-5"]),
+    _simulate_args("{out}", lam="1e-300", extra=["--driver", "brownian"]),
+    _simulate_args("{out}", lam="1e-300"),
+    _simulate_args("{out}", lam="1e-300", extra=["--driver", "cpoisson:eta=1,jump=point,c=1"]),
+    ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1e-300", "--t-max", "1",
+     "--dt", "0.1", "--out", "{out}"],
+    ["signature", "--input", "{huge_x}", "--max-skip", "2", "--out", "{out}"],
+    ["acf", "--input", "{huge_x}", "--max-lag", "2", "--out", "{out}"],
+    ["theory", "increment-acf", "--lambda", "800", "--out", "{out}"],
+    ["theory", "increment-acf", "--lambda", "1e-300", "--out", "{out}"],
 ], ids=["paths-0", "t-max-nan", "dt-inf", "lambda-inf", "sv-lambda-inf", "sv-paths-0",
         "acf-bad-cell", "signature-bad-cell", "fit-bad-cell", "theory-acf-max-lag-neg",
         "theory-iacf-max-lag-0", "theory-sv-max-s-0", "driver-gamma-nan",
@@ -249,7 +260,11 @@ _FAULTY_INPUTS = {
         "signature-undecodable", "signature-huge-quoted-cell", "theory-sv-delta-nan",
         "theory-sv-delta-inf", "theory-sv-mu-nan", "theory-sv-mu-inf", "theory-sv-v-inf",
         "sv-alpha-nan", "sv-beta-inf", "simulate-seed-negative", "theory-sv-delta-huge",
-        "theory-sv-lambda-tiny", "theory-sv-mu-huge"])
+        "theory-sv-lambda-tiny", "theory-sv-mu-huge", "simulate-steps-unindexable",
+        "simulate-horizon-unindexable-brownian", "simulate-horizon-unindexable-gamma",
+        "simulate-horizon-unindexable-cpoisson", "sv-horizon-unindexable",
+        "signature-huge-values", "acf-huge-values", "theory-iacf-lambda-huge",
+        "theory-iacf-lambda-tiny"])
 def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
     inputs = {"bad": _table_with_bad_cell(tmp_path / "bad.csv")}
     for name, text in _FAULTY_INPUTS.items():
@@ -598,6 +613,16 @@ def test_frozen_output_digest(tmp_path, name):
                     reason="console script not on PATH")
 def test_console_script_version():
     proc = subprocess.run(["wbou", "--version"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("wbou ")
+
+
+def test_package_module_version():
+    # python -m wbou runs the same main as the console script
+    src = os.path.dirname(os.path.dirname(wbou.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "wbou", "--version"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("wbou ")
 

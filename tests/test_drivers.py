@@ -1,6 +1,7 @@
 """Driver-level checks: exponents, cumulants, measures, sampling laws,
 and the half-line sums drawn by law."""
 
+import logging
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from wbou import (
     substream,
 )
 
-from helpers import (ecf, mean_se, measure_moment_quad, measure_tail_quad,
+from helpers import (ecf, hook_records, mean_se, measure_moment_quad, measure_tail_quad,
                      rng_for, var_se)
 
 U_GRID = np.linspace(-5.0, 5.0, 41)
@@ -372,26 +373,112 @@ def test_gamma_series_budget(a, b, lam, dt, tol):
     int_{Gamma_max}^inf e^{-g/(aT)} dg / b, T = m dt; it stays within
     tol * mu / lam, and the series is shorter than the m dense draws."""
     m = TruncationPolicy(tol).n_steps(lam, dt)
-    gmax = gamma_subordinator(a, b).law_terms(dt, lam, m, tol)
+    gmax = gamma_subordinator(a, b)._gamma_max(dt, lam, m, tol)
     assert 0 < gmax < m
     a_t = a * m * dt
     tail = quad(lambda x: math.exp(-x), gmax / a_t, math.inf, epsabs=0.0, epsrel=1e-10)[0]
     assert tail * a_t / b <= tol * (a / b) / lam * (1 + 1e-9)
 
 
-def test_law_terms_pick_the_route():
+def test_hook_records_name_the_route(caplog):
     """Gamma falls back to the dense default when Gamma_max reaches the
-    cell count (coarse grids): its m increments, drawn and weighted.
-    The exact laws always apply."""
+    cell count (coarse grids): its m increments, drawn and weighted.  The
+    exact laws always apply.  Each call's one record names its route and
+    the terms it drew: n_paths * m dense draws, the Poisson total of the
+    scattered jumps or series terms, one normal per row, none for drift."""
     m = TruncationPolicy().n_steps(1.0, 0.1)
+    m_fine = TruncationPolicy().n_steps(1.0, 1e-3)
     gamma = gamma_subordinator(1.0, 1.0)
-    assert gamma.law_terms(0.1, 1.0, m, 1e-12) is None
-    dense = gamma.sample_increments(0.1, substream(1), (2, m)) @ np.exp(-0.1 * np.arange(m))
-    assert np.array_equal(gamma.sample_weighted_sum(0.1, 1.0, m, substream(1), 2, 1e-12), dense)
-    assert compound_poisson(10.0, ExponentialJumps(1.0)).law_terms(0.1, 1.0, m, 1e-12) \
-        == pytest.approx(m)
-    assert brownian().law_terms(0.1, 1.0, m, 1e-12) == 1.0
-    assert deterministic_drift(1.0).law_terms(0.1, 1.0, m, 1e-12) == 0.0
+    hook = lambda drv, dt, m, seed: drv.sample_weighted_sum(dt, 1.0, m, substream(seed), 2,
+                                                            1e-12)
+    with caplog.at_level(logging.DEBUG, logger="wbou"):
+        coarse = hook(gamma, 0.1, m, 1)
+        hook(gamma, 1e-3, m_fine, 2)
+        hook(compound_poisson(10.0, ExponentialJumps(1.0)), 0.1, m, 3)
+        normal = hook(brownian(), 0.1, m, 4)
+        drift = hook(deterministic_drift(1.0), 0.1, m, 5)
+    w = np.exp(-0.1 * np.arange(m))
+    assert np.array_equal(coarse, gamma.sample_increments(0.1, substream(1), (2, m)) @ w)
+    series = substream(2).poisson(gamma._gamma_max(1e-3, 1.0, m_fine, 1e-12), 2).sum()
+    jumps = substream(3).poisson(10.0 * 0.1 * m, 2).sum()
+    assert hook_records(caplog.records) == [
+        ("dense", 2, 2 * m, "0"), ("series", 2, series, "1e-12"), ("jumps", 2, jumps, "0"),
+        ("normal", 2, 2, "0"), ("constant", 2, 0, "0")]
+    assert np.array_equal(normal, substream(4).normal(0.0, math.sqrt(0.1 * (w @ w)), 2))
+    assert np.array_equal(drift, np.full(2, 0.1 * w.sum()))
+
+
+ROUTE_DRIVERS = {"gamma": gamma_subordinator(1.0, 1.0),
+                "cp-exponential": compound_poisson(3.0, ExponentialJumps(1.5)),
+                "cp-normal": compound_poisson(3.0, NormalJumps(0.1, 0.5)),
+                "cp-point-mass": compound_poisson(2.0, PointMassJumps(-0.5)),
+                "brownian": brownian(0.3, 1.2), "drift": deterministic_drift(1.0)}
+
+
+@pytest.mark.parametrize("lam, dt", [(1.0, 1e-2), (0.5, 0.1), (3.0, 1e-3)])
+@pytest.mark.parametrize("name", list(ROUTE_DRIVERS))
+def test_hook_record_counts_the_terms_drawn(name, lam, dt, caplog):
+    """One record per call, whatever the grid: gamma takes its series
+    where Gamma_max < m and the dense default elsewhere (here at dt =
+    0.1); the terms are what the call drew, replayed from the same seed,
+    and only the gamma series neglects mass, tol * mu / lam."""
+    drv, tol = ROUTE_DRIVERS[name], 1e-12
+    m = TruncationPolicy(tol).n_steps(lam, dt)
+    with caplog.at_level(logging.DEBUG, logger="wbou"):
+        drv.sample_weighted_sum(dt, lam, m, substream(4), 3, tol)
+    gen = substream(4)
+    if name == "gamma":
+        gmax = drv._gamma_max(dt, lam, m, tol)
+        assert (gmax is None) == (dt == 0.1)
+        want = ("dense", 3, 3 * m, "0") if gmax is None else (
+            "series", 3, gen.poisson(gmax, 3).sum(), f"{tol * (drv.shape / drv.rate) / lam:.3g}")
+    elif name.startswith("cp"):
+        want = ("jumps", 3, gen.poisson(drv.intensity * dt * m, 3).sum(), "0")
+    else:
+        want = {"brownian": ("normal", 3, 3, "0"), "drift": ("constant", 3, 0, "0")}[name]
+    assert hook_records(caplog.records) == [want]
+
+
+@pytest.mark.parametrize("lam, dt", [(1.0, 1e-2), (1e-2, 1e-3), (3.0, 1e-4)])
+@pytest.mark.parametrize("name", ["cp-exponential", "cp-normal", "gamma"])
+def test_scatter_sums_weight_only_the_drawn_cells(name, lam, dt):
+    """The scatter routes weight each drawn cell as e^{-lam dt cell}.  The
+    sums equal, bit for bit, a replay of the same draws weighted from the
+    whole table e^{-lam dt j}, j < m, which the routes do not build."""
+    drv, tol, n_paths = ROUTE_DRIVERS[name], 1e-12, 5
+    m = TruncationPolicy(tol).n_steps(lam, dt)
+    got = drv.sample_weighted_sum(dt, lam, m, substream(9), n_paths, tol)
+    rng = substream(9)
+    gmax = drv._gamma_max(dt, lam, m, tol) if name == "gamma" else None
+    counts = rng.poisson(drv.intensity * dt * m if gmax is None else gmax, n_paths)
+    k = int(counts.sum())
+    cells = rng.integers(0, m, k)
+    if gmax is None:
+        sizes = drv.jumps.sample_sum(rng, np.ones(k))
+    else:
+        sizes = (np.exp(-rng.uniform(0.0, gmax, k) / (drv.shape * m * dt))
+                 * rng.standard_exponential(k) / drv.rate)
+    table = np.exp(-lam * dt * np.arange(m))
+    want = np.bincount(np.repeat(np.arange(n_paths), counts), weights=table[cells] * sizes,
+                       minlength=n_paths)
+    assert k > 0
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["gamma", "gamma-coarse", "cp", "brownian", "drift"])
+def test_untraced_hook_pays_one_level_check(name, monkeypatch):
+    """Below DEBUG a hook call asks the logger once whether to report, and
+    formats nothing."""
+    drv = {"gamma": gamma_subordinator(1.0, 1.0), "gamma-coarse": gamma_subordinator(1.0, 1.0),
+           "cp": compound_poisson(5.0, NormalJumps()), "brownian": brownian(),
+           "drift": deterministic_drift(1.0)}[name]
+    dt = 0.1 if name == "gamma-coarse" else 1e-3
+    log = logging.getLogger("wbou")
+    asked = []
+    monkeypatch.setattr(log, "isEnabledFor", lambda level: asked.append(level) or False)
+    monkeypatch.setattr(log, "debug", lambda *a, **k: pytest.fail("debug record formatted"))
+    drv.sample_weighted_sum(dt, 1.0, TruncationPolicy().n_steps(1.0, dt), substream(1), 2, 1e-12)
+    assert asked == [logging.DEBUG]
 
 
 def _counting_gamma():
@@ -426,11 +513,6 @@ def test_ensembles_draw_only_the_main_window_densely():
     sizes.clear()
     simulate_wbou(drv, 1.0, coarse, rng=substream(9))
     assert sorted(sizes) == [(1, coarse.n), (1, m), (1, m)]
-
-
-def test_log_moment_flag():
-    for d in DRIVERS_WITH_JUMPS + [brownian(), deterministic_drift(1.0)]:
-        assert d.log_moment_finite()
 
 
 # ---------------------------------------------------------------------------

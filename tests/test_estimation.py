@@ -88,6 +88,21 @@ def test_acf_degenerate_series():
         empirical_acf(np.full(100, 3.25), 5)
 
 
+HUGE = [1e200, -1e200, 1e200, 3.0, 2.0, 1.0]
+
+
+def test_acf_out_of_float_range_refused():
+    # the products of 1e200 cells overflow; the message names n and max|x|
+    for series in (HUGE[:4], [1.7e308, -1.7e308, 1.0]):
+        with pytest.raises(DomainError, match=r"^empirical_acf\[n, max\|x\|\]\(\d+, "):
+            empirical_acf(series, 2)
+
+
+def test_acf_of_a_huge_constant_series_is_degenerate():
+    with pytest.raises(DegenerateSeries):
+        empirical_acf(np.full(4, 1e200), 2)
+
+
 def test_acf_lag_window_validation():
     x = np.arange(10.0)
     with pytest.raises(LagTooLarge):
@@ -177,6 +192,13 @@ def test_fit_with_noise_stays_close():
 def test_realized_volatility_examples():
     assert realized_volatility(np.array([2.0, 2.0, 2.0])) == 0.0
     assert realized_volatility(np.array([0.0, 1.0, 0.0, 1.0])) == 3.0
+
+
+def test_realized_volatility_out_of_float_range_refused():
+    with pytest.raises(DomainError, match=r"realized_volatility\[n, max\|x\|\]\(6, 1e\+200\)"):
+        realized_volatility(HUGE)
+    with pytest.raises(DomainError, match="realized_volatility"):
+        signature_plot(HUGE, 2)
 
 
 def test_realized_volatility_of_brownian_path():

@@ -84,6 +84,8 @@ CASES = [
     ("g_from_gbar", W.g_from_gbar, dict(gbar=G, gbar_prime=G_PRIME, y=0.5)),
     ("SimulationGrid", W.SimulationGrid, dict(t_max=0.4, dt=0.1)),
     ("TruncationPolicy", W.TruncationPolicy, dict(tol=1e-6)),
+    ("TruncationPolicy.horizon", W.TruncationPolicy().horizon, dict(lam=0.8)),
+    ("TruncationPolicy.n_steps", W.TruncationPolicy().n_steps, dict(lam=0.8, dt=0.1)),
     ("simulate_wbou", W.simulate_wbou, dict(driver=GAMMA, lam=0.8, grid=GRID, rng=1)),
     ("simulate_wbou_ensemble", W.simulate_wbou_ensemble,
      dict(driver=GAMMA, lam=0.8, grid=GRID, n_paths=2, rng=1)),
@@ -108,7 +110,7 @@ CASES = [
      dict(mu=0.6, v=1.2, lam=0.8, delta=1.0, s=2)),
 ]
 
-#: the numeric driver methods: each family's psi, law_terms and
+#: the numeric driver methods: each family's psi, sample_increments and
 #: sample_weighted_sum (gamma on its series and on its dense default),
 #: the subordinators' cumulant_k and the jump distributions' laplace
 DRIVERS = {"gamma": GAMMA, "brownian": BM, "drift": W.deterministic_drift(1.0),
@@ -125,12 +127,12 @@ def _weighted_sum(driver):
 
 CASES += [
     *[(f"{name}.psi", d.psi, dict(u=u)) for name, d in DRIVERS.items() for u in (1.3, [0.5, -1.0])],
+    *[(f"{name}.sample_increments", lambda dt, d=d: d.sample_increments(dt, W.substream(1), 3),
+       dict(dt=0.1)) for name, d in DRIVERS.items()],
     *[(f"{name}.cumulant_k", DRIVERS[name].cumulant_k, dict(theta=0.5))
       for name in ("gamma", "drift", "cp-exponential")],
     *[(f"{type(j).__name__}.laplace", j.laplace, dict(theta=0.5))
       for j in (W.NormalJumps(0.1, 0.5), W.ExponentialJumps(1.5), W.PointMassJumps(0.5))],
-    *[(f"{name}.law_terms", DRIVERS[name.split("-coarse")[0]].law_terms, kw)
-      for name, kw in HALF_LINE.items()],
     *[(f"{name}.sample_weighted_sum", _weighted_sum(DRIVERS[name.split("-coarse")[0]]),
        dict(kw, n_paths=2)) for name, kw in HALF_LINE.items()],
 ]

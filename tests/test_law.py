@@ -66,6 +66,21 @@ def test_existence_check():
     assert existence_check(brownian(), 2.5)
 
 
+@pytest.mark.parametrize("driver", [
+    GAMMA, CPEXP, CPNORM, compound_poisson(2.0, PointMassJumps(-0.5)), brownian(0.3, 1.2),
+    deterministic_drift(-1.0)], ids=["gamma", "cp-exponential", "cp-normal", "cp-point-mass",
+                                     "brownian", "drift"])
+def test_existence_turns_on_lambda_alone(driver):
+    """Every driver family has finite variance, hence a finite log-moment:
+    the process exists at every finite lam > 0 and at no other lam."""
+    for lam in (1e-6, 1.0, 1e6):
+        assert existence_check(driver, lam)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        res = existence_check(driver, lam)
+        assert not res
+        assert "lambda" in res.reason
+
+
 # ---------------------------------------------------------------------------
 # the characteristic triplet of the marginal
 # ---------------------------------------------------------------------------

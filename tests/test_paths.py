@@ -37,7 +37,8 @@ from wbou import (
     write_path_csv,
 )
 
-from helpers import coarsen_draws, dense_draws, mean_se, replay_dense, rng_for, var_se
+from helpers import (coarsen_draws, dense_draws, hook_records, mean_se, replay_dense, rng_for,
+                     var_se)
 
 GAMMA11 = gamma_subordinator(1.0, 1.0)
 
@@ -78,6 +79,14 @@ class TestGrid:
         # 0.7 / 0.1 is not exact in binary; the tolerance must absorb that
         assert SimulationGrid(0.7, 0.1).n == 7
 
+    @pytest.mark.parametrize("t_max,dt", [(1e300, 1e-10), (1e300, 1e-5), (2.0 ** 63, 1.0)])
+    def test_step_count_numpy_cannot_index_rejected(self, t_max, dt):
+        with pytest.raises(GridError, match="more than NumPy can index"):
+            SimulationGrid(t_max, dt)
+
+    def test_largest_float_step_count_below_the_index_limit_accepted(self):
+        assert SimulationGrid(2.0 ** 62, 1.0).n == 2 ** 62
+
 
 class TestTruncation:
     def test_horizon_scales_inversely_with_lambda(self):
@@ -97,6 +106,25 @@ class TestTruncation:
     def test_bad_tol(self, tol):
         with pytest.raises(GridError):
             TruncationPolicy(tol=tol)
+
+    @pytest.mark.parametrize("lam,dt", [(1e-300, 0.1), (1e-300, 1e-10), (1e-18, 1.0)])
+    def test_horizon_numpy_cannot_index_rejected(self, lam, dt):
+        with pytest.raises(GridError, match="more than NumPy can index"):
+            TruncationPolicy().n_steps(lam, dt)
+
+    @pytest.mark.parametrize("name", ["gamma", "brownian", "cp-exponential"])
+    def test_simulations_refuse_an_unindexable_horizon(self, name):
+        grid = SimulationGrid(1.0, 0.1)
+        for simulate in (simulate_wbou, simulate_ou):
+            with pytest.raises(GridError):
+                simulate(SIX_DRIVERS[name], 1e-300, grid, rng=substream(1))
+        with pytest.raises(GridError):
+            simulate_wbou_ensemble(SIX_DRIVERS[name], 1e-300, grid, 2, rng=substream(1))
+
+
+def test_compact_kernel_refuses_an_unindexable_window():
+    with pytest.raises(GridError, match="more than NumPy can index"):
+        simulate_compact_kernel(GAMMA11, 1.0, 1e300, SimulationGrid(1.0, 1e-10), rng=1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +206,7 @@ ROW0_CASES = {**{name: (drv, SimulationGrid(2.0, 0.01)) for name, drv in SIX_DRI
 
 
 @pytest.mark.parametrize("name", list(ROW0_CASES))
-def test_single_path_is_row_zero_of_one_path_ensemble(name):
+def test_single_path_is_row_zero_of_one_path_ensemble(name, caplog):
     """simulate_wbou is row 0 of a one-path ensemble, bitwise, and
     simulate_ou is its X^- component.  The layout: dl is the (1, n) draw
     of the main child; G and X^+_{t_max} are the hook's draws from the
@@ -190,11 +218,13 @@ def test_single_path_is_row_zero_of_one_path_ensemble(name):
     for field in ("x", "x_minus", "x_plus", "g", "h"):
         assert np.array_equal(getattr(path, field), getattr(ens, field)[0])
     m = trunc.n_steps(lam, grid.dt)
-    assert (driver.law_terms(grid.dt, lam, m, trunc.tol) is None) == (name == "gamma-coarse")
     past, main, tail = substream(5, 2).spawn(3)
     assert np.array_equal(path.dl, driver.sample_increments(grid.dt, main, (1, grid.n))[0])
     hook = lambda gen: driver.sample_weighted_sum(grid.dt, lam, m, gen, 1, trunc.tol)
-    assert np.array_equal(ens.g, math.exp(-lam * grid.dt) * hook(past))
+    with caplog.at_level(logging.DEBUG, logger="wbou"):
+        g = math.exp(-lam * grid.dt) * hook(past)
+    assert (hook_records(caplog.records)[0][0] == "dense") == (name == "gamma-coarse")
+    assert np.array_equal(ens.g, g)
     assert np.array_equal(ens.x_plus[:, -1], hook(tail))
     ou = simulate_ou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
     assert np.array_equal(ou.x, path.x_minus) and ou.x[0] == path.g
@@ -202,35 +232,53 @@ def test_single_path_is_row_zero_of_one_path_ensemble(name):
 
 
 def test_simulate_logs_route_and_budget(caplog):
-    """One debug line per simulate call: m_half, horizon, the neglected-mass
-    bound and the half-line route with its count.  The bound is
-    tol |mu| / lam for the horizon, and twice that on the gamma series
-    route, which spends the budget again."""
+    """Each simulate call logs one engine line (sizes, horizon and the
+    horizon mass tol |mu| / lam), then one record per hook call, past
+    side first: route, rows, the terms actually drawn and the mass the
+    series neglects (tol mu / lam on the gamma series, 0 elsewhere).  On
+    the scatter routes the terms are the Poisson total that the hook's
+    child generator draws first."""
     fine, coarse = SimulationGrid(1.0, 1e-3), SimulationGrid(1.0, 0.1)
-    with caplog.at_level(logging.DEBUG, logger="wbou"):
-        simulate_wbou_ensemble(GAMMA11, 1.0, fine, 2, rng=substream(1))
-        simulate_wbou(GAMMA11, 1.0, coarse, rng=substream(1))
-        simulate_wbou_ensemble(deterministic_drift(2.0), 1.0, fine, 2, rng=substream(1))
-    lines = [r.getMessage() for r in caplog.records if r.name == "wbou"]
-    assert len(lines) == 3
-    m = TruncationPolicy().n_steps(1.0, fine.dt)
-    gmax = GAMMA11.law_terms(fine.dt, 1.0, m, 1e-12)
-    for part in (f"m_half={m}", f"horizon={m * fine.dt:.6g}",
-                 "neglected_mass<=2e-12 (horizon 1e-12 + series 1e-12)",
-                 f"law {gmax:.6g} terms/row"):
-        assert part in lines[0]
-    m_coarse = TruncationPolicy().n_steps(1.0, coarse.dt)
-    for part in (f"m_half={m_coarse}", "neglected_mass<=1e-12 (horizon 1e-12 + series 0)",
-                 f"dense {m_coarse} draws/row"):
-        assert part in lines[1]
-    assert "neglected_mass<=2e-12 (horizon 2e-12 + series 0)" in lines[2]
+    runs = [(GAMMA11, fine, 2, "series"), (SIX_DRIVERS["cp-exponential"], fine, 3, "jumps"),
+            (GAMMA11, coarse, 1, "dense"), (SIX_DRIVERS["brownian"], fine, 2, "normal"),
+            (SIX_DRIVERS["drift"], fine, 2, "constant")]
+    for driver, grid, n_paths, route in runs:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="wbou"):
+            if n_paths == 1:
+                simulate_wbou(driver, 1.0, grid, rng=substream(1))
+            else:
+                simulate_wbou_ensemble(driver, 1.0, grid, n_paths, rng=substream(1))
+        lines = [r.getMessage() for r in caplog.records if r.name == "wbou"]
+        m = TruncationPolicy().n_steps(1.0, grid.dt)
+        assert len(lines) == 3
+        assert lines[0] == (
+            f"simulate: n_paths={n_paths} n={grid.n} lam=1 dt={grid.dt:.6g} m_half={m} "
+            f"horizon={m * grid.dt:.6g} horizon_mass<={1e-12 * abs(driver.moments()[0]):.3g}")
+        past, _, tail = substream(1).spawn(3)
+        records = hook_records(caplog.records)
+        assert len(records) == 2
+        for (got, rows, terms, mass), gen in zip(records, (past, tail)):
+            assert (got, rows) == (route, n_paths)
+            if route == "series":
+                want = gen.poisson(GAMMA11._gamma_max(grid.dt, 1.0, m, 1e-12), n_paths).sum()
+            elif route == "jumps":
+                want = gen.poisson(5.0 * grid.dt * m, n_paths).sum()
+            else:
+                want = {"dense": n_paths * m, "normal": n_paths, "constant": 0}[route]
+            assert terms == want
+            assert mass == ("1e-12" if route == "series" else "0")
 
 
-#: SHA-256 of simulate_wbou_ensemble(...).x for two drivers at a fixed
-#: seed (numpy 2.4, scipy 1.17, x86-64), half-lines drawn by law.
+#: SHA-256 of simulate_wbou_ensemble(...).x for four drivers at a fixed
+#: seed (numpy 2.4, scipy 1.17, x86-64), half-lines drawn by law.  The
+#: compound Poisson digests hold the scatter sums, which weight only the
+#: cells they draw, to the bits of indexing the full m_half weight array.
 FROZEN_ENSEMBLES = {
     "gamma": "34e3dda7265dabd28529714ae1ddd5d0cbde24d70db7e9d27eb5ff9f011abfc0",
     "brownian": "c54d6bb099108d208d9da2773d88183ac47c94ff7538af1d54917d6c37f95132",
+    "cp-exponential": "efb2cde7fdc8dfb06b8557ea7ac841a6b2b1e59df72696810a435ab723cacd8f",
+    "cp-normal": "723254262ab645b788b013772f0fcc27d8ba7ded58e6a1ebe298639fb692a5d5",
 }
 
 

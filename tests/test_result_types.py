@@ -64,15 +64,23 @@ def test_merged_and_removed_names_are_gone(name):
     assert not hasattr(wbou, name)
 
 
+DRIVER_CLASSES = (wbou.DriverSpec, wbou.BrownianDriver, wbou.CompoundPoissonDriver,
+                  wbou.GammaSubordinatorDriver, wbou.DriftDriver)
+
+
 @pytest.mark.parametrize("owner, name", [
     (wbou.WbouPath, "dl_past"), (wbou.WbouPath, "dl_tail"), (wbou.OuPath, "dl_past"),
     (wbou.DriverSpec, "sample_increment"), (wbou.LevyMeasure, "mean_outside_unit"),
     (wbou.LevyMeasure, "mean_inside_unit"), (wbou.LevyMeasure, "second_moment"),
+    *[(cls, name) for cls in DRIVER_CLASSES
+      for name in ("law_terms", "_law_is_exact", "log_moment_finite")],
 ])
 def test_half_line_increments_and_audit_duplicates_are_gone(owner, name):
     """Paths keep no half-line increments: every path draws G and
     X^+_{t_max} whole.  The moment integrals of a measure are the test
     oracle measure_moment_quad, a scalar draw is sample_increments(dt,
-    rng, ())."""
+    rng, ()).  The half-line hook logs its own route and terms, so the
+    drivers name no route for the engine; every family has a finite
+    log-moment, so existence needs only lam > 0."""
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__dataclass_fields__", {})
