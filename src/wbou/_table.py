@@ -4,6 +4,17 @@ A header line of column names, then one line per row: floats by ``repr``
 (they read back bit for bit), ints by ``str``, a missing column as empty
 fields.  This module imports no wbou module but ``errors``, so paths,
 svmodel, estimation and cli can all use it without an import cycle.
+
+The reader has two tiers.  The ``csv.reader`` scan defines what a file
+means and writes every error message.  Before it, one ``np.loadtxt``
+call reads the values, and its result is kept only where it provably
+equals the scan's: a regular file with a one-line header, every line
+ended by LF or CR LF (no bare CR) and shorter than
+``csv.field_size_limit()``, no space that only ``loadtxt`` strips, and
+exactly one row per data line, so no line was blank and no quoted cell
+spans lines.  Anything ``loadtxt`` refuses (``1_0``, an empty cell,
+undecodable bytes, no data) goes to the scan, which reads it or names
+the file and line.
 """
 from __future__ import annotations
 
@@ -16,6 +27,10 @@ from .errors import DimensionMismatch, DomainError
 
 #: rows formatted at a time; bounds the strings held in memory
 _BLOCK = 8192
+#: characters the reader's line check holds at a time
+_CHUNK = 1 << 16
+#: the whitespace ``loadtxt`` strips around a number and ``float`` does not
+_SPACES_LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
 
 
 def write_table(out, header, columns) -> None:
@@ -46,14 +61,94 @@ def read_columns(path, names) -> tuple[dict[str, np.ndarray], list[int]]:
     by ``float``.  A missing or unreadable cell raises a DomainError
     naming the file and the line of the first bad row.
     """
+    fast = _read_fast(path, names)
+    return _scan(path, names) if fast is None else fast
+
+
+def _where(header, names) -> dict[str, int]:
+    header = [c.strip() for c in header]
+    return {name: header.index(name) for name in names if name in header}
+
+
+def _read_fast(path, names):
+    """``read_columns`` by one ``np.loadtxt`` call, or None wherever the
+    result could differ from ``_scan``'s.  Only a regular file is read,
+    since a pipe cannot be read twice."""
+    import os
+    import warnings
+
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or reader.line_num != 1:
+                return None
+            where = _where(header, names)
+            if not where:
+                return None
+            fh.seek(0)
+            n = _plain_lines(fh, csv.field_size_limit())
+            if n is None:
+                return None
+            if n == 1:
+                return {name: np.empty(0) for name in where}, []
+            fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", skiprows=1,
+                                    usecols=list(where.values()), quotechar='"',
+                                    comments=None, ndmin=2)
+    except (csv.Error, ValueError, UserWarning):
+        return None
+    if len(values) != n - 1:
+        return None
+    return ({name: values[:, j].copy() for j, name in enumerate(where)},
+            list(range(2, n + 1)))
+
+
+def _plain_lines(fh, limit) -> int | None:
+    """The number of lines of ``fh``, or None if a line ends in a bare
+    CR or has ``limit`` characters or more, or the text holds a space
+    that only ``loadtxt`` strips.
+
+    Reads blocks of ``_CHUNK`` characters, one more after a CR.  A line
+    inside a block is then shorter than ``limit``, so only the lines
+    that block boundaries cut are measured.
+    """
+    if limit <= _CHUNK + 1:
+        return None
+    lines = run = 0
+    while block := fh.read(_CHUNK):
+        if block[-1] == "\r":
+            block += fh.read(1)
+        if "\r" in block and block.count("\r") != block.count("\r\n"):
+            return None
+        if any(c in block for c in _SPACES_LOADTXT_ONLY):
+            return None
+        first = block.find("\n")
+        if first < 0:
+            run += len(block)
+        else:
+            if run + first >= limit:
+                return None
+            run = len(block) - block.rfind("\n") - 1
+            lines += block.count("\n")
+        if run >= limit:
+            return None
+    return lines + (run > 0)
+
+
+def _scan(path, names) -> tuple[dict[str, np.ndarray], list[int]]:
+    """``read_columns`` by ``csv.reader`` and ``float``, row by row."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise DomainError(f"{path}: empty file")
-            header = [c.strip() for c in header]
-            where = {name: header.index(name) for name in names if name in header}
+            where = _where(header, names)
             cols = {name: [] for name in where}
             lines = []
             for line, row in enumerate(reader, start=2):

@@ -201,9 +201,14 @@ def cmd_theory(args) -> int:
     lam = getattr(args, "lambda")
     p = SecondOrderParams(lam)
     if args.kind == "acf":
-        hs = (np.arange(_checks.whole(args.max_lag, 0, "--max-lag") + 1)
-              * _checks.positive(args.dh, "--dh"))
-        write_table(args.out, ("h", "acf_wbou", "acf_ou"), (hs, acf_x(p, hs), acf_ou(p, hs)))
+        def table(lam, max_lag, dh):
+            hs = np.arange(max_lag + 1) * dh
+            return hs, acf_x(p, hs), acf_ou(p, hs)
+
+        write_table(args.out, ("h", "acf_wbou", "acf_ou"), _checks.in_range(
+            "theory acf[lambda, max_lag, dh]", table, lam,
+            _checks.whole(args.max_lag, 0, "--max-lag"), _checks.positive(args.dh, "--dh"),
+            numpy=True))
     elif args.kind == "increment-acf":
         ks = np.arange(1, _checks.whole(args.max_lag, 1, "--max-lag") + 1)
         write_table(args.out, ("k", "rho_wbou", "rho_ou"),

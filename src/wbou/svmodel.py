@@ -52,7 +52,7 @@ from scipy.integrate import cumulative_trapezoid
 from . import _checks
 from ._table import write_table
 from .drivers import DriverSpec
-from .errors import MissingComponents, NotASubordinator
+from .errors import GridError, MissingComponents, NotASubordinator
 from .paths import SimulationGrid, TruncationPolicy, simulate_wbou, simulate_wbou_ensemble
 from .rng import as_generator
 
@@ -138,12 +138,16 @@ def _simulate_joint(spec, grid, n_paths, trunc, rng) -> SvPath:
     row 0 of the one-path batch.
     """
     l_gen, w_gen = as_generator(rng).spawn(2)
-    inner_grid = _scaled_grid(spec, grid)
-    if n_paths is None:
-        inner = simulate_wbou(spec.driver, 1.0, inner_grid, trunc=trunc, rng=l_gen)
-    else:
-        inner = simulate_wbou_ensemble(spec.driver, 1.0, inner_grid, n_paths,
-                                       trunc=trunc, rng=l_gen)
+    try:
+        inner_grid = _scaled_grid(spec, grid)
+        if n_paths is None:
+            inner = simulate_wbou(spec.driver, 1.0, inner_grid, trunc=trunc, rng=l_gen)
+        else:
+            inner = simulate_wbou_ensemble(spec.driver, 1.0, inner_grid, n_paths,
+                                           trunc=trunc, rng=l_gen)
+    except GridError as exc:
+        raise GridError(f"lambda={spec.lam}, dt={grid.dt}: on the lambda-scaled grid of X, "
+                        f"{exc}") from exc
     x = np.atleast_2d(inner.x)
     dw = w_gen.normal(0.0, math.sqrt(grid.dt), (len(x), grid.n))
     y = _euler_y(spec, grid, x, dw)

@@ -4,7 +4,9 @@ Every test drives ``wbou.cli.main`` in-process with an explicit argv,
 checking exit codes (0 success, 1 I/O, 2 validation), the one-line
 summaries on stdout, and the CSV files written to ``tmp_path``.
 """
+import contextlib
 import hashlib
+import io
 import os
 import shutil
 import subprocess
@@ -12,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import wbou
 from wbou.analytics import (
@@ -251,6 +255,9 @@ _FAULTY_INPUTS = {
     ["acf", "--input", "{huge_x}", "--max-lag", "2", "--out", "{out}"],
     ["theory", "increment-acf", "--lambda", "800", "--out", "{out}"],
     ["theory", "increment-acf", "--lambda", "1e-300", "--out", "{out}"],
+    ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1e-300", "--t-max", "1",
+     "--dt", "0.01", "--out", "{out}"],
+    ["theory", "acf", "--lambda", "1e308", "--dh", "10", "--max-lag", "3", "--out", "{out}"],
 ], ids=["paths-0", "t-max-nan", "dt-inf", "lambda-inf", "sv-lambda-inf", "sv-paths-0",
         "acf-bad-cell", "signature-bad-cell", "fit-bad-cell", "theory-acf-max-lag-neg",
         "theory-iacf-max-lag-0", "theory-sv-max-s-0", "driver-gamma-nan",
@@ -264,7 +271,8 @@ _FAULTY_INPUTS = {
         "simulate-horizon-unindexable-brownian", "simulate-horizon-unindexable-gamma",
         "simulate-horizon-unindexable-cpoisson", "sv-horizon-unindexable",
         "signature-huge-values", "acf-huge-values", "theory-iacf-lambda-huge",
-        "theory-iacf-lambda-tiny"])
+        "theory-iacf-lambda-tiny", "sv-horizon-unindexable-fine-dt",
+        "theory-acf-overflow"])
 def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
     inputs = {"bad": _table_with_bad_cell(tmp_path / "bad.csv")}
     for name, text in _FAULTY_INPUTS.items():
@@ -277,6 +285,13 @@ def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error:")
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
         p.name for p in inputs.values())
+
+
+def test_sv_grid_error_names_the_given_grid(tmp_path, capsys):
+    argv = ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1e-300", "--t-max", "1",
+            "--dt", "0.01", "--out", str(tmp_path / "sv.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: lambda=1e-300, dt=0.01: ")
 
 
 def test_bad_cell_error_names_file_and_line(tmp_path, capsys):
@@ -527,6 +542,79 @@ def test_config_missing_file_exits_1(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
     assert code == 1
     assert "i/o error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# generated inputs for the reading subcommands
+
+#: cells of generated input files: readable numbers, every float at full
+#: precision, and spellings the reader must refuse or read with care
+READABLE = st.one_of(st.floats(-1e3, 1e3).map(repr), st.integers(-2, 40).map(str))
+CELLS = st.one_of(
+    READABLE,
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "abc", "1_0", '"1,2"', "1e999", "-0", " 2 ", "\x00", "\xff"]),
+)
+
+
+#: headers of generated inputs: what each subcommand reads, and for fit
+#: a series it cannot use
+HEADERS = {"acf": ["x", "t,x", "x,t"], "signature": ["x", "t,x", "x,t"],
+           "fit": ["lag,rho_hat", "lag,rho_hat,x", "rho_hat,lag", "x"]}
+
+
+@st.composite
+def input_files(draw, command):
+    """Rows as wide as the header, mostly of readable cells.  An index
+    column (t or lag) that comes first counts 0, 1, 2, ..."""
+    names = draw(st.sampled_from(HEADERS[command])).split(",")
+    cells = draw(st.sampled_from([READABLE, READABLE, CELLS]))
+    rows = draw(st.lists(st.lists(cells, min_size=len(names), max_size=len(names)),
+                         max_size=30))
+    if names[0] in ("t", "lag"):
+        for k, row in enumerate(rows):
+            row[0] = str(k)
+    end = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return "\n".join([",".join(names)] + [",".join(r) for r in rows]) + end
+
+
+def reading_argv(data, command, src, out):
+    """Small windows and skips, some of them out of range."""
+    lag = str(data.draw(st.integers(0, 6), label="max_lag"))
+    if command == "acf":
+        return ["acf", "--input", src, "--max-lag", lag, "--out", out]
+    if command == "signature":
+        skip = str(data.draw(st.integers(0, 6), label="max_skip"))
+        return ["signature", "--input", src, "--max-skip", skip, "--out", out]
+    model = data.draw(st.sampled_from(["both", "wbou", "ou"]), label="model")
+    low = str(data.draw(st.integers(0, 3), label="min_lag"))
+    return ["fit", "--input", src, "--model", model, "--min-lag", low, "--max-lag", lag]
+
+
+@pytest.mark.parametrize("command", ["acf", "signature", "fit"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reading_subcommands_exit_0_or_2_on_generated_inputs(tmp_path_factory, command, data):
+    """Exit 0 with a finite table, or exit 2 with one error line and no
+    output file; never a traceback."""
+    tmp = tmp_path_factory.mktemp(command)
+    src, out = tmp / "in.csv", tmp / "out.csv"
+    src.write_bytes(data.draw(input_files(command), label="input").encode("utf-8", "surrogateescape"))
+    argv = reading_argv(data, command, str(src), str(out))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    event(f"exit {code}")
+    if code == 2:
+        err = stderr.getvalue().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+        return
+    assert code == 0 and stderr.getvalue() == ""
+    assert stdout.getvalue()
+    if command != "fit":
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert len(rows) > 0 and np.isfinite(rows).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Rules on the package source, read with ``ast``.
 
-Only ``_table`` opens files for writing, so the CSV format has one
-owner.  Only ``cli`` prints; the library reports through the ``wbou``
-logger.  Only ``_checks`` tests numbers for NaN or inf and raises
+Only ``_table`` opens files for writing or parses CSV (``csv``,
+``loadtxt``, ``genfromtxt``), so the CSV format has one owner.  Only
+``cli`` prints; the library reports through the ``wbou`` logger.  Only
+``_checks`` tests numbers for NaN or inf and raises
 InvalidLambda, so the numeric-input policy has one owner too.  Outside
 ``drivers`` (the samplers and the dense default of
 ``sample_weighted_sum``), only ``paths._simulate``, once for the main
@@ -19,6 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wbou"
 #: calls that write a file whatever their arguments
 WRITE_CALLS = {"write_text", "write_bytes", "save", "savez", "savez_compressed",
                "savetxt", "tofile"}
+
+#: NumPy's text-table readers
+CSV_READERS = {"loadtxt", "genfromtxt"}
 
 #: math or numpy tests for NaN and inf
 FINITENESS_CALLS = {"isfinite", "isinf", "isnan"}
@@ -53,6 +57,19 @@ def _writes(name, call) -> bool:
     modes += call.args[first : first + 1]
     return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
                or set(m.value) & set("wax+") for m in modes)
+
+
+def _parses_csv(node) -> bool:
+    """True for an import of ``csv`` and for any name or attribute
+    loadtxt or genfromtxt, imported or used."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "csv" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").split(".")[0] == "csv"
+                or any(a.name in CSV_READERS for a in node.names))
+    if isinstance(node, ast.Attribute):
+        return node.attr in CSV_READERS
+    return isinstance(node, ast.Name) and node.id in CSV_READERS
 
 
 def _checks_numbers(node) -> bool:
@@ -118,6 +135,28 @@ def test_write_rule_reads_only_the_mode(src, writes):
 
 def test_only_table_module_opens_files_for_writing():
     assert _modules_where(_writes) == ["_table.py"]
+
+
+@pytest.mark.parametrize("src, parses", [
+    ("import csv", True),
+    ("import csv as c", True),
+    ("from csv import reader", True),
+    ("np.loadtxt(p, delimiter=',')", True),
+    ("numpy.genfromtxt(p)", True),
+    ("from numpy import loadtxt", True),
+    ("read = loadtxt", True),
+    ("import csvlib", False),
+    ("read_columns(p, ('x', 't'))", False),
+    ("np.savetxt(p, a)", False),
+])
+def test_csv_rule_finds_the_parsers(src, parses):
+    found = _functions_where(_parses_csv, ast.parse(f"def f(p):\n    {src}\n"))
+    assert found == ({"f"} if parses else set())
+
+
+def test_only_table_module_parses_csv():
+    assert sorted(p.name for p in SRC.glob("*.py")
+                  if _sites_where(_parses_csv, ast.parse(p.read_text()))) == ["_table.py"]
 
 
 def test_only_cli_prints():

@@ -3,9 +3,17 @@
 The writer is checked byte for byte against a one-row-at-a-time
 formatter, and values read back bit for bit.  The reader is checked
 cell by cell on the bodies people write by hand: blank lines, CRLF,
-padding, ragged rows and quoted commas.
+padding, ragged rows and quoted commas.  Its ``np.loadtxt`` tier is
+checked against the ``csv.reader`` scan on hostile bodies, and the
+files wbou writes are checked to take that tier.
 """
+import csv
+import os
 import re
+import threading
+import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +37,13 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+@contextmanager
+def scan_forbidden():
+    """Fail if ``read_columns`` falls back to the ``csv.reader`` scan."""
+    with mock.patch.object(_table, "_scan", side_effect=AssertionError("took the scan")):
+        yield
+
+
 ROW = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False),
                 st.integers(-2**53, 2**53))
 
@@ -44,7 +59,8 @@ def test_round_trip_is_bitwise(tmp_path_factory, rows):
     write_table(f, ("a", "b", "k"), (np.array(a, dtype=float), np.array(b, dtype=float),
                                      np.array(k, dtype=np.int64)))
     assert f.read_text() == per_row_text(("a", "b", "k"), (a, b, k))
-    back, lines = read_columns(f, ("a", "b", "k"))
+    with scan_forbidden():
+        back, lines = read_columns(f, ("a", "b", "k"))
     assert lines == list(range(2, len(rows) + 2))
     assert np.array_equal(bits(back["a"]), bits(a))
     assert np.array_equal(bits(back["b"]), bits(b))
@@ -116,6 +132,94 @@ def test_undecodable_bytes_are_refused(tmp_path):
     f.write_bytes(b"x\n1.0\n\xff\xfe3.0\n")
     with pytest.raises(DomainError, match="codec can't decode"):
         read_columns(f, ("x",))
+
+
+def test_path_file_takes_the_loadtxt_tier(tmp_path):
+    n = 100_001
+    rng = np.random.default_rng(7)
+    t = np.arange(n) * 1e-3
+    x, x_minus, x_plus = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-30, 30, (3, n))
+    f = tmp_path / "path.csv"
+    write_table(f, ("t", "x", "x_minus", "x_plus"), (t, x, x_minus, x_plus))
+    with scan_forbidden():
+        cols, lines = read_columns(f, ("x", "t"))
+    assert lines == list(range(2, n + 2))
+    assert np.array_equal(bits(cols["x"]), bits(x))
+    assert np.array_equal(bits(cols["t"]), bits(t))
+    assert all(v.flags.c_contiguous for v in cols.values())
+
+
+def outcome(read, path, names):
+    """What a reader makes of a file: values as bits and lines, or the
+    DomainError message."""
+    try:
+        cols, lines = read(path, names)
+    except DomainError as exc:
+        return str(exc)
+    return {name: bits(v).tolist() for name, v in cols.items()}, lines
+
+
+#: pieces of hostile bodies: every character the two tiers treat
+#: differently, and the float spellings
+PIECES = list("0123456789.e+-_,\" \t\r\n#\x00\x1c\x1f") + ["nan", "inf"]
+HEADERS = ["a,b\n", "b,a\r\n", " a ,b,c\n", '"a",b\n', "a\n", "a,b", "a,b\r", "c\n"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(header=st.sampled_from(HEADERS), body=st.lists(st.sampled_from(PIECES), max_size=40))
+@example(header="a,b\n", body=["1,", "1" * (csv.field_size_limit() + 1), "\n"])
+@example(header="a,b\n", body=["1,", "1" * csv.field_size_limit(), "\n"])
+@example(header='"a\nb",a\n', body=["1,2\n3,4\n"])
+@example(header='a,"b\n2,3"\n', body=["5,6\n"])
+@example(header="a,b\n", body=[])
+@example(header="a,b\n", body=["\n"])
+@example(header="a,b\n", body=['"1\n",2\n3,4\n'])
+@example(header="a,b\n", body=["1,2\r3,4\n"])
+@example(header="a,b\n", body=["\r1,2\n"])
+@example(header="a,b\n", body=["1,2\x1c\n"])
+@example(header="a,b\n", body=["1_0,1#c\n"])
+def test_loadtxt_tier_reads_what_the_scan_reads(tmp_path_factory, header, body):
+    f = tmp_path_factory.mktemp("diff") / "t.csv"
+    f.write_bytes((header + "".join(body)).encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = outcome(read_columns, f, ("a", "b"))
+    assert got == outcome(_table._scan, f, ("a", "b"))
+    assert not caught
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_is_opened_once(tmp_path):
+    """A pipe's text can be read only once: a reader that opened it a
+    second time would wait for a writer for ever."""
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    got = []
+    threads = [threading.Thread(target=fifo.write_text, args=("x\n1.5\n\n2.5\n",), daemon=True),
+               threading.Thread(target=lambda: got.append(read_columns(fifo, ("x",))), daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert got, "read_columns is still waiting on the pipe"
+    cols, lines = got[0]
+    assert cols["x"].tolist() == [1.5, 2.5] and lines == [2, 4]
+
+
+def test_line_check_sees_across_block_boundaries(tmp_path):
+    """A long line that block boundaries cut is measured whole, and a
+    CR LF they cut is not a bare CR."""
+    limit = csv.field_size_limit()
+    rows = _table._CHUNK // 3
+    crlf = "x\n" + "1\r\n" * rows
+    assert crlf[_table._CHUNK - 1] == "\r"
+    f = tmp_path / "t.csv"
+    for text, want in [("x\n1\n" + "2" * (limit - 1) + "\n", 3),
+                       ("x\n1\n" + "2" * limit + "\n", None),
+                       (crlf, rows + 1), (crlf + "2\r3\n", None)]:
+        f.write_bytes(text.encode())
+        with open(f, newline="") as fh:
+            assert _table._plain_lines(fh, limit) == want
 
 
 @pytest.mark.parametrize("bad", [np.zeros((4, 4)), np.zeros((1, 4)), np.float64(1.0)],
