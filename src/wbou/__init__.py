@@ -45,7 +45,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyRange,
-    ExistenceViolation,
     GridError,
     GridMismatch,
     InvalidLambda,

@@ -19,6 +19,7 @@ the file and line.
 from __future__ import annotations
 
 import csv
+import os
 from itertools import repeat
 
 import numpy as np
@@ -53,16 +54,24 @@ def write_table(out, header, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def read_columns(path, names) -> tuple[dict[str, np.ndarray], list[int]]:
-    """The named columns the header has, in ``names`` order, as floats,
-    and the file line of each row.
+def read_columns(path, names) -> dict[str, np.ndarray]:
+    """The named columns the header has, in ``names`` order, as floats.
 
     Rows come from ``csv.reader``, blank lines skipped; cells are read
     by ``float``.  A missing or unreadable cell raises a DomainError
     naming the file and the line of the first bad row.
     """
     fast = _read_fast(path, names)
-    return _scan(path, names) if fast is None else fast
+    return _scan(path, names)[0] if fast is None else fast
+
+
+def locate_row(path, k: int) -> str:
+    """Where row k (from 0) of a file ``read_columns`` read is, for an
+    error message: its file line by the scan, or, in a file that cannot
+    be read twice such as a pipe, its row number."""
+    if os.path.isfile(path):
+        return f"line {_scan(path, ())[1][k]}"
+    return f"row {k + 1}"
 
 
 def _where(header, names) -> dict[str, int]:
@@ -74,7 +83,6 @@ def _read_fast(path, names):
     """``read_columns`` by one ``np.loadtxt`` call, or None wherever the
     result could differ from ``_scan``'s.  Only a regular file is read,
     since a pipe cannot be read twice."""
-    import os
     import warnings
 
     if not os.path.isfile(path):
@@ -93,7 +101,7 @@ def _read_fast(path, names):
             if n is None:
                 return None
             if n == 1:
-                return {name: np.empty(0) for name in where}, []
+                return {name: np.empty(0) for name in where}
             fh.seek(0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)
@@ -104,8 +112,7 @@ def _read_fast(path, names):
         return None
     if len(values) != n - 1:
         return None
-    return ({name: values[:, j].copy() for j, name in enumerate(where)},
-            list(range(2, n + 1)))
+    return {name: values[:, j].copy() for j, name in enumerate(where)}
 
 
 def _plain_lines(fh, limit) -> int | None:
@@ -141,7 +148,8 @@ def _plain_lines(fh, limit) -> int | None:
 
 
 def _scan(path, names) -> tuple[dict[str, np.ndarray], list[int]]:
-    """``read_columns`` by ``csv.reader`` and ``float``, row by row."""
+    """``read_columns`` by ``csv.reader`` and ``float``, row by row, and
+    the file line where each row starts."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -151,7 +159,10 @@ def _scan(path, names) -> tuple[dict[str, np.ndarray], list[int]]:
             where = _where(header, names)
             cols = {name: [] for name in where}
             lines = []
-            for line, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:
+                # a quoted cell may span lines: a row starts after the last one ended
+                line, end = end + 1, reader.line_num
                 if not row:
                     continue
                 lines.append(line)

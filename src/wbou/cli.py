@@ -18,9 +18,11 @@ Drivers are written as ``family:key=value,...``, e.g.::
     cpoisson:eta=2,jump=point,c=0.5
     drift:gamma=2
 
-Options may also come from a plain-text config file of ``key=value``
-lines via --config; explicit command-line flags win on conflict.  Exit
-codes: 0 on success, 1 on I/O failure, 2 on validation failure.
+Only simulate and sv draw random numbers, so only they take --seed
+(default 0).  Options may also come from a plain-text config file of
+``key=value`` lines via --config; explicit command-line flags win on
+conflict.  Exit codes: 0 on success, 1 on I/O failure, 2 on validation
+failure or when memory runs out.
 """
 from __future__ import annotations
 
@@ -303,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"wbou {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out=True):
-        p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-        if out:
-            p.add_argument("--out", required=True, help="output CSV path")
-
     sim = sub.add_parser("simulate", help="simulate process paths")
     sim.add_argument("--driver", required=True, help="family:key=value,...")
     sim.add_argument("--lambda", type=float, required=True, dest="lambda")
@@ -316,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paths", type=int, default=1)
     sim.add_argument("--tol", type=float, default=1e-12,
                      help="half-line truncation tolerance")
-    add_common(sim)
+    sim.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(fn=cmd_simulate)
 
     th = sub.add_parser("theory", help="evaluate closed-form curves")
@@ -333,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sv spot-volatility variance")
     th.add_argument("--driver", default=None,
                     help="derive sv spot-volatility moments from a driver")
-    add_common(th)
+    th.add_argument("--out", required=True, help="output CSV path")
     th.set_defaults(fn=cmd_theory)
 
     ac = sub.add_parser("acf", help="empirical ACF plus fitted model curves")
     ac.add_argument("--input", required=True, help="series CSV (x or t,x)")
     ac.add_argument("--max-lag", type=int, required=True)
     ac.add_argument("--min-lag", type=int, default=1, help="fit window start")
-    add_common(ac)
+    ac.add_argument("--out", required=True, help="output CSV path")
     ac.set_defaults(fn=cmd_acf)
 
     ft = sub.add_parser("fit", help="least-squares rate fit on an ACF table")
@@ -348,13 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("--model", choices=["wbou", "ou", "both"], default="both")
     ft.add_argument("--min-lag", type=int, default=1)
     ft.add_argument("--max-lag", type=int, required=True)
-    add_common(ft, out=False)
     ft.set_defaults(fn=cmd_fit)
 
     sg = sub.add_parser("signature", help="volatility signature plot")
     sg.add_argument("--input", required=True, help="series CSV (x or t,x)")
     sg.add_argument("--max-skip", type=int, required=True)
-    add_common(sg)
+    sg.add_argument("--out", required=True, help="output CSV path")
     sg.set_defaults(fn=cmd_signature)
 
     sv = sub.add_parser("sv", help="simulate the stochastic-volatility model")
@@ -366,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--dt", type=float, required=True)
     sv.add_argument("--paths", type=int, default=1)
     sv.add_argument("--tol", type=float, default=1e-12)
-    add_common(sv)
+    sv.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    sv.add_argument("--out", required=True, help="output CSV path")
     sv.set_defaults(fn=cmd_sv)
     return top
 
@@ -379,6 +377,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except WbouError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

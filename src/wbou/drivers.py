@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import _checks
 from .errors import DomainError, NotASubordinator
@@ -54,22 +54,7 @@ __all__ = [
     "deterministic_drift",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
-
 _log = logging.getLogger("wbou")
-
-
-def _quad(f, a: float, b: float, name: str) -> float:
-    """scipy's quad at _QUAD_OPTS, keeping its error estimate: one debug
-    line per call, and a warning when the estimate is above the 1e-12
-    absolute and relative tolerance (the value is still returned)."""
-    val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("%s: quad over [%.6g, %.6g], error estimate %.3g", name, a, b, err)
-    if err > max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(val)):
-        _log.warning("%s: quad error estimate %.3g over [%.6g, %.6g] is above the "
-                     "%.0e tolerance", name, err, a, b, _QUAD_OPTS["epsabs"])
-    return val
 
 
 def _weights(dt, lam, m):
@@ -113,9 +98,11 @@ class LevyMeasure:
 
     ``density`` is the Lebesgue density of the continuous part on
     ``support`` (excluding 0); ``atoms`` is a tuple of (position, mass)
-    pairs.  Closed-form tail callables may be supplied for the
-    continuous part; otherwise tails fall back to adaptive quadrature of
-    the density, which is what the cross-check tests rely on.
+    pairs.  A density comes with both closed tails of the continuous
+    part, ``tail_pos_closed(y)`` the mass of [y, inf) and
+    ``tail_neg_closed(y)`` that of (-inf, -y]; without them construction
+    raises DomainError.  A measure without a density has continuous
+    tails 0.
     """
 
     density: Callable[[float], float] | None = None
@@ -124,36 +111,25 @@ class LevyMeasure:
     tail_pos_closed: Callable[[float], float] | None = None
     tail_neg_closed: Callable[[float], float] | None = None
 
+    def __post_init__(self):
+        if self.density is not None and None in (self.tail_pos_closed, self.tail_neg_closed):
+            raise DomainError("a Levy measure with a density needs both closed tails")
+
     @property
     def is_zero(self) -> bool:
         return self.density is None and not self.atoms
 
-    def _quad(self, fn, lo, hi) -> float:
-        if self.density is None:
-            return 0.0
-        lo = max(lo, self.support[0])
-        hi = min(hi, self.support[1])
-        if not lo < hi:
-            return 0.0
-        return _quad(fn, lo, hi, "measure")
-
     def tail_pos(self, y: float, include_endpoint: bool = True) -> float:
         """Mass of [y, inf) for y > 0 (or (y, inf) if not include_endpoint)."""
         _checks.positive(y, "tail argument")
-        if self.tail_pos_closed is not None:
-            cont = self.tail_pos_closed(y)
-        else:
-            cont = self._quad(self.density, y, math.inf)
+        cont = 0.0 if self.density is None else self.tail_pos_closed(y)
         keep = (lambda c: c >= y) if include_endpoint else (lambda c: c > y)
         return cont + sum(m for c, m in self.atoms if keep(c))
 
     def tail_neg(self, y: float, include_endpoint: bool = True) -> float:
         """Mass of (-inf, -y] for y > 0."""
         _checks.positive(y, "tail argument")
-        if self.tail_neg_closed is not None:
-            cont = self.tail_neg_closed(y)
-        else:
-            cont = self._quad(self.density, -math.inf, -y)
+        cont = 0.0 if self.density is None else self.tail_neg_closed(y)
         keep = (lambda c: c <= -y) if include_endpoint else (lambda c: c < -y)
         return cont + sum(m for c, m in self.atoms if keep(c))
 

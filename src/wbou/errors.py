@@ -9,10 +9,6 @@ class InvalidLambda(WbouError):
     """The mean-reversion rate must be positive and finite."""
 
 
-class ExistenceViolation(WbouError):
-    """The requested process does not exist for the given driver/rate."""
-
-
 class GridError(WbouError):
     """Simulation grid is inconsistent (dt and horizon do not align)."""
 

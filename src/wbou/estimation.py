@@ -30,7 +30,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from . import _checks
-from ._table import read_columns, write_table
+from ._table import locate_row, read_columns, write_table
 from .analytics import SecondOrderParams, acf_ou, acf_x
 from .errors import (
     DegenerateSeries,
@@ -237,7 +237,7 @@ def signature_plot(series, max_skip: int) -> np.ndarray:
 def read_series_csv(path) -> np.ndarray:
     """Read a level series: single column `x`, or `t,x` with t checked
     to be strictly increasing (and otherwise ignored)."""
-    cols, _ = read_columns(path, ("x", "t"))
+    cols = read_columns(path, ("x", "t"))
     if "x" not in cols:
         raise DomainError(f"{path}: expected a column named 'x'")
     t = cols.get("t")
@@ -262,7 +262,7 @@ def read_acf_csv(path) -> AcfEstimate:
     Row k must hold lag k, so lags are whole numbers contiguous from 0,
     and every rho_hat must be finite.
     """
-    cols, lines = read_columns(path, ("lag", "rho_hat"))
+    cols = read_columns(path, ("lag", "rho_hat"))
     if len(cols) < 2:
         raise DomainError(f"{path}: expected columns 'lag' and 'rho_hat'")
     lags, rho = cols["lag"], cols["rho_hat"]
@@ -274,7 +274,7 @@ def read_acf_csv(path) -> AcfEstimate:
         k = int(np.argmax(bad))
         why = (f"lags must be contiguous starting at 0; want lag {k}, got {float(lags[k])!r}"
                if lags[k] != k else f"rho_hat must be finite, got {float(rho[k])!r}")
-        raise DomainError(f"{path}: line {lines[k]}: {why}")
+        raise DomainError(f"{path}: {locate_row(path, k)}: {why}")
     return AcfEstimate(lags=want, rho=rho, n=0)
 
 

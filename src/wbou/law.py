@@ -29,8 +29,8 @@ Each call logs one ``wbou`` debug line with the piece count and the
 largest error estimate, and a ``wbou`` warning when an integral stopped
 at the cap above its tolerance (the value is still returned).  The
 tails, kbar and gbar_from_g use scipy's quad at the same tolerance
-through drivers._quad, the one wrapper that every quad call of the
-package goes through: it keeps the error estimate, with one ``wbou``
+through _quad, the one wrapper that every quad call of the package
+goes through: it keeps the error estimate, with one ``wbou``
 debug line per integral and a ``wbou`` warning when the estimate is
 above the tolerance (again, the value is still returned).
 
@@ -49,10 +49,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import integrate
 
 from . import _checks
-from .drivers import DriverSpec, LevyMeasure, LevyTriplet, _quad
-from .errors import DimensionMismatch, DomainError, ExistenceViolation, InvalidLambda
+from .drivers import DriverSpec, LevyMeasure, LevyTriplet
+from .errors import DimensionMismatch, DomainError, InvalidLambda
 
 __all__ = [
     "ExistenceResult",
@@ -73,6 +74,21 @@ _log = logging.getLogger("wbou")
 _GL_TOL = 1e-12
 _GL_MAX_PIECES = 300
 _GL_BLOCK = 256
+#: scipy's quad of the tails, kbar and gbar_from_g
+_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
+
+
+def _quad(f, a: float, b: float, name: str) -> float:
+    """scipy's quad at _QUAD_OPTS, keeping its error estimate: one debug
+    line per call, and a warning when the estimate is above the 1e-12
+    absolute and relative tolerance (the value is still returned)."""
+    val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s: quad over [%.6g, %.6g], error estimate %.3g", name, a, b, err)
+    if err > max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(val)):
+        _log.warning("%s: quad error estimate %.3g over [%.6g, %.6g] is above the "
+                     "%.0e tolerance", name, err, a, b, _QUAD_OPTS["epsabs"])
+    return val
 
 
 @dataclass(frozen=True)
@@ -98,12 +114,6 @@ def existence_check(driver: DriverSpec, lam: float) -> ExistenceResult:
     except InvalidLambda as exc:
         return ExistenceResult(False, str(exc))
     return ExistenceResult(True)
-
-
-def _require_exists(driver: DriverSpec, lam: float) -> None:
-    res = existence_check(driver, lam)
-    if not res:
-        raise ExistenceViolation(res.reason)
 
 
 def _pushforward_measure(driver: DriverSpec, lam: float) -> LevyMeasure:
@@ -159,9 +169,11 @@ def triplet_of_x(driver: DriverSpec, lam: float) -> LevyTriplet:
 
     Under the time-scaled convention (the driver runs at rate lam, as in
     char_fn_x(..., time_scaled=True)) the marginal law does not depend
-    on lam, and its triplet is triplet_of_x(driver, 1.0).
+    on lam, and its triplet is triplet_of_x(driver, 1.0).  A lam that is
+    not positive and finite raises InvalidLambda, as in char_fn_x and
+    char_fn_joint.
     """
-    _require_exists(driver, lam)
+    _checks.lam(lam)
     trip = driver.triplet
     nu = trip.measure
     jump_drift = 0.0
@@ -268,7 +280,7 @@ def char_fn_x(driver: DriverSpec, lam: float, u, *, time_scaled: bool = False):
     Python complex; array u gives a complex array of the same shape.
     Non-finite u, or a u whose exponent overflows, raises DomainError.
     """
-    _require_exists(driver, lam)
+    _checks.lam(lam)
     lam_eff = 1.0 if time_scaled else lam
     u = _checks.finite(np.asarray(u, dtype=float), "u")
     flat = u.ravel()
@@ -301,7 +313,7 @@ def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
     in the module docstring.  Non-finite times or us, and us so large
     that the exponent overflows, raise DomainError.
     """
-    _require_exists(driver, lam)
+    _checks.lam(lam)
     times = _checks.finite(np.asarray(times, dtype=float), "times")
     us = _checks.finite(np.asarray(us, dtype=float), "us")
     if times.shape != us.shape or times.ndim != 1 or len(times) == 0:

@@ -12,6 +12,11 @@ import shutil
 import subprocess
 import sys
 
+try:
+    import resource
+except ImportError:     # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -287,6 +292,38 @@ def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
         p.name for p in inputs.values())
 
 
+#: a child's address-space cap: room for Python, NumPy and SciPy, and far
+#: below the arrays the out-of-memory cases ask for
+_CHILD_MEMORY = 1 << 30
+
+
+def _capped():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_MEMORY, _CHILD_MEMORY))
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+@pytest.mark.parametrize("argv", [
+    ["theory", "acf", "--lambda", "1", "--max-lag", "100000000000"],
+    ["theory", "increment-acf", "--lambda", "1", "--max-lag", "100000000000"],
+    ["simulate", "--driver", "brownian", "--lambda", "1", "--t-max", "1e7", "--dt", "1e-6"],
+], ids=["theory-acf", "theory-increment-acf", "simulate"])
+def test_out_of_memory_exits_2_without_output(tmp_path, argv):
+    """An array larger than memory ends in one error line, not a
+    traceback.  The child runs under a 1 GiB address-space cap, so the
+    refused allocation cannot take memory from anything else."""
+    src = os.path.dirname(os.path.dirname(wbou.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-m", "wbou", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, preexec_fn=_capped,
+                          timeout=120)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: Unable to allocate")
+    assert not out.exists()
+
+
 def test_sv_grid_error_names_the_given_grid(tmp_path, capsys):
     argv = ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1e-300", "--t-max", "1",
             "--dt", "0.01", "--out", str(tmp_path / "sv.csv")]
@@ -542,6 +579,45 @@ def test_config_missing_file_exits_1(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
     assert code == 1
     assert "i/o error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# --seed belongs to the subcommands that draw random numbers
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "acf", "--lambda", "1", "--out", "{out}"],
+    ["acf", "--input", "{series}", "--max-lag", "3", "--out", "{out}"],
+    ["fit", "--input", "{series}", "--max-lag", "3"],
+    ["signature", "--input", "{series}", "--max-skip", "2", "--out", "{out}"],
+], ids=["theory", "acf", "fit", "signature"])
+def test_seed_is_refused_where_nothing_is_drawn(tmp_path, capsys, argv):
+    series = tmp_path / "series.csv"
+    _fixed_series(series)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(out=out, series=series) for a in argv] + ["--seed", "1"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: unrecognized arguments: --seed 1")
+    assert not out.exists()
+
+
+def test_seed_in_a_config_file_is_refused_by_acf_and_read_by_simulate(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    _fixed_series(series)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["acf", "--config", str(cfg), "--input", str(series), "--max-lag", "3",
+              "--out", str(tmp_path / "acf.csv")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(cfg), "--driver", "gamma:a=1,b=1",
+                 "--lambda", "1.0", "--t-max", "2.0", "--dt", "0.1",
+                 "--out", str(tmp_path / "cfg.csv")]) == 0
+    main(_simulate_args(tmp_path / "direct.csv", seed="1"))
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from wbou import (
     DomainError,
     ExponentialJumps,
     GammaSubordinatorDriver,
+    LevyMeasure,
     NormalJumps,
     NotASubordinator,
     PointMassJumps,
@@ -227,6 +228,26 @@ def test_tail_endpoint_handling():
     assert meas.tail_pos(2.0, include_endpoint=False) == 0.0
     with pytest.raises(DomainError):
         meas.tail_pos(0.0)
+
+
+@pytest.mark.parametrize("tails", [{}, {"tail_pos_closed": lambda y: 0.0},
+                                   {"tail_neg_closed": lambda y: 0.0}],
+                         ids=["no-tails", "pos-only", "neg-only"])
+def test_measure_with_a_density_needs_both_closed_tails(tails):
+    with pytest.raises(DomainError, match="needs both closed tails"):
+        LevyMeasure(density=lambda x: 1.0, support=(0.0, 1.0), **tails)
+
+
+@pytest.mark.parametrize("c", [0.5, -0.5])
+def test_atom_only_and_empty_measures_have_exact_tails(c):
+    """Without a density the continuous tails are 0: only atoms count."""
+    meas = compound_poisson(2.0, PointMassJumps(c)).measure
+    assert meas.density is None
+    on, off = (meas.tail_pos, meas.tail_neg) if c > 0 else (meas.tail_neg, meas.tail_pos)
+    assert on(0.25) == on(0.5) == 2.0
+    assert on(0.5, include_endpoint=False) == on(1.0) == off(0.25) == 0.0
+    empty = LevyMeasure()
+    assert empty.is_zero and empty.tail_pos(0.5) == empty.tail_neg(0.5) == 0.0
 
 
 # ---------------------------------------------------------------------------

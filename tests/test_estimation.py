@@ -1,7 +1,9 @@
 """Empirical ACF, rate fitting, realized volatility, and table formats."""
 
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from wbou import (
     write_acf_csv,
     write_signature_csv,
 )
+
+from wbou import _table
 
 from helpers import rng_for
 
@@ -297,6 +301,12 @@ def test_acf_table_requires_contiguous_lags(tmp_path):
         read_acf_csv(f2)
 
 
+#: one bad row at line 3, in a body np.loadtxt reads and in one only the
+#: scan reads (CRLF and a trailing blank line)
+LOADTXT_TIER = "0,1.0\n1,-inf\n"
+SCAN_TIER = "0,1.0\r\n1,-inf\r\n\r\n"
+
+
 @pytest.mark.parametrize("body, message", [
     ("0,1.0\n1,0.5\n\n2,nan\n", "line 5: rho_hat must be finite, got nan"),
     ("0,1.0\n1,-inf\n2,0.2\n", "line 3: rho_hat must be finite, got -inf"),
@@ -304,12 +314,48 @@ def test_acf_table_requires_contiguous_lags(tmp_path):
                                    "want lag 1, got 1.7"),
     ("0,1.0\n1,0.5\ninf,0.2\n", "line 4: lags must be contiguous starting at 0; "
                                    "want lag 2, got inf"),
+    (LOADTXT_TIER, "line 3: rho_hat must be finite, got -inf"),
+    (SCAN_TIER, "line 3: rho_hat must be finite, got -inf"),
 ])
 def test_acf_table_rejects_bad_values_by_line(tmp_path, body, message):
     f = tmp_path / "acf.csv"
-    f.write_text("lag,rho_hat\n" + body)
+    f.write_bytes(("lag,rho_hat\n" + body).encode())
     with pytest.raises(DomainError, match=f"^{re.escape(f'{f}: {message}')}$"):
         read_acf_csv(f)
+
+
+def test_bad_row_bodies_take_the_two_reader_tiers(tmp_path):
+    """The line of a bad row is found by the scan whichever tier read
+    the values: the plain body on np.loadtxt, the CRLF one with a blank
+    line on the scan."""
+    f = tmp_path / "acf.csv"
+    for body, fast in [(LOADTXT_TIER, True), (SCAN_TIER, False)]:
+        f.write_bytes(("lag,rho_hat\n" + body).encode())
+        assert (_table._read_fast(f, ("lag", "rho_hat")) is not None) == fast
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_acf_table_from_a_pipe_names_the_bad_row(tmp_path):
+    """A pipe cannot be read a second time to find a line, so the error
+    names the row instead of waiting for a writer."""
+    fifo = tmp_path / "acf.csv"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        try:
+            read_acf_csv(fifo)
+        except DomainError as exc:
+            got.append(str(exc))
+
+    threads = [threading.Thread(target=fifo.write_text,
+                                args=("lag,rho_hat\n0,1.0\n\n1,nan\n",), daemon=True),
+               threading.Thread(target=read, daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert got == [f"{fifo}: row 2: rho_hat must be finite, got nan"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

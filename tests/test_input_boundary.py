@@ -36,7 +36,7 @@ def _existence(driver, lam):
     """existence_check, raising where it reports a refusal."""
     res = W.existence_check(driver, lam)
     if not res:
-        raise W.ExistenceViolation(res.reason)
+        raise W.InvalidLambda(res.reason)
     return res
 
 

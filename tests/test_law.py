@@ -398,7 +398,11 @@ class _WigglyDriver(DriverSpec):
 
     @property
     def measure(self):
-        return LevyMeasure(density=lambda x: 1.0 + math.sin(1e5 * x), support=(0.0, 1.0))
+        return LevyMeasure(
+            density=lambda x: 1.0 + math.sin(1e5 * x), support=(0.0, 1.0),
+            tail_pos_closed=lambda y: (1.0 - y) + (math.cos(1e5 * y) - math.cos(1e5)) / 1e5
+            if y < 1.0 else 0.0,
+            tail_neg_closed=lambda y: 0.0)
 
     @property
     def triplet(self):

@@ -74,6 +74,9 @@ DRIVER_CLASSES = (wbou.DriverSpec, wbou.BrownianDriver, wbou.CompoundPoissonDriv
     (wbou.LevyMeasure, "mean_inside_unit"), (wbou.LevyMeasure, "second_moment"),
     *[(cls, name) for cls in DRIVER_CLASSES
       for name in ("law_terms", "_law_is_exact", "log_moment_finite")],
+    (wbou, "ExistenceViolation"), (wbou.errors, "ExistenceViolation"),
+    (wbou.law, "_require_exists"), (wbou.LevyMeasure, "_quad"), (wbou.drivers, "_quad"),
+    (wbou.drivers, "_QUAD_OPTS"),
 ])
 def test_half_line_increments_and_audit_duplicates_are_gone(owner, name):
     """Paths keep no half-line increments: every path draws G and
@@ -81,6 +84,9 @@ def test_half_line_increments_and_audit_duplicates_are_gone(owner, name):
     oracle measure_moment_quad, a scalar draw is sample_increments(dt,
     rng, ()).  The half-line hook logs its own route and terms, so the
     drivers name no route for the engine; every family has a finite
-    log-moment, so existence needs only lam > 0."""
+    log-moment, so existence needs only lam > 0, and a bad lam raises
+    InvalidLambda like everywhere else.  Every measure with a density
+    has closed tails, so no tail falls back to quadrature, and law is
+    the one module that calls quad."""
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__dataclass_fields__", {})

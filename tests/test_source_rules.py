@@ -8,7 +8,10 @@ InvalidLambda, so the numeric-input policy has one owner too.  Outside
 ``drivers`` (the samplers and the dense default of
 ``sample_weighted_sum``), only ``paths._simulate``, once for the main
 window, and ``paths.simulate_compact_kernel`` call ``sample_increments``,
-so the half-lines have one route: the driver hook.
+so the half-lines have one route: the driver hook.  Only ``law`` imports
+``scipy.integrate`` itself, for its one ``quad`` wrapper; the one other
+import from it is ``svmodel``'s ``cumulative_trapezoid`` of sampled
+values.
 """
 import ast
 from pathlib import Path
@@ -70,6 +73,22 @@ def _parses_csv(node) -> bool:
     if isinstance(node, ast.Attribute):
         return node.attr in CSV_READERS
     return isinstance(node, ast.Name) and node.id in CSV_READERS
+
+
+def _integrate_names(node) -> list[str]:
+    """What a node takes from ``scipy.integrate``: ``integrate`` for the
+    module, imported or reached as ``scipy.integrate``, else the names
+    imported from it."""
+    if isinstance(node, ast.Import):
+        return ["integrate" for a in node.names if a.name.startswith("scipy.integrate")]
+    if isinstance(node, ast.ImportFrom):
+        if node.module == "scipy":
+            return ["integrate" for a in node.names if a.name == "integrate"]
+        if (node.module or "").startswith("scipy.integrate"):
+            return [a.name for a in node.names]
+    if isinstance(node, ast.Attribute) and node.attr == "integrate":
+        return ["integrate"] if getattr(node.value, "id", None) == "scipy" else []
+    return []
 
 
 def _checks_numbers(node) -> bool:
@@ -157,6 +176,30 @@ def test_csv_rule_finds_the_parsers(src, parses):
 def test_only_table_module_parses_csv():
     assert sorted(p.name for p in SRC.glob("*.py")
                   if _sites_where(_parses_csv, ast.parse(p.read_text()))) == ["_table.py"]
+
+
+@pytest.mark.parametrize("src, names", [
+    ("import scipy.integrate", ["integrate"]),
+    ("import scipy.integrate as si", ["integrate"]),
+    ("from scipy import integrate, special", ["integrate"]),
+    ("from scipy.integrate import quad, trapezoid", ["quad", "trapezoid"]),
+    ("from scipy.integrate._quadpack_py import quad", ["quad"]),
+    ("scipy.integrate.quad(f, 0, 1)", ["integrate"]),
+    ("from scipy import special", []),
+    ("integrate(f)", []),
+])
+def test_integrate_rule_finds_the_imports(src, names):
+    tree = ast.parse(src)
+    assert [n for node in ast.walk(tree) for n in _integrate_names(node)] == names
+
+
+def test_only_law_module_imports_scipy_integrate():
+    found = {}
+    for p in SRC.glob("*.py"):
+        names = {n for node in ast.walk(ast.parse(p.read_text())) for n in _integrate_names(node)}
+        if names:
+            found[p.name] = sorted(names)
+    assert found == {"law.py": ["integrate"], "svmodel.py": ["cumulative_trapezoid"]}
 
 
 def test_only_cli_prints():

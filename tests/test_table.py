@@ -3,9 +3,10 @@
 The writer is checked byte for byte against a one-row-at-a-time
 formatter, and values read back bit for bit.  The reader is checked
 cell by cell on the bodies people write by hand: blank lines, CRLF,
-padding, ragged rows and quoted commas.  Its ``np.loadtxt`` tier is
-checked against the ``csv.reader`` scan on hostile bodies, and the
-files wbou writes are checked to take that tier.
+padding, ragged rows and quoted commas, and the scan's line of each row
+on the same bodies.  Its ``np.loadtxt`` tier is checked against the
+``csv.reader`` scan on hostile bodies, and the files wbou writes are
+checked to take that tier.
 """
 import csv
 import os
@@ -60,8 +61,8 @@ def test_round_trip_is_bitwise(tmp_path_factory, rows):
                                      np.array(k, dtype=np.int64)))
     assert f.read_text() == per_row_text(("a", "b", "k"), (a, b, k))
     with scan_forbidden():
-        back, lines = read_columns(f, ("a", "b", "k"))
-    assert lines == list(range(2, len(rows) + 2))
+        back = read_columns(f, ("a", "b", "k"))
+    assert _table._scan(f, ())[1] == list(range(2, len(rows) + 2))
     assert np.array_equal(bits(back["a"]), bits(a))
     assert np.array_equal(bits(back["b"]), bits(b))
     assert np.array_equal(back["k"], np.array(k, dtype=float))
@@ -76,7 +77,7 @@ def test_blocks_join_seamlessly(tmp_path):
     write_table(f, ("k", "x", "empty"), (k, x, None))
     rows = zip(k.tolist(), x.tolist())
     assert f.read_text() == "k,x,empty\n" + "".join(f"{a},{b!r},\n" for a, b in rows)
-    back, _ = read_columns(f, ("x", "k"))
+    back = read_columns(f, ("x", "k"))
     assert list(back) == ["x", "k"]
     assert np.array_equal(bits(back["x"]), bits(x))
     assert np.array_equal(back["k"], k)
@@ -85,7 +86,7 @@ def test_blocks_join_seamlessly(tmp_path):
 def test_missing_names_are_left_out(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text(" b ,a\n1,2\n")
-    assert list(read_columns(f, ("a", "c", "b"))[0]) == ["a", "b"]
+    assert list(read_columns(f, ("a", "c", "b"))) == ["a", "b"]
     f.write_text("")
     with pytest.raises(DomainError, match="empty file"):
         read_columns(f, ("a",))
@@ -104,19 +105,22 @@ def test_missing_names_are_left_out(tmp_path):
     ("a,b\n1,2\n  \n", ("a",), "line 3: cannot read '  ' as a number"),
     ("a,b\n1,x\ny,2\n", ("a", "b"), "line 2: cannot read 'x' as a number"),
     ("a,b\n1,2\n3,4e999\n", ("b",), ({"b": [2, np.inf]}, [2, 3])),
+    ('a,b\n"1\n",2\n3,4\n', ("a", "b"), ({"a": [1, 3], "b": [2, 4]}, [2, 4])),
+    ('a,b\n"1\n",2\n3,x\n', ("a", "b"), "line 4: cannot read 'x' as a number"),
 ], ids=["blank-lines", "crlf", "padded-cells", "long-row", "quoted-comma",
         "quoted-cells", "float-spellings", "short-row", "empty-cell", "blank-cell",
-        "first-bad-row", "overflow-is-inf"])
+        "first-bad-row", "overflow-is-inf", "quoted-newline", "bad-cell-after-quoted-newline"])
 def test_reader_cells(tmp_path, body, names, want):
+    """The cells of each row, and the file line the scan gives each row."""
     f = tmp_path / "t.csv"
     f.write_bytes(body.encode())
     if isinstance(want, str):
         with pytest.raises(DomainError, match=f"^{re.escape(f'{f}: {want}')}$"):
             read_columns(f, names)
         return
-    cols, lines = read_columns(f, names)
+    cols = read_columns(f, names)
     assert {n: v.tolist() for n, v in cols.items()} == want[0]
-    assert lines == want[1]
+    assert _table._scan(f, names)[1] == _table._scan(f, ())[1] == want[1]
 
 
 @pytest.mark.parametrize("cell", ['"' + "1" * 200_000 + '"', "1" * 200_000])
@@ -142,21 +146,20 @@ def test_path_file_takes_the_loadtxt_tier(tmp_path):
     f = tmp_path / "path.csv"
     write_table(f, ("t", "x", "x_minus", "x_plus"), (t, x, x_minus, x_plus))
     with scan_forbidden():
-        cols, lines = read_columns(f, ("x", "t"))
-    assert lines == list(range(2, n + 2))
+        cols = read_columns(f, ("x", "t"))
     assert np.array_equal(bits(cols["x"]), bits(x))
     assert np.array_equal(bits(cols["t"]), bits(t))
     assert all(v.flags.c_contiguous for v in cols.values())
 
 
 def outcome(read, path, names):
-    """What a reader makes of a file: values as bits and lines, or the
-    DomainError message."""
+    """What a reader makes of a file: values as bits, or the DomainError
+    message."""
     try:
-        cols, lines = read(path, names)
+        cols = read(path, names)
     except DomainError as exc:
         return str(exc)
-    return {name: bits(v).tolist() for name, v in cols.items()}, lines
+    return {name: bits(v).tolist() for name, v in cols.items()}
 
 
 #: pieces of hostile bodies: every character the two tiers treat
@@ -184,7 +187,7 @@ def test_loadtxt_tier_reads_what_the_scan_reads(tmp_path_factory, header, body):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = outcome(read_columns, f, ("a", "b"))
-    assert got == outcome(_table._scan, f, ("a", "b"))
+    assert got == outcome(lambda *a: _table._scan(*a)[0], f, ("a", "b"))
     assert not caught
 
 
@@ -202,8 +205,7 @@ def test_pipe_is_opened_once(tmp_path):
     for t in threads:
         t.join(timeout=10)
     assert got, "read_columns is still waiting on the pipe"
-    cols, lines = got[0]
-    assert cols["x"].tolist() == [1.5, 2.5] and lines == [2, 4]
+    assert got[0]["x"].tolist() == [1.5, 2.5]
 
 
 def test_line_check_sees_across_block_boundaries(tmp_path):
