@@ -4,6 +4,10 @@ Simulation, distribution law, second-order analytics, estimation,
 state-space (CARMA) representation, and a stochastic-volatility
 extension for the moving-average process with the two-sided kernel
 e^{-lambda |t - s|} driven by a Levy process.
+
+Importing the package loads no scipy: a function that needs a scipy
+subpackage (signal for the path recursions, integrate for quad, special
+for the normal and gamma tails) imports it where it calls it.
 """
 from .analytics import (
     SecondOrderParams,

@@ -21,8 +21,9 @@ Drivers are written as ``family:key=value,...``, e.g.::
 Only simulate and sv draw random numbers, so only they take --seed
 (default 0).  Options may also come from a plain-text config file of
 ``key=value`` lines via --config; explicit command-line flags win on
-conflict.  Exit codes: 0 on success, 1 on I/O failure, 2 on validation
-failure or when memory runs out.
+conflict.  Exit codes: 0 on success (and for --help and --version), 1 on
+I/O failure, 2 on a usage error, on validation failure or when memory
+runs out; main returns the code, it does not exit.
 """
 from __future__ import annotations
 
@@ -373,7 +374,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _inject_config(argv)
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse has printed its usage error (2) or --help/--version (0)
+            return exc.code
         return args.fn(args)
     except WbouError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import _checks
 from .errors import DomainError, NotASubordinator
@@ -179,6 +178,8 @@ class NormalJumps:
 
     def truncated_mean(self) -> float:
         # E[J; |J| <= 1] for J ~ N(mean, var)
+        from scipy import special
+
         s = math.sqrt(self.var)
         a = (-1.0 - self.mean) / s
         b = (1.0 - self.mean) / s
@@ -196,10 +197,14 @@ class NormalJumps:
         return rng.normal(counts * self.mean, np.sqrt(counts * self.var))
 
     def tail_pos(self, y: float) -> float:
+        from scipy import special
+
         s = math.sqrt(self.var)
         return special.ndtr((self.mean - y) / s)
 
     def tail_neg(self, y: float) -> float:
+        from scipy import special
+
         s = math.sqrt(self.var)
         return special.ndtr((-y - self.mean) / s)
 
@@ -510,10 +515,16 @@ class GammaSubordinatorDriver(DriverSpec):
     @property
     def measure(self) -> LevyMeasure:
         a, b = self.shape, self.rate
+
+        def tail_pos(y):
+            from scipy import special
+
+            return a * special.exp1(b * y)
+
         return LevyMeasure(
             density=lambda x: a * math.exp(-b * x) / x if x > 0 else 0.0,
             support=(0.0, math.inf),
-            tail_pos_closed=lambda y: a * special.exp1(b * y),
+            tail_pos_closed=tail_pos,
             tail_neg_closed=lambda y: 0.0,
         )
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import _checks
 from ._table import locate_row, read_columns, write_table
@@ -106,6 +105,32 @@ class FitResult:
     at_boundary: bool
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1), a length at which a real
+    FFT is fast; scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _lag_products(d, max_lag: int) -> np.ndarray:
+    """sum_i d_i d_{i+h} for h = 0..max_lag, every lag from one FFT
+    correlation of d with its reverse, zero-padded to a fast length of
+    at least 2n - 1 (scipy's fftconvolve(d, d[::-1]) on the same
+    pocketfft)."""
+    n = len(d)
+    nf = _fast_len(2 * n - 1)
+    full = np.fft.irfft(np.fft.rfft(d, nf) * np.fft.rfft(d[::-1], nf), nf)
+    return full[n - 1 : n + max_lag]
+
+
 def empirical_acf(series, max_lag: int) -> AcfEstimate:
     """n-normalized mean-subtracted autocorrelation up to max_lag;
     DomainError, naming n and max |x|, where it leaves the float range."""
@@ -117,10 +142,8 @@ def empirical_acf(series, max_lag: int) -> AcfEstimate:
     peak = float(np.abs(x).max())
 
     def correlation(n, peak):
-        # one FFT correlation gives every lag at once; entry h is
-        # sum_i d_i d_{i+h}, entry 0 the full-sample denominator
-        d = x - x.mean()
-        return fftconvolve(d, d[::-1])[n - 1 : n + max_lag]
+        # entry 0 is the full-sample denominator
+        return _lag_products(x - x.mean(), max_lag)
 
     corr = _checks.in_range("empirical_acf[n, max|x|]", correlation, n, peak, numpy=True)
     # Python floats: a floor that overflows is inf, and a finite corr[0]

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import _checks
 from .drivers import DriverSpec, LevyMeasure, LevyTriplet
@@ -82,6 +81,8 @@ def _quad(f, a: float, b: float, name: str) -> float:
     """scipy's quad at _QUAD_OPTS, keeping its error estimate: one debug
     line per call, and a warning when the estimate is above the 1e-12
     absolute and relative tolerance (the value is still returned)."""
+    from scipy import integrate
+
     val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("%s: quad over [%.6g, %.6g], error estimate %.3g", name, a, b, err)

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import _checks
 from ._table import write_table
@@ -198,6 +197,8 @@ class CompactPath:
 def _forward(alpha, g, dl):
     """x^-_{k+1} = alpha (x^-_k + dl_k) from x^-_0 = g, along axis 1:
     (n_paths,) starts and (n_paths, n) increments give (n_paths, n+1)."""
+    from scipy.signal import lfilter
+
     fwd, _ = lfilter([alpha], [1.0, -alpha], dl, axis=1, zi=(alpha * g)[:, None])
     return np.concatenate([g[:, None], fwd], axis=1)
 
@@ -208,6 +209,8 @@ def _assemble(lam, grid, g, dl, xp_end) -> WbouPath:
     and xp_end = X^+_{t_max}, (n_paths,); the recursions run along
     axis 1.
     """
+    from scipy.signal import lfilter
+
     alpha = math.exp(-lam * grid.dt)
     x_minus = _forward(alpha, g, dl)
 

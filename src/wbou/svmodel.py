@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import _checks
 from ._table import write_table
@@ -151,7 +150,9 @@ def _simulate_joint(spec, grid, n_paths, trunc, rng) -> SvPath:
     x = np.atleast_2d(inner.x)
     dw = w_gen.normal(0.0, math.sqrt(grid.dt), (len(x), grid.n))
     y = _euler_y(spec, grid, x, dw)
-    int_x = cumulative_trapezoid(x, dx=grid.dt, initial=0.0, axis=-1)
+    # trapezoid rule from int_x = 0 at t = 0
+    int_x = np.zeros(x.shape)
+    np.cumsum(grid.dt * (x[:, 1:] + x[:, :-1]) / 2.0, axis=-1, out=int_x[:, 1:])
     if n_paths is not None:
         return SvPath(grid=grid, spec=spec, y=y, x=inner.x, int_x=int_x)
     return SvPath(grid=grid, spec=spec, y=y[0], x=inner.x, int_x=int_x[0],

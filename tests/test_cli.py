@@ -595,12 +595,27 @@ def test_seed_is_refused_where_nothing_is_drawn(tmp_path, capsys, argv):
     series = tmp_path / "series.csv"
     _fixed_series(series)
     out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as exit_:
-        main([a.format(out=out, series=series) for a in argv] + ["--seed", "1"])
-    assert exit_.value.code == 2
+    assert main([a.format(out=out, series=series) for a in argv] + ["--seed", "1"]) == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "error: unrecognized arguments: --seed 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["theory", "acf", "--out", "t.csv"], 2),
+    (["theory", "acf", "--lambda", "one", "--out", "t.csv"], 2),
+    (["simulate", "--bogus"], 2),
+    ([], 2),
+    (["--help"], 0),
+    (["theory", "--help"], 0),
+    (["--version"], 0),
+], ids=["missing-flag", "bad-float", "unknown-flag", "no-command", "help", "sub-help",
+        "version"])
+def test_usage_is_returned_as_a_code(argv, code, capsys):
+    # argparse prints as usual; main returns its code instead of exiting
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err)
 
 
 def test_seed_in_a_config_file_is_refused_by_acf_and_read_by_simulate(tmp_path, capsys):
@@ -608,10 +623,8 @@ def test_seed_in_a_config_file_is_refused_by_acf_and_read_by_simulate(tmp_path, 
     _fixed_series(series)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=1\n")
-    with pytest.raises(SystemExit) as exit_:
-        main(["acf", "--config", str(cfg), "--input", str(series), "--max-lag", "3",
-              "--out", str(tmp_path / "acf.csv")])
-    assert exit_.value.code == 2
+    assert main(["acf", "--config", str(cfg), "--input", str(series), "--max-lag", "3",
+                 "--out", str(tmp_path / "acf.csv")]) == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert main(["simulate", "--config", str(cfg), "--driver", "gamma:a=1,b=1",
                  "--lambda", "1.0", "--t-max", "2.0", "--dt", "0.1",
@@ -802,3 +815,35 @@ def test_module_invocation_help():
     assert proc.returncode == 0
     for cmd in ("simulate", "theory", "acf", "fit", "signature", "sv"):
         assert cmd in proc.stdout
+
+
+#: run in a fresh interpreter: argv[1] is a directory holding series.csv;
+#: prints the scipy modules loaded after the subcommands that need none
+_NO_SCIPY_CHILD = """
+import sys
+import wbou, wbou.cli
+d = sys.argv[1]
+for argv in (
+    ["theory", "acf", "--lambda", "1", "--max-lag", "20", "--out", d + "/t1.csv"],
+    ["theory", "increment-acf", "--lambda", "1", "--max-lag", "20", "--out", d + "/t2.csv"],
+    ["theory", "sv", "--lambda", "1", "--max-s", "5", "--driver", "gamma:a=1,b=1",
+     "--out", d + "/t3.csv"],
+    ["acf", "--input", d + "/series.csv", "--max-lag", "30", "--out", d + "/acf.csv"],
+    ["fit", "--input", d + "/acf.csv", "--min-lag", "1", "--max-lag", "30"],
+    ["signature", "--input", d + "/series.csv", "--max-skip", "5", "--out", d + "/sig.csv"],
+):
+    assert wbou.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_law_and_estimation_subcommands_load_no_scipy(tmp_path):
+    # a fresh child: pytest's filterwarnings has imported scipy.integrate here
+    _fixed_series(tmp_path / "series.csv")
+    src = os.path.dirname(os.path.dirname(wbou.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from wbou import (
     AcfEstimate,
@@ -28,6 +30,7 @@ from wbou import (
 )
 
 from wbou import _table
+from wbou.estimation import _fast_len, _lag_products
 
 from helpers import rng_for
 
@@ -105,6 +108,25 @@ def test_acf_out_of_float_range_refused():
 def test_acf_of_a_huge_constant_series_is_degenerate():
     with pytest.raises(DegenerateSeries):
         empirical_acf(np.full(4, 1e200), 2)
+
+
+def test_fast_len_is_scipys_real_next_fast_len():
+    bad = [n for n in range(1, 50_000) if _fast_len(n) != next_fast_len(n, real=True)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1_000, 4_097, 100_001])
+def test_acf_is_scipys_fftconvolve_bitwise(n):
+    """The NumPy FFT correlation is scipy's fftconvolve(d, d[::-1]) on the
+    same pocketfft: equal bit for bit, lag products and rho alike."""
+    x = rng_for("fftacf", n).normal(size=n).cumsum()
+    d = x - x.mean()
+    ref = fftconvolve(d, d[::-1])[n - 1:]
+    assert _lag_products(d, n - 1).tobytes() == ref.tobytes()
+    if n > 1:
+        max_lag = min(n - 1, 500)
+        rho = ref[: max_lag + 1] / ref[0]
+        assert empirical_acf(x, max_lag).rho.tobytes() == rho.tobytes()
 
 
 def test_acf_lag_window_validation():

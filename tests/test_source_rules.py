@@ -9,9 +9,9 @@ InvalidLambda, so the numeric-input policy has one owner too.  Outside
 ``sample_weighted_sum``), only ``paths._simulate``, once for the main
 window, and ``paths.simulate_compact_kernel`` call ``sample_increments``,
 so the half-lines have one route: the driver hook.  Only ``law`` imports
-``scipy.integrate`` itself, for its one ``quad`` wrapper; the one other
-import from it is ``svmodel``'s ``cumulative_trapezoid`` of sampled
-values.
+``scipy.integrate``, for its one ``quad`` wrapper.  No module imports
+scipy at module level: each function imports the subpackage it calls,
+so ``import wbou`` loads no scipy.
 """
 import ast
 from pathlib import Path
@@ -89,6 +89,14 @@ def _integrate_names(node) -> list[str]:
     if isinstance(node, ast.Attribute) and node.attr == "integrate":
         return ["integrate"] if getattr(node.value, "id", None) == "scipy" else []
     return []
+
+
+def _imports_scipy(node) -> bool:
+    """True for an import of scipy or of any of its subpackages."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "scipy")
 
 
 def _checks_numbers(node) -> bool:
@@ -199,7 +207,29 @@ def test_only_law_module_imports_scipy_integrate():
         names = {n for node in ast.walk(ast.parse(p.read_text())) for n in _integrate_names(node)}
         if names:
             found[p.name] = sorted(names)
-    assert found == {"law.py": ["integrate"], "svmodel.py": ["cumulative_trapezoid"]}
+    assert found == {"law.py": ["integrate"]}
+
+
+@pytest.mark.parametrize("src, module_level", [
+    ("import scipy", True),
+    ("import numpy, scipy.signal as ss", True),
+    ("from scipy import special", True),
+    ("from scipy.integrate import quad", True),
+    ("class C:\n    from scipy import special", True),
+    ("if True:\n    import scipy.fft", True),
+    ("def f():\n    from scipy import special", False),
+    ("def f():\n    import scipy.signal", False),
+    ("import scipyx", False),
+    ("from .scipy import special", False),
+])
+def test_scipy_rule_finds_module_level_imports(src, module_level):
+    assert (None in _sites_where(_imports_scipy, ast.parse(src))) == module_level
+
+
+def test_no_module_imports_scipy_at_module_level():
+    """A module-level scipy import makes ``import wbou`` load it."""
+    assert sorted(p.name for p in SRC.glob("*.py")
+                  if None in _sites_where(_imports_scipy, ast.parse(p.read_text()))) == []
 
 
 def test_only_cli_prints():

@@ -156,6 +156,17 @@ def test_single_path_is_row_zero_of_one_path_ensemble(driver):
                                                           axis=-1))
 
 
+@pytest.mark.parametrize("t_max, dt, n_paths", [(0.5, 0.5, 3), (1.0, 0.01, 1), (3.0, 0.003, 4)])
+def test_int_x_is_scipys_cumulative_trapezoid(t_max, dt, n_paths):
+    """int_x is scipy's cumulative_trapezoid(x, initial=0), bitwise."""
+    grid = SimulationGrid(t_max, dt)
+    ens = simulate_sv_ensemble(spec_with(), grid, n_paths, rng=substream(98))
+    path = simulate_sv(spec_with(), grid, rng=substream(98))
+    for x, int_x in ((ens.x, ens.int_x), (path.x, path.int_x)):
+        ref = cumulative_trapezoid(x, dx=grid.dt, initial=0.0, axis=-1)
+        assert int_x.tobytes() == ref.tobytes()
+
+
 def test_ensemble_shapes():
     ens = simulate_sv_ensemble(spec_with(), SimulationGrid(1.0, 0.5), 6,
                                rng=substream(96))
