@@ -30,7 +30,6 @@ from .carma import CarmaSpec, carma_from_wbou, simulate_carma
 from .drivers import (
     BrownianDriver,
     CompoundPoissonDriver,
-    DriftDriver,
     DriverSpec,
     ExponentialJumps,
     GammaSubordinatorDriver,
@@ -85,16 +84,13 @@ from .law import (
 )
 from .paths import (
     CompactPath,
-    OuPath,
     SimulationGrid,
     TruncationPolicy,
     WbouPath,
     derivative_identity_residual,
     max_abs_increment,
-    ou_from_increments,
     path_total_variation,
     simulate_compact_kernel,
-    simulate_ou,
     simulate_wbou,
     simulate_wbou_ensemble,
     wbou_from_increments,

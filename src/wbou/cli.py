@@ -3,7 +3,8 @@
 Subcommands
 -----------
 simulate   draw process paths and write them as t,x,x_minus,x_plus CSV
-theory     evaluate closed-form curves (acf | increment-acf | sv) to CSV
+theory     evaluate closed-form curves (acf | increment-acf | sv) to CSV;
+           each kind refuses the flags only the others read
 acf        empirical ACF of a series plus fitted curves of both models
 fit        least-squares rate fit on an ACF table, wbou / ou / both
 signature  volatility signature plot (skip,rv) of a series
@@ -16,7 +17,7 @@ Drivers are written as ``family:key=value,...``, e.g.::
     cpoisson:eta=5,jump=exponential,rate=1
     cpoisson:eta=2,jump=normal,m=0,s2=1
     cpoisson:eta=2,jump=point,c=0.5
-    drift:gamma=2
+    drift:gamma=2                 (brownian with sigma2=0)
 
 Only simulate and sv draw random numbers, so only they take --seed
 (default 0).  Options may also come from a plain-text config file of
@@ -45,7 +46,6 @@ from .analytics import (
 from .drivers import (
     BrownianDriver,
     CompoundPoissonDriver,
-    DriftDriver,
     DriverSpec,
     ExponentialJumps,
     GammaSubordinatorDriver,
@@ -107,7 +107,7 @@ def parse_driver(text: str) -> DriverSpec:
     elif family in ("gamma", "gamma_subordinator"):
         drv = GammaSubordinatorDriver(pop("a", 1.0), pop("b", 1.0))
     elif family in ("drift", "deterministic_drift"):
-        drv = DriftDriver(pop("gamma"))
+        drv = BrownianDriver(pop("gamma"), 0.0)
     elif family in ("cpoisson", "compound_poisson"):
         kind = str(pop("jump", "normal")).lower()
         if kind == "normal":
@@ -200,7 +200,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+#: the flags each theory kind reads, with their defaults
+_THEORY_FLAGS = {
+    "acf": {"max_lag": 20, "dh": 1.0},
+    "increment-acf": {"max_lag": 20},
+    "sv": {"delta": 1.0, "max_s": 10, "mu": 0.0, "v": 1.0, "driver": None},
+}
+
+
 def cmd_theory(args) -> int:
+    own = _THEORY_FLAGS[args.kind]
+    stray = ["--" + d.replace("_", "-")
+             for d in dict.fromkeys(k for flags in _THEORY_FLAGS.values() for k in flags)
+             if d not in own and getattr(args, d) is not None]
+    if stray:
+        raise DomainError(f"theory {args.kind} does not read {', '.join(stray)}")
+    if args.driver is not None and (args.mu is not None or args.v is not None):
+        raise DomainError("theory sv takes --driver or --mu/--v, not both")
+    for dest, default in own.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     lam = getattr(args, "lambda")
     p = SecondOrderParams(lam)
     if args.kind == "acf":
@@ -321,17 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     th = sub.add_parser("theory", help="evaluate closed-form curves")
     th.add_argument("kind", choices=["acf", "increment-acf", "sv"])
     th.add_argument("--lambda", type=float, required=True, dest="lambda")
-    th.add_argument("--max-lag", type=int, default=20)
-    th.add_argument("--dh", type=float, default=1.0,
-                    help="lag spacing for the acf curve")
-    th.add_argument("--delta", type=float, default=1.0, help="sv window length")
-    th.add_argument("--max-s", type=int, default=10, help="sv max window gap")
-    th.add_argument("--mu", type=float, default=0.0,
-                    help="sv spot-volatility mean")
-    th.add_argument("--v", type=float, default=1.0,
-                    help="sv spot-volatility variance")
-    th.add_argument("--driver", default=None,
-                    help="derive sv spot-volatility moments from a driver")
+    # each kind refuses the flags of the others, so they default to None
+    th.add_argument("--max-lag", type=int, help="acf, increment-acf: max lag (20)")
+    th.add_argument("--dh", type=float, help="acf: lag spacing (1)")
+    th.add_argument("--delta", type=float, help="sv: window length (1)")
+    th.add_argument("--max-s", type=int, help="sv: max window gap (10)")
+    th.add_argument("--mu", type=float, help="sv: spot-volatility mean (0)")
+    th.add_argument("--v", type=float, help="sv: spot-volatility variance (1)")
+    th.add_argument("--driver",
+                    help="sv: derive the spot-volatility moments from a driver, "
+                    "instead of --mu and --v")
     th.add_argument("--out", required=True, help="output CSV path")
     th.set_defaults(fn=cmd_theory)
 

@@ -13,16 +13,18 @@ moments of L(1) and an exact increment sampler.  Every supported family
 has finite variance, hence finite log-moment.
 
 ``sample_weighted_sum`` draws the truncated half-line integrals G and
-X^+_{t_max} of every path.  Brownian, drift and compound Poisson drivers
-draw them exactly in the discrete law, the gamma subordinator by a
-truncated series (Bondesson 1982; Rosinski 2001) whose number of draws
-per path does not grow as the grid is refined, or by the dense default.
-Each call logs one debug record: its route, rows, the terms it drew and
-the series mass it neglects.
+X^+_{t_max} of every path.  Brownian and compound Poisson drivers draw
+them exactly in the discrete law (routes "normal" and "jumps"), the
+gamma subordinator by a truncated series (route "series"; Bondesson
+1982, Rosinski 2001) whose number of draws per path does not grow as
+the grid is refined, or by the dense default (route "dense").  Each call
+logs one debug record: its route, rows, the terms it drew and the series
+mass it neglects.
 
 Families: Brownian motion with drift, compound Poisson (normal,
-exponential, or fixed-size jumps), the gamma subordinator, and pure
-deterministic drift.
+exponential, or fixed-size jumps) and the gamma subordinator.  Pure
+deterministic drift L_t = gamma t is the Brownian family at sigma^2 = 0
+(``deterministic_drift``); with gamma >= 0 it is a subordinator.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ __all__ = [
     "BrownianDriver",
     "CompoundPoissonDriver",
     "GammaSubordinatorDriver",
-    "DriftDriver",
     "NormalJumps",
     "ExponentialJumps",
     "PointMassJumps",
@@ -364,7 +365,11 @@ class DriverSpec:
 
 @dataclass(frozen=True)
 class BrownianDriver(DriverSpec):
-    """Brownian motion with drift: psi(u) = i u gamma - sigma^2 u^2 / 2."""
+    """Brownian motion with drift: psi(u) = i u gamma - sigma^2 u^2 / 2.
+
+    sigma2 = 0 is pure deterministic drift L_t = gamma t, a (degenerate)
+    subordinator when gamma >= 0.
+    """
 
     gamma: float = 0.0
     sigma2: float = 1.0
@@ -378,8 +383,14 @@ class BrownianDriver(DriverSpec):
         out = 1j * u * self.gamma - 0.5 * self.sigma2 * u * u
         return out if out.ndim else complex(out)
 
+    @property
+    def nonnegative(self) -> bool:
+        return self.sigma2 == 0 and self.gamma >= 0
+
     def cumulant_k(self, theta: float) -> float:
-        raise NotASubordinator("driver has a Gaussian component")
+        if not self.nonnegative:
+            raise NotASubordinator("driver has a Gaussian component or a negative drift")
+        return -self.gamma * _checks.finite(theta, "theta")
 
     def moments(self):
         return (self.gamma, self.sigma2)
@@ -445,16 +456,9 @@ class CompoundPoissonDriver(DriverSpec):
         j = self.jumps
         if isinstance(j, PointMassJumps):
             return LevyMeasure(atoms=((j.size, eta),))
-        if isinstance(j, ExponentialJumps):
-            return LevyMeasure(
-                density=lambda x: eta * j.density(x),
-                support=(0.0, math.inf),
-                tail_pos_closed=lambda y: eta * j.tail_pos(y),
-                tail_neg_closed=lambda y: 0.0,
-            )
         return LevyMeasure(
             density=lambda x: eta * j.density(x),
-            support=(-math.inf, math.inf),
+            support=(0.0 if j.positive else -math.inf, math.inf),
             tail_pos_closed=lambda y: eta * j.tail_pos(y),
             tail_neg_closed=lambda y: eta * j.tail_neg(y),
         )
@@ -567,51 +571,6 @@ class GammaSubordinatorDriver(DriverSpec):
         )
 
 
-@dataclass(frozen=True)
-class DriftDriver(DriverSpec):
-    """Deterministic drift: L_t = gamma * t."""
-
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        _checks.finite(self.gamma, "DriftDriver.gamma")
-
-    def psi(self, u):
-        u = np.asarray(_checks.finite(u, "u"), dtype=float)
-        out = 1j * u * self.gamma
-        return out if out.ndim else complex(out)
-
-    @property
-    def nonnegative(self) -> bool:
-        # a nonnegative drift is a (degenerate) subordinator
-        return self.gamma >= 0
-
-    def cumulant_k(self, theta: float) -> float:
-        if self.gamma < 0:
-            raise NotASubordinator("negative drift is decreasing")
-        return -self.gamma * _checks.finite(theta, "theta")
-
-    def moments(self):
-        return (self.gamma, 0.0)
-
-    @property
-    def measure(self) -> LevyMeasure:
-        return LevyMeasure()
-
-    @property
-    def triplet(self) -> LevyTriplet:
-        return LevyTriplet(self.gamma, 0.0, LevyMeasure())
-
-    def sample_increments(self, dt, rng, size):
-        _checks.positive(dt, "dt")
-        return np.full(size, self.gamma * dt)
-
-    def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
-        dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
-        _report("constant", n_paths, 0)
-        return np.full(n_paths, self.gamma * dt * _weights(dt, lam, m).sum())
-
-
 # short constructor aliases
 
 def brownian(gamma: float = 0.0, sigma2: float = 1.0) -> BrownianDriver:
@@ -626,5 +585,6 @@ def gamma_subordinator(shape, rate) -> GammaSubordinatorDriver:
     return GammaSubordinatorDriver(shape, rate)
 
 
-def deterministic_drift(gamma) -> DriftDriver:
-    return DriftDriver(gamma)
+def deterministic_drift(gamma) -> BrownianDriver:
+    """Pure drift L_t = gamma t: the Brownian driver with sigma^2 = 0."""
+    return BrownianDriver(gamma, 0.0)

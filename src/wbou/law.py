@@ -168,9 +168,9 @@ def triplet_of_x(driver: DriverSpec, lam: float) -> LevyTriplet:
     where the truncation function does not change.  Gaussian part:
     sigma^2 / lam.
 
-    Under the time-scaled convention (the driver runs at rate lam, as in
-    char_fn_x(..., time_scaled=True)) the marginal law does not depend
-    on lam, and its triplet is triplet_of_x(driver, 1.0).  A lam that is
+    Under the time-scaled convention (the driver runs at rate lam) the
+    marginal law does not depend on lam: its characteristic function is
+    char_fn_x(driver, 1.0, u) and its triplet triplet_of_x(driver, 1.0).  A lam that is
     not positive and finite raises InvalidLambda, as in char_fn_x and
     char_fn_joint.
     """
@@ -267,7 +267,7 @@ def _integrate(f, a, b, owner, n: int, name: str) -> np.ndarray:
     return value
 
 
-def char_fn_x(driver: DriverSpec, lam: float, u, *, time_scaled: bool = False):
+def char_fn_x(driver: DriverSpec, lam: float, u):
     """Characteristic function of the stationary marginal X_0.
 
     The exponent is (2/lam) int_0^{|u|} psi(sign(u) v) / v dv, from the
@@ -276,26 +276,25 @@ def char_fn_x(driver: DriverSpec, lam: float, u, *, time_scaled: bool = False):
     never touch v = 0.  Every non-zero u is integrated at once by the
     adaptive rule described in the module docstring.
 
-    With time_scaled=True the driver runs at rate lam and the marginal
-    law (hence this function) does not depend on lam.  Scalar u gives a
+    A driver that runs at rate lam (the time-scaled convention) gives a
+    marginal law free of lam, char_fn_x(driver, 1.0, u).  Scalar u gives a
     Python complex; array u gives a complex array of the same shape.
     Non-finite u, or a u whose exponent overflows, raises DomainError.
     """
     _checks.lam(lam)
-    lam_eff = 1.0 if time_scaled else lam
     u = _checks.finite(np.asarray(u, dtype=float), "u")
     flat = u.ravel()
     nz = np.flatnonzero(flat)
     sign = np.sign(flat[nz])
 
-    def exponent(lam_eff, u_nz):
-        return (2.0 / lam_eff) * _integrate(
+    def exponent(lam, u_nz):
+        return (2.0 / lam) * _integrate(
             lambda v, k: driver.psi(sign[k] * v) / v,
             np.zeros(nz.size), np.abs(u_nz), np.arange(nz.size), nz.size, "char_fn_x",
         )
 
     expo = np.zeros(flat.size, dtype=complex)
-    expo[nz] = _checks.in_range("char_fn_x exponent", exponent, lam_eff, flat[nz],
+    expo[nz] = _checks.in_range("char_fn_x exponent", exponent, lam, flat[nz],
                                 numpy=True)
     out = np.exp(expo).reshape(u.shape)
     return complex(out) if out.ndim == 0 else out

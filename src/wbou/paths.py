@@ -24,9 +24,9 @@ The recursions actually used are the numerically safe ones
 
 which never form e^{+lam t} and therefore preserve nonnegativity of both
 components exactly in floating point when the driver increments are
-nonnegative.  The classical OU process and the compact-window kernel
-variant share the same conventions so that identities across processes
-hold pathwise.
+nonnegative.  The classical OU comparison process is the component
+path.x_minus itself, so identities between the two processes hold
+pathwise; the compact-window kernel variant shares the same conventions.
 
 All sampling of X goes through one engine and one route: the generator
 is split into three substreams (past of 0, main window, tail beyond
@@ -60,13 +60,10 @@ __all__ = [
     "SimulationGrid",
     "TruncationPolicy",
     "WbouPath",
-    "OuPath",
     "CompactPath",
     "simulate_wbou",
     "simulate_wbou_ensemble",
     "wbou_from_increments",
-    "simulate_ou",
-    "ou_from_increments",
     "simulate_compact_kernel",
     "path_total_variation",
     "max_abs_increment",
@@ -82,6 +79,15 @@ def _indexable(steps: float, what: str) -> float:
     return steps
 
 
+def _whole_steps(length: float, dt: float, name: str) -> int:
+    """length / dt as a whole number n >= 1 of steps NumPy can index,
+    with n dt within 1e-9 (relative) of length; else GridError."""
+    n = round(_indexable(length / dt, f"{name}={length} at dt={dt}"))
+    if n < 1 or abs(n * dt - length) > 1e-9 * max(length, 1.0):
+        raise GridError(f"{name}={length} is not an integer multiple of dt={dt}")
+    return n
+
+
 @dataclass(frozen=True)
 class SimulationGrid:
     """Uniform grid 0, dt, 2dt, ..., t_max with t_max an exact multiple of dt."""
@@ -92,11 +98,7 @@ class SimulationGrid:
     def __post_init__(self):
         _checks.positive(self.t_max, "t_max", GridError)
         _checks.positive(self.dt, "dt", GridError)
-        n = round(_indexable(self.t_max / self.dt, f"t_max={self.t_max} at dt={self.dt}"))
-        if n < 1 or abs(n * self.dt - self.t_max) > 1e-9 * max(self.t_max, 1.0):
-            raise GridError(
-                f"t_max={self.t_max} is not an integer multiple of dt={self.dt}"
-            )
+        _whole_steps(self.t_max, self.dt, "t_max")
 
     @property
     def n(self) -> int:
@@ -144,9 +146,11 @@ class WbouPath:
 
     The arrays x, x_minus and x_plus have shape (n+1,) for one path and
     (n_paths, n+1) for a batch; g = X^-_0 and h = X^+_0 are floats or
-    (n_paths,) arrays.  A single path keeps its main-window driver
-    increments ``dl`` so other representations can replay the identical
-    randomness; a batch keeps none (None).
+    (n_paths,) arrays.  x_minus is the stationary classical OU
+    comparison process u_{k+1} = e^{-lam dt}(u_k + dL_k), started at G.
+    A single path keeps its main-window driver increments ``dl`` so
+    other representations can replay the identical randomness; a batch
+    keeps none (None).
     """
 
     grid: SimulationGrid
@@ -167,16 +171,6 @@ class WbouPath:
         out = np.zeros(self.grid.n + 1)
         np.cumsum(self.dl, out=out[1:])
         return out
-
-
-@dataclass
-class OuPath:
-    """A stationary classical OU path u_{k+1} = e^{-lam dt}(u_k + dL_k)."""
-
-    grid: SimulationGrid
-    lam: float
-    x: np.ndarray
-    dl: np.ndarray
 
 
 @dataclass
@@ -322,48 +316,6 @@ def wbou_from_increments(
     return _row0(_assemble(lam, grid, g, dl, xp_end), dl)
 
 
-def simulate_ou(
-    driver: DriverSpec,
-    lam: float,
-    grid: SimulationGrid,
-    *,
-    trunc: TruncationPolicy | None = None,
-    rng=None,
-) -> OuPath:
-    """Simulate the stationary classical OU comparison process.
-
-    Same one-sided kernel e^{-lam(t-s)}, s <= t; the stationary start is
-    the truncated past integral G, and the path is the X^- component of
-    the simulate_wbou path drawn from an identically seeded generator.
-    """
-    batch, dl = _simulate(driver, lam, grid, 1, trunc, rng)
-    return OuPath(grid=grid, lam=batch.lam, x=batch.x_minus[0], dl=dl[0])
-
-
-def ou_from_increments(
-    lam: float,
-    grid: SimulationGrid,
-    dl: np.ndarray,
-    *,
-    dl_past: np.ndarray | None = None,
-    x0: float | None = None,
-) -> OuPath:
-    """Assemble an OU path from explicit increments (replay entry point).
-
-    The start is x0 if given, else the past integral G of dl_past (0.0
-    without one), weighted as in wbou_from_increments.
-    """
-    lam = _checks.lam(lam)
-    dl = _checks.replay_array(dl, grid.n, "dl")
-    past = _checks.replay_array(dl_past, None, "dl_past")[None, :]
-    if x0 is None:
-        x0 = math.exp(-lam * grid.dt) * (past @ _weights(grid.dt, lam, past.shape[1]))
-    else:
-        x0 = _checks.replay_array([x0], 1, "x0")
-    x = _forward(math.exp(-lam * grid.dt), x0, dl[None, :])[0]
-    return OuPath(grid=grid, lam=lam, x=x, dl=dl)
-
-
 def simulate_compact_kernel(
     driver: DriverSpec,
     lam: float,
@@ -380,9 +332,7 @@ def simulate_compact_kernel(
     """
     lam = _checks.lam(lam)
     _checks.positive(a, "window length a", GridError)
-    w = round(_indexable(a / grid.dt, f"a={a} at dt={grid.dt}"))
-    if w < 1 or abs(w * grid.dt - a) > 1e-9 * max(a, 1.0):
-        raise GridError(f"a={a} is not an integer multiple of dt={grid.dt}")
+    w = _whole_steps(a, grid.dt, "a")
     gen = as_generator(rng)
     n = grid.n
     dl_ext = driver.sample_increments(grid.dt, gen, w + n)
@@ -395,16 +345,25 @@ def simulate_compact_kernel(
 # path functionals
 
 
-def path_total_variation(path) -> float:
-    """Sum of absolute increments along the grid; a batch gives the sum
-    over its rows."""
-    return float(np.abs(np.diff(path.x)).sum())
+def _increments(x) -> np.ndarray:
+    """One-step increments of the grid values x along their last axis;
+    x must be finite, with at least two points along that axis."""
+    x = _checks.finite(np.asarray(x, dtype=float), "x")
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise DimensionMismatch(f"x has shape {x.shape}, expected two grid points or more")
+    return np.diff(x)
 
 
-def max_abs_increment(path) -> float:
-    """Largest absolute one-step increment along the grid; a batch gives
-    the largest over its rows."""
-    return float(np.abs(np.diff(path.x)).max())
+def path_total_variation(x) -> float:
+    """Sum of absolute increments of the grid values x, e.g. path.x or
+    path.x_minus; a batch gives the sum over its rows."""
+    return float(np.abs(_increments(x)).sum())
+
+
+def max_abs_increment(x) -> float:
+    """Largest absolute one-step increment of the grid values x, e.g.
+    path.x or path.x_minus; a batch gives the largest over its rows."""
+    return float(np.abs(_increments(x)).max())
 
 
 def derivative_identity_residual(path: WbouPath) -> float:

@@ -11,9 +11,10 @@ that guarantees:
 * the rows of one batch (``simulate_wbou_ensemble``,
   ``simulate_sv_ensemble``) are iid paths drawn together from one
   generator; they are not the fan-out paths;
-* a single path (``simulate_wbou``, ``simulate_ou``, ``simulate_sv``)
-  is row 0 of the matching ``n_paths=1`` batch call with an identically
-  seeded generator, bitwise;
+* a single path (``simulate_wbou``, ``simulate_sv``) is row 0 of the
+  matching ``n_paths=1`` batch call with an identically seeded
+  generator, bitwise, and its ``x_minus`` is the classical OU
+  comparison path of that draw;
 * every path draws the half-line integrals G and X^+_{t_max} whole, so
   two truncation ``tol`` values give independent draws of them.
 """

@@ -185,26 +185,21 @@ def simulate_sv_ensemble(
     return _simulate_joint(spec, grid, n_paths, trunc, rng)
 
 
-def integrated_vol_explicit(path, lam: float | None = None) -> np.ndarray:
+def integrated_vol_explicit(path) -> np.ndarray:
     """Pathwise integrated volatility from the decomposition:
 
         int_0^t X_u du = (2 L + x^-_0 - x^+_0 - (x^-_t - x^+_t)) / lam
 
-    with L the driver's cumulative path on the process's own clock.
-    Works for any single path carrying x_minus, x_plus and l_cum; a
-    batch keeps none of them and raises MissingComponents."""
-    if lam is None:
-        lam = getattr(path, "lam", None)
-        if lam is None:
-            raise MissingComponents("pass lam or a path that knows its rate")
-    lam = _checks.lam(lam)
-    xm = getattr(path, "x_minus", None)
-    xp = getattr(path, "x_plus", None)
-    lc = getattr(path, "l_cum", None)
-    if xm is None or xp is None or lc is None:
+    with L the driver's cumulative path on the process's own clock and
+    lam the path's rate.  Works for any single path carrying lam,
+    x_minus, x_plus and l_cum; a batch keeps no l_cum and raises
+    MissingComponents."""
+    lam, xm, xp, lc = (getattr(path, k, None) for k in ("lam", "x_minus", "x_plus", "l_cum"))
+    if any(c is None for c in (lam, xm, xp, lc)):
         raise MissingComponents(
-            "path lacks x_minus/x_plus/l_cum; cannot apply the identity"
+            "path lacks lam/x_minus/x_plus/l_cum; cannot apply the identity"
         )
+    lam = _checks.lam(lam)
     return (2.0 * lc + (xm[0] - xp[0]) - (xm - xp)) / lam
 
 

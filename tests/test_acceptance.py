@@ -40,10 +40,8 @@ from wbou import (
     kbar,
     lambda_sign_threshold,
     max_abs_increment,
-    ou_from_increments,
     rbar_fn,
     simulate_carma,
-    simulate_ou,
     simulate_sv,
     simulate_wbou,
     simulate_wbou_ensemble,
@@ -138,15 +136,13 @@ def test_criterion_02_stationary_moments():
 def test_criterion_03_continuity_contrast():
     driver = compound_poisson(5.0, ExponentialJumps(1.0))
     lam, t_max, dt = 1.0, 50.0, 0.005
-    grid_f = SimulationGrid(t_max, dt)
     ratios_wbou, ratios_ou = [], []
     rng = rng_for("acceptance", "c03")
     for _ in range(100):
-        (d_f, fine), (d_c, coarse) = _fine_and_coarse(driver, lam, t_max, dt, rng)
-        ratios_wbou.append(max_abs_increment(fine) / max_abs_increment(coarse))
-        ou_f = ou_from_increments(lam, grid_f, d_f[1], dl_past=d_f[0])
-        ou_c = ou_from_increments(lam, coarse.grid, d_c[1], dl_past=d_c[0])
-        ratios_ou.append(max_abs_increment(ou_f) / max_abs_increment(ou_c))
+        (_, fine), (_, coarse) = _fine_and_coarse(driver, lam, t_max, dt, rng)
+        ratios_wbou.append(max_abs_increment(fine.x) / max_abs_increment(coarse.x))
+        # the one-sided OU process is the X^- component of the same replay
+        ratios_ou.append(max_abs_increment(fine.x_minus) / max_abs_increment(coarse.x_minus))
     rw, ro = np.mean(ratios_wbou), np.mean(ratios_ou)
     _report(3, "continuity-contrast",
             abs(rw - 0.5) <= 0.15 and ro >= 0.9,
@@ -408,8 +404,8 @@ def test_criterion_12_fit_recovery():
         a = empirical_acf(xw, 50)
         if fit_acf(a, "wbou", (1, 50)).rss < fit_acf(a, "ou", (1, 50)).rss:
             wins_wbou += 1
-        xo = simulate_ou(GAMMA11, lam_true, grid,
-                         rng=rng_for("acceptance", "c12", "o", str(i))).x
+        xo = simulate_wbou(GAMMA11, lam_true, grid,
+                           rng=rng_for("acceptance", "c12", "o", str(i))).x_minus
         a = empirical_acf(xo, 50)
         if fit_acf(a, "ou", (1, 50)).rss < fit_acf(a, "wbou", (1, 50)).rss:
             wins_ou += 1

@@ -34,7 +34,6 @@ from wbou.cli import main, parse_driver
 from wbou.drivers import (
     BrownianDriver,
     CompoundPoissonDriver,
-    DriftDriver,
     ExponentialJumps,
     GammaSubordinatorDriver,
     NormalJumps,
@@ -96,7 +95,7 @@ class TestParseDriver:
 
     def test_drift_and_alias(self):
         drv = parse_driver("drift:gamma=2")
-        assert isinstance(drv, DriftDriver) and drv.gamma == 2.0
+        assert drv == BrownianDriver(2.0, 0.0) == parse_driver("brownian:gamma=2,sigma2=0")
         assert parse_driver("deterministic_drift:gamma=2") == drv
 
     def test_drift_requires_gamma(self):
@@ -391,6 +390,36 @@ def test_theory_sv_curves_from_driver(tmp_path):
         assert corr == corr_squared_returns(2.0, 1.0, 1.0, 1.0, int(s))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["acf", "--driver", "nonsense", "--delta", "5", "--mu", "3", "--max-s", "4"],
+     "theory acf does not read --delta, --max-s, --mu, --driver"),
+    (["sv", "--driver", "gamma:a=1,b=1", "--mu", "5", "--v", "2", "--dh", "0.3"],
+     "theory sv does not read --dh"),
+    (["increment-acf", "--dh", "0.5", "--v", "1"], "theory increment-acf does not read --dh, --v"),
+    (["sv", "--max-lag", "5"], "theory sv does not read --max-lag"),
+    (["sv", "--driver", "gamma:a=1,b=1", "--mu", "5"],
+     "theory sv takes --driver or --mu/--v, not both"),
+    (["sv", "--driver", "gamma:a=1,b=1", "--v", "2"],
+     "theory sv takes --driver or --mu/--v, not both"),
+], ids=["acf-sv-flags", "sv-dh", "iacf-dh-v", "sv-max-lag", "sv-driver-mu", "sv-driver-v"])
+def test_theory_refuses_the_flags_its_kind_does_not_read(tmp_path, capsys, argv, message):
+    out = tmp_path / "t.csv"
+    assert main(["theory", *argv, "--lambda", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_theory_refuses_a_config_flag_its_kind_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu=0.5\n")
+    out = tmp_path / "t.csv"
+    argv = ["theory", "acf", "--config", str(cfg), "--lambda", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: theory acf does not read --mu\n"
+    assert not out.exists()
+    assert main(["theory", "sv", "--config", str(cfg), "--lambda", "1", "--out", str(out)]) == 0
+
+
 def test_theory_sv_curves_from_moment_flags(tmp_path):
     out = tmp_path / "sv.csv"
     main(["theory", "sv", "--lambda", "0.5", "--delta", "2", "--max-s", "3",
@@ -527,11 +556,22 @@ def test_sv_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_sv_rejects_signed_driver(tmp_path, capsys):
-    argv = ["sv", "--driver", "brownian", "--lambda", "1",
+@pytest.mark.parametrize("driver", ["brownian", "brownian:gamma=1,sigma2=0.5",
+                                    "brownian:gamma=-1,sigma2=0", "drift:gamma=-1"])
+def test_sv_rejects_signed_driver(tmp_path, capsys, driver):
+    argv = ["sv", "--driver", driver, "--lambda", "1",
             "--t-max", "1.0", "--dt", "0.1", "--out", str(tmp_path / "sv.csv")]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sv_takes_brownian_without_variance_as_drift(tmp_path):
+    """brownian:gamma=1,sigma2=0 is the drift subordinator, bitwise."""
+    argv = lambda drv, name: ["sv", "--driver", drv, "--lambda", "1", "--t-max", "1.0",
+                              "--dt", "0.1", "--seed", "3", "--out", str(tmp_path / name)]
+    assert main(argv("brownian:gamma=1,sigma2=0", "bm.csv")) == 0
+    assert main(argv("drift:gamma=1", "drift.csv")) == 0
+    assert (tmp_path / "bm.csv").read_bytes() == (tmp_path / "drift.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,23 @@ def test_brownian_measure_is_zero():
     assert deterministic_drift(3.0).measure.is_zero
 
 
+def test_drift_is_brownian_without_variance():
+    """Pure drift is the Brownian family at sigma^2 = 0, a subordinator
+    exactly when its drift is nonnegative."""
+    assert deterministic_drift(1.0) == brownian(1.0, 0.0)
+    assert brownian(1.0, 0.0).nonnegative and brownian(0.0, 0.0).nonnegative
+    for d in (brownian(1.0, 0.5), brownian(-1.0, 0.0)):
+        assert not d.nonnegative
+
+
+@pytest.mark.parametrize("jumps, support", [(ExponentialJumps(1.0), (0.0, math.inf)),
+                                            (NormalJumps(0.3, 0.8), (-math.inf, math.inf))])
+def test_jump_density_support_follows_the_sign_of_the_jumps(jumps, support):
+    meas = compound_poisson(2.0, jumps).measure
+    assert meas.support == support
+    assert (meas.tail_neg(0.5) == 0.0) == jumps.positive
+
+
 @pytest.mark.parametrize("d", DRIVERS_WITH_JUMPS + [brownian(0.4, 1.7),
                                                     deterministic_drift(-2.0)])
 def test_triplet_reproduces_moments(d):
@@ -424,7 +441,7 @@ def test_hook_records_name_the_route(caplog):
     jumps = substream(3).poisson(10.0 * 0.1 * m, 2).sum()
     assert hook_records(caplog.records) == [
         ("dense", 2, 2 * m, "0"), ("series", 2, series, "1e-12"), ("jumps", 2, jumps, "0"),
-        ("normal", 2, 2, "0"), ("constant", 2, 0, "0")]
+        ("normal", 2, 2, "0"), ("normal", 2, 2, "0")]
     assert np.array_equal(normal, substream(4).normal(0.0, math.sqrt(0.1 * (w @ w)), 2))
     assert np.array_equal(drift, np.full(2, 0.1 * w.sum()))
 
@@ -456,7 +473,7 @@ def test_hook_record_counts_the_terms_drawn(name, lam, dt, caplog):
     elif name.startswith("cp"):
         want = ("jumps", 3, gen.poisson(drv.intensity * dt * m, 3).sum(), "0")
     else:
-        want = {"brownian": ("normal", 3, 3, "0"), "drift": ("constant", 3, 0, "0")}[name]
+        want = ("normal", 3, 3, "0")  # pure drift is Brownian at sigma^2 = 0
     assert hook_records(caplog.records) == [want]
 
 

@@ -60,7 +60,7 @@ CASES = [
       for f in (W.CompoundPoissonDriver, W.compound_poisson)],
     *[(f.__name__, f, dict(shape=1.5, rate=2.0))
       for f in (W.GammaSubordinatorDriver, W.gamma_subordinator)],
-    *[(f.__name__, f, dict(gamma=1.0)) for f in (W.DriftDriver, W.deterministic_drift)],
+    ("deterministic_drift", W.deterministic_drift, dict(gamma=1.0)),
     ("NormalJumps", W.NormalJumps, dict(mean=0.1, var=0.5)),
     ("ExponentialJumps", W.ExponentialJumps, dict(rate=1.5)),
     ("PointMassJumps", W.PointMassJumps, dict(size=0.5)),
@@ -91,9 +91,7 @@ CASES = [
      dict(driver=GAMMA, lam=0.8, grid=GRID, n_paths=2, rng=1)),
     ("wbou_from_increments", W.wbou_from_increments,
      dict(lam=0.8, grid=GRID, dl=DL, dl_past=[0.1, 0.2], dl_tail=[0.3])),
-    ("simulate_ou", W.simulate_ou, dict(driver=GAMMA, lam=0.8, grid=GRID, rng=1)),
-    ("ou_from_increments", W.ou_from_increments,
-     dict(lam=0.8, grid=GRID, dl=DL, dl_past=[0.1, 0.2], x0=0.3)),
+    *[(f.__name__, f, dict(x=DL)) for f in (W.path_total_variation, W.max_abs_increment)],
     ("simulate_compact_kernel", W.simulate_compact_kernel,
      dict(driver=GAMMA, lam=0.8, a=0.2, grid=GRID, rng=1)),
     ("substream", lambda seed, key: W.substream(seed, key), dict(seed=1, key=2)),
@@ -102,7 +100,6 @@ CASES = [
     ("simulate_sv", W.simulate_sv, dict(spec=SPEC, grid=GRID, rng=1)),
     ("simulate_sv_ensemble", W.simulate_sv_ensemble,
      dict(spec=SPEC, grid=GRID, n_paths=2, rng=1)),
-    ("integrated_vol_explicit", W.integrated_vol_explicit, dict(path=SV_PATH, lam=0.8)),
     *[("rbar_fn", W.rbar_fn, dict(lam=0.8, t=t)) for t in (1.0, [0.5, 1.0])],
     ("big_r", W.big_r, dict(lam=0.8, delta=1.0, s=2)),
     ("cov_integrated_vol", W.cov_integrated_vol, dict(v=1.2, lam=0.8, delta=1.0, s=2)),
@@ -140,16 +137,16 @@ CASES += [
 #: public callables outside the table, and why
 NOT_NUMERIC = {
     "result records: the functions that build them check their inputs": (
-        "AcfEstimate", "FitResult", "LevyTriplet", "ExistenceResult", "WbouPath", "OuPath",
+        "AcfEstimate", "FitResult", "LevyTriplet", "ExistenceResult", "WbouPath",
         "CompactPath", "SvPath"),
     "built from callables and an interval that may be infinite; its tails are above": (
         "LevyMeasure",),
     "the abstract driver interface": ("DriverSpec",),
     "no numeric argument": (
         "mean_x", "var_x", "lambda_sign_threshold", "carma_from_wbou", "spot_vol_moments",
-        "derivative_identity_residual", "max_abs_increment", "path_total_variation",
-        "read_acf_csv", "read_series_csv", "write_acf_csv", "write_path_csv",
-        "write_signature_csv", "write_sv_csv"),
+        "derivative_identity_residual", "integrated_vol_explicit", "read_acf_csv",
+        "read_series_csv", "write_acf_csv", "write_path_csv", "write_signature_csv",
+        "write_sv_csv"),
 }
 
 

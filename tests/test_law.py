@@ -186,12 +186,12 @@ def test_cf_agrees_with_triplet_reconstruction(driver, u):
 
 
 def test_time_scaled_cf_is_lambda_free():
+    """The driver run at rate lam (gamma shape a lam) gives the marginal
+    law of lam = 1, so the time-scaled CF is char_fn_x(driver, 1.0, u)."""
     u = 1.7
-    a = char_fn_x(GAMMA, 0.5, u, time_scaled=True)
-    b = char_fn_x(GAMMA, 2.0, u, time_scaled=True)
-    assert a == pytest.approx(b, rel=1e-12)
-    # and it matches the unscaled CF at lam = 1
-    assert a == pytest.approx(char_fn_x(GAMMA, 1.0, u), rel=1e-12)
+    for lam in (0.5, 2.0):
+        at_rate = gamma_subordinator(GAMMA.shape * lam, GAMMA.rate)
+        assert char_fn_x(at_rate, lam, u) == pytest.approx(char_fn_x(GAMMA, 1.0, u), rel=1e-12)
 
 
 def test_cf_against_simulated_marginal():
@@ -375,6 +375,10 @@ def test_kbar_exponential_jumps_closed_form():
 
 def test_kbar_drift_linear():
     assert kbar(deterministic_drift(1.5), 2.0) == pytest.approx(-6.0, rel=1e-12)
+    assert kbar(brownian(1.5, 0.0), 2.0) == kbar(deterministic_drift(1.5), 2.0)
+    for driver in (brownian(1.5, 0.5), brownian(-1.5, 0.0)):
+        with pytest.raises(NotASubordinator):
+            kbar(driver, 2.0)
 
 
 def test_tails_and_kbar_log_their_quad_error(caplog):

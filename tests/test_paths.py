@@ -21,15 +21,14 @@ from wbou import (
     SimulationGrid,
     TruncationPolicy,
     brownian,
+    compact_cov,
     compound_poisson,
     derivative_identity_residual,
     deterministic_drift,
     gamma_subordinator,
     max_abs_increment,
-    ou_from_increments,
     path_total_variation,
     simulate_compact_kernel,
-    simulate_ou,
     simulate_wbou,
     simulate_wbou_ensemble,
     substream,
@@ -115,9 +114,8 @@ class TestTruncation:
     @pytest.mark.parametrize("name", ["gamma", "brownian", "cp-exponential"])
     def test_simulations_refuse_an_unindexable_horizon(self, name):
         grid = SimulationGrid(1.0, 0.1)
-        for simulate in (simulate_wbou, simulate_ou):
-            with pytest.raises(GridError):
-                simulate(SIX_DRIVERS[name], 1e-300, grid, rng=substream(1))
+        with pytest.raises(GridError):
+            simulate_wbou(SIX_DRIVERS[name], 1e-300, grid, rng=substream(1))
         with pytest.raises(GridError):
             simulate_wbou_ensemble(SIX_DRIVERS[name], 1e-300, grid, 2, rng=substream(1))
 
@@ -207,8 +205,7 @@ ROW0_CASES = {**{name: (drv, SimulationGrid(2.0, 0.01)) for name, drv in SIX_DRI
 
 @pytest.mark.parametrize("name", list(ROW0_CASES))
 def test_single_path_is_row_zero_of_one_path_ensemble(name, caplog):
-    """simulate_wbou is row 0 of a one-path ensemble, bitwise, and
-    simulate_ou is its X^- component.  The layout: dl is the (1, n) draw
+    """simulate_wbou is row 0 of a one-path ensemble, bitwise.  The layout: dl is the (1, n) draw
     of the main child; G and X^+_{t_max} are the hook's draws from the
     past and tail children, G one kernel step further out."""
     driver, grid = ROW0_CASES[name]
@@ -226,9 +223,6 @@ def test_single_path_is_row_zero_of_one_path_ensemble(name, caplog):
     assert (hook_records(caplog.records)[0][0] == "dense") == (name == "gamma-coarse")
     assert np.array_equal(ens.g, g)
     assert np.array_equal(ens.x_plus[:, -1], hook(tail))
-    ou = simulate_ou(driver, lam, grid, trunc=trunc, rng=substream(5, 2))
-    assert np.array_equal(ou.x, path.x_minus) and ou.x[0] == path.g
-    assert np.array_equal(ou.dl, path.dl)
 
 
 def test_simulate_logs_route_and_budget(caplog):
@@ -237,11 +231,12 @@ def test_simulate_logs_route_and_budget(caplog):
     side first: route, rows, the terms actually drawn and the mass the
     series neglects (tol mu / lam on the gamma series, 0 elsewhere).  On
     the scatter routes the terms are the Poisson total that the hook's
-    child generator draws first."""
+    child generator draws first.  Pure drift is Brownian with sigma^2 = 0
+    and takes the normal route."""
     fine, coarse = SimulationGrid(1.0, 1e-3), SimulationGrid(1.0, 0.1)
     runs = [(GAMMA11, fine, 2, "series"), (SIX_DRIVERS["cp-exponential"], fine, 3, "jumps"),
             (GAMMA11, coarse, 1, "dense"), (SIX_DRIVERS["brownian"], fine, 2, "normal"),
-            (SIX_DRIVERS["drift"], fine, 2, "constant")]
+            (SIX_DRIVERS["drift"], fine, 2, "normal")]
     for driver, grid, n_paths, route in runs:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="wbou"):
@@ -265,20 +260,23 @@ def test_simulate_logs_route_and_budget(caplog):
             elif route == "jumps":
                 want = gen.poisson(5.0 * grid.dt * m, n_paths).sum()
             else:
-                want = {"dense": n_paths * m, "normal": n_paths, "constant": 0}[route]
+                want = {"dense": n_paths * m, "normal": n_paths}[route]
             assert terms == want
             assert mass == ("1e-12" if route == "series" else "0")
 
 
-#: SHA-256 of simulate_wbou_ensemble(...).x for four drivers at a fixed
+#: SHA-256 of simulate_wbou_ensemble(...).x for five drivers at a fixed
 #: seed (numpy 2.4, scipy 1.17, x86-64), half-lines drawn by law.  The
 #: compound Poisson digests hold the scatter sums, which weight only the
 #: cells they draw, to the bits of indexing the full m_half weight array.
+#: The drift digest holds pure drift, the Brownian driver at sigma^2 = 0,
+#: to the bits of filling every increment with gamma * dt.
 FROZEN_ENSEMBLES = {
     "gamma": "34e3dda7265dabd28529714ae1ddd5d0cbde24d70db7e9d27eb5ff9f011abfc0",
     "brownian": "c54d6bb099108d208d9da2773d88183ac47c94ff7538af1d54917d6c37f95132",
     "cp-exponential": "efb2cde7fdc8dfb06b8557ea7ac841a6b2b1e59df72696810a435ab723cacd8f",
     "cp-normal": "723254262ab645b788b013772f0fcc27d8ba7ded58e6a1ebe298639fb692a5d5",
+    "drift": "87fec62ac14a4a011da510bb9ea7cb139f7413f79cbd9d7ee966028261bacea7",
 }
 
 
@@ -291,8 +289,7 @@ def test_frozen_ensemble_digest(name):
 
 def test_replay_reproduces_path_exactly():
     """On a coarse grid the gamma hook takes its dense default, so
-    replaying the dense reference rebuilds the simulated path bitwise;
-    the OU replay of its past and main window rebuilds X^-."""
+    replaying the dense reference rebuilds the simulated path bitwise."""
     grid = SimulationGrid(2.0, 0.05)
     path = simulate_wbou(GAMMA11, 1.3, grid, rng=substream(9))
     draws = dense_draws(GAMMA11, 1.3, grid, rng=substream(9))
@@ -300,8 +297,6 @@ def test_replay_reproduces_path_exactly():
     assert np.array_equal(replay.dl, path.dl)
     assert np.array_equal(replay.x, path.x)
     assert np.array_equal(replay.x_plus, path.x_plus)
-    ou = ou_from_increments(1.3, grid, draws[1], dl_past=draws[0])
-    assert np.array_equal(ou.x, path.x_minus)
     assert np.array_equal(replay.x_minus, path.x_minus)
     assert replay.g == path.g and replay.h == path.h
 
@@ -311,24 +306,18 @@ def test_replay_validates_increment_count():
     a wrong shape is a DimensionMismatch, a NaN or inf a DomainError."""
     grid = SimulationGrid(0.4, 0.1)
     zeros = np.zeros(grid.n)
-    for replay in (wbou_from_increments, ou_from_increments):
-        for dl in (np.zeros(5), np.zeros((1, grid.n))):
-            with pytest.raises(DimensionMismatch):
-                replay(1.0, grid, dl)
-        with pytest.raises(DimensionMismatch, match="dl_past"):
-            replay(1.0, grid, zeros, dl_past=np.ones((2, 3)))
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError, match="dl must be finite"):
-                replay(1.0, grid, [0.0, bad, 0.0, 0.0])
-            with pytest.raises(DomainError, match="dl_past must be finite"):
-                replay(1.0, grid, zeros, dl_past=[1.0, bad])
-    with pytest.raises(DimensionMismatch, match="dl_tail"):
-        wbou_from_increments(1.0, grid, zeros, dl_tail=np.ones((2, 3)))
-    with pytest.raises(DomainError, match="dl_tail must be finite"):
-        wbou_from_increments(1.0, grid, zeros, dl_tail=[math.nan])
-    for bad in (math.nan, -math.inf):
-        with pytest.raises(DomainError, match="x0 must be finite"):
-            ou_from_increments(1.0, grid, zeros, x0=bad)
+    for dl in (np.zeros(5), np.zeros((1, grid.n))):
+        with pytest.raises(DimensionMismatch):
+            wbou_from_increments(1.0, grid, dl)
+    for side in ("dl_past", "dl_tail"):
+        with pytest.raises(DimensionMismatch, match=side):
+            wbou_from_increments(1.0, grid, zeros, **{side: np.ones((2, 3))})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="dl must be finite"):
+            wbou_from_increments(1.0, grid, [0.0, bad, 0.0, 0.0])
+        for side in ("dl_past", "dl_tail"):
+            with pytest.raises(DomainError, match=f"{side} must be finite"):
+                wbou_from_increments(1.0, grid, zeros, **{side: [1.0, bad]})
 
 
 def test_deterministic_drift_levels():
@@ -403,29 +392,21 @@ def test_lambda_validation():
 # one-sided comparison process
 # ---------------------------------------------------------------------------
 
-def test_ou_equals_decaying_component_under_shared_streams():
-    grid = SimulationGrid(3.0, 0.01)
-    wb = simulate_wbou(GAMMA11, 1.0, grid, rng=substream(55))
-    ou = simulate_ou(GAMMA11, 1.0, grid, rng=substream(55))
-    assert np.array_equal(ou.x, wb.x_minus)
-    assert ou.x[0] == wb.g
-    assert np.array_equal(ou.dl, wb.dl)
-
-
-def test_ou_from_increments_explicit_start():
+def test_x_minus_is_the_ou_recursion_from_g():
+    """x^-_{k+1} = alpha (x^-_k + dL_k) from x^-_0 = G = alpha dl_past[0]."""
     grid = SimulationGrid(0.3, 0.1)
-    dl = np.array([1.0, 0.0, 2.0])
     lam = math.log(2.0) / 0.1  # alpha = 1/2
-    ou = ou_from_increments(lam, grid, dl, x0=4.0)
-    assert np.allclose(ou.x, [4.0, 2.5, 1.25, 1.625])
+    path = wbou_from_increments(lam, grid, [1.0, 0.0, 2.0], dl_past=[8.0])
+    assert path.g == 4.0
+    assert np.allclose(path.x_minus, [4.0, 2.5, 1.25, 1.625])
 
 
 def test_ou_inherits_upward_jumps_without_smoothing():
     """A subordinator driver makes the one-sided process jump upward."""
     d = compound_poisson(1.0, ExponentialJumps(0.5))
-    ou = simulate_ou(d, 1.0, SimulationGrid(20.0, 0.01), rng=substream(8))
-    up = np.diff(ou.x).max()
-    down = -np.diff(ou.x).min()
+    ou = simulate_wbou(d, 1.0, SimulationGrid(20.0, 0.01), rng=substream(8)).x_minus
+    up = np.diff(ou).max()
+    down = -np.diff(ou).min()
     # decay between jumps is O(lam dt), jumps are O(1)
     assert up > 10 * down
 
@@ -467,6 +448,30 @@ def test_compact_window_independence_beyond_window():
     assert abs(r) < 4.0 / math.sqrt(len(x) - k)
 
 
+def test_compact_window_autocovariance_is_the_discrete_sum():
+    """At a lag of l steps a Brownian compact-window path has the
+    autocovariance sigma^2 dt sum_{j=l}^{w-1} e^{-lam dt (j+1)}
+    e^{-lam dt (j-l+1)}, w = a / dt, and 0 from l = w on; compact_cov is
+    its dt -> 0 limit.  The band is 4 standard errors of the sample
+    autocovariance by Bartlett's formula for a Gaussian series."""
+    lam, a, dt, s2 = 1.0, 1.0, 0.05, 1.5
+    path = simulate_compact_kernel(brownian(0.3, s2), lam, a,
+                                   SimulationGrid(4000.0, dt), rng=substream(63))
+    w = round(a / dt)
+    kern = lambda j: np.exp(-lam * dt * (j + 1))
+    j = np.arange(w)
+    exact = np.array([s2 * dt * kern(j[l:]) @ kern(j[l:] - l) for l in range(w)])
+    cov = lambda k: exact[abs(k)] if abs(k) < w else 0.0
+    x = path.x - path.x.mean()
+    n = len(x)
+    for l in (0, w // 2, w, 2 * w):
+        want = cov(l)
+        assert want == pytest.approx(s2 * compact_cov(lam, a, l * dt, 0.0), rel=0.1, abs=1e-12)
+        se = math.sqrt(sum(cov(k) ** 2 + cov(k + l) * cov(k - l)
+                           for k in range(-w - l, w + l + 1)) / n)
+        assert abs(x[: n - l] @ x[l:] / n - want) <= 4 * se
+
+
 def test_compact_window_validation():
     grid = SimulationGrid(1.0, 0.1)
     with pytest.raises(GridError):
@@ -489,16 +494,19 @@ def test_functionals_of_a_batch_reduce_over_rows():
                                 x_plus=batch.x_plus[i], g=float(batch.g[i]),
                                 h=float(batch.h[i])) for i in range(3)]
     assert derivative_identity_residual(batch) == max(map(derivative_identity_residual, rows))
-    assert max_abs_increment(batch) == max(map(max_abs_increment, rows))
-    assert path_total_variation(batch) == pytest.approx(
-        sum(map(path_total_variation, rows)), rel=1e-14)
+    assert max_abs_increment(batch.x) == max(max_abs_increment(r.x) for r in rows)
+    assert path_total_variation(batch.x) == pytest.approx(
+        sum(path_total_variation(r.x) for r in rows), rel=1e-14)
 
 
 def test_variation_functionals_on_known_path():
-    fake = CompactPath(grid=SimulationGrid(0.4, 0.1), lam=1.0, a=0.1,
-                       x=np.array([0.0, 2.0, 1.0, 1.0, -1.0]))
-    assert path_total_variation(fake) == pytest.approx(5.0)
-    assert max_abs_increment(fake) == pytest.approx(2.0)
+    x = [0.0, 2.0, 1.0, 1.0, -1.0]
+    assert path_total_variation(x) == pytest.approx(5.0)
+    assert max_abs_increment(x) == pytest.approx(2.0)
+    for f in (path_total_variation, max_abs_increment):
+        for short in (1.0, [1.0], [[1.0], [2.0]]):
+            with pytest.raises(DimensionMismatch, match="two grid points"):
+                f(short)
 
 
 def test_derivative_identity_residual_shrinks_with_dt():
@@ -545,10 +553,12 @@ def test_path_csv_refuses_a_batch(tmp_path):
 
 
 def test_path_csv_components_optional(tmp_path):
-    ou = simulate_ou(GAMMA11, 1.0, SimulationGrid(0.5, 0.1), rng=substream(13))
-    out = tmp_path / "ou.csv"
-    write_path_csv(ou, out)
+    compact = simulate_compact_kernel(GAMMA11, 1.0, 0.2, SimulationGrid(0.5, 0.1),
+                                      rng=substream(13))
+    assert isinstance(compact, CompactPath)
+    out = tmp_path / "compact.csv"
+    write_path_csv(compact, out)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows[0]["x_minus"] == ""
-    assert float(rows[3]["x"]) == ou.x[3]
+    assert rows[0]["x_minus"] == "" and rows[0]["x_plus"] == ""
+    assert float(rows[3]["x"]) == compact.x[3]

@@ -3,6 +3,8 @@ one path, with (n+1,) arrays, or a batch, with (n_paths, n+1) arrays.
 A single path keeps what replay and the integrated-volatility identity
 need; a batch keeps only its paths."""
 
+import inspect
+
 import pytest
 
 import wbou
@@ -64,12 +66,31 @@ def test_merged_and_removed_names_are_gone(name):
     assert not hasattr(wbou, name)
 
 
+@pytest.mark.parametrize("owner, name", [
+    (module, name) for module in (wbou, wbou.paths)
+    for name in ("OuPath", "simulate_ou", "ou_from_increments")
+] + [(wbou, "DriftDriver"), (wbou.drivers, "DriftDriver")])
+def test_second_routes_to_the_same_values_are_gone(owner, name):
+    """The OU comparison process is WbouPath.x_minus, pure drift is
+    BrownianDriver(gamma, 0.0)."""
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__all__", ())
+
+
+@pytest.mark.parametrize("fn, param", [(wbou.char_fn_x, "time_scaled"),
+                                       (wbou.integrated_vol_explicit, "lam")])
+def test_switches_that_restate_a_value_are_gone(fn, param):
+    """The time-scaled CF is char_fn_x(driver, 1.0, u); every path
+    carries its own lam."""
+    assert param not in inspect.signature(fn).parameters
+
+
 DRIVER_CLASSES = (wbou.DriverSpec, wbou.BrownianDriver, wbou.CompoundPoissonDriver,
-                  wbou.GammaSubordinatorDriver, wbou.DriftDriver)
+                  wbou.GammaSubordinatorDriver)
 
 
 @pytest.mark.parametrize("owner, name", [
-    (wbou.WbouPath, "dl_past"), (wbou.WbouPath, "dl_tail"), (wbou.OuPath, "dl_past"),
+    (wbou.WbouPath, "dl_past"), (wbou.WbouPath, "dl_tail"),
     (wbou.DriverSpec, "sample_increment"), (wbou.LevyMeasure, "mean_outside_unit"),
     (wbou.LevyMeasure, "mean_inside_unit"), (wbou.LevyMeasure, "second_moment"),
     *[(cls, name) for cls in DRIVER_CLASSES

@@ -11,12 +11,18 @@ window, and ``paths.simulate_compact_kernel`` call ``sample_increments``,
 so the half-lines have one route: the driver hook.  Only ``law`` imports
 ``scipy.integrate``, for its one ``quad`` wrapper.  No module imports
 scipy at module level: each function imports the subpackage it calls,
-so ``import wbou`` loads no scipy.
+so ``import wbou`` loads no scipy.  Every option of a CLI subcommand is
+read by that subcommand's ``cmd_*`` function, so no flag is accepted
+and then ignored.
 """
+import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from wbou.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wbou"
 
@@ -272,3 +278,49 @@ def test_only_the_engine_main_window_draws_increments_outside_drivers():
     found = sorted((p.name, fn) for p in SRC.glob("*.py") if p.name != "drivers.py"
                    for fn in _sites_where(_samples_increments, ast.parse(p.read_text())))
     assert found == [("paths.py", "_simulate"), ("paths.py", "simulate_compact_kernel")]
+
+
+def _unread_options(parser, tree):
+    """(subcommand, dest) of each option of parser's subcommands that the
+    subcommand's function (its ``fn`` default, looked up by name in tree)
+    reads neither as ``args.<dest>`` nor as ``getattr(args, "<dest>")``."""
+    funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, sub in subs.choices.items():
+        fn = funcs[sub.get_default("fn").__name__]
+        args = fn.args.args[0].arg
+        reads = set()
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and getattr(node.value, "id", None) == args):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1 and getattr(node.args[0], "id", None) == args
+                  and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
+        unread += [(command, a.dest) for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in reads]
+    return unread
+
+
+def _cmd_planted(args):
+    """Reads --used and --lambda; only stores to --unused."""
+    args.unused = None
+    return args.used, getattr(args, "lambda")
+
+
+def test_option_rule_finds_a_planted_unread_option():
+    top = argparse.ArgumentParser()
+    demo = top.add_subparsers().add_parser("demo")
+    for flag in ("--used", "--lambda", "--unused"):
+        demo.add_argument(flag)
+    demo.set_defaults(fn=_cmd_planted)
+    tree = ast.parse(inspect.getsource(_cmd_planted))
+    assert _unread_options(top, tree) == [("demo", "unused")]
+
+
+def test_every_cli_option_is_read_by_its_subcommand():
+    """An option that no cmd_* reads (as --seed once was on four
+    subcommands) fails here."""
+    assert _unread_options(build_parser(), ast.parse((SRC / "cli.py").read_text())) == []

@@ -61,10 +61,13 @@ def test_spec_requires_subordinator_driver():
         spec_with(driver=brownian())
     with pytest.raises(NotASubordinator):
         spec_with(driver=compound_poisson(2.0, NormalJumps(0.0, 1.0)))
-    with pytest.raises(NotASubordinator):
-        spec_with(driver=deterministic_drift(-1.0))
-    # nonnegative drift and positive compound Poisson are fine
+    for driver in (deterministic_drift(-1.0), brownian(1.0, 0.5), brownian(-1.0, 0.0)):
+        with pytest.raises(NotASubordinator):
+            spec_with(driver=driver)
+    # nonnegative drift, also written as Brownian with sigma^2 = 0, and
+    # positive compound Poisson are fine
     spec_with(driver=deterministic_drift(1.0))
+    spec_with(driver=brownian(1.0, 0.0))
     spec_with(driver=compound_poisson(2.0, ExponentialJumps(1.0)))
 
 
@@ -233,7 +236,8 @@ def test_integrated_vol_missing_components():
     b.x_minus = b.x_plus = b.l_cum = np.zeros(3)
     with pytest.raises(MissingComponents):
         integrated_vol_explicit(b)  # no rate anywhere
-    assert np.array_equal(integrated_vol_explicit(b, lam=1.0), np.zeros(3))
+    b.lam = 1.0
+    assert np.array_equal(integrated_vol_explicit(b), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
