@@ -7,7 +7,8 @@ e^{-lambda |t - s|} driven by a Levy process.
 
 Importing the package loads no scipy: a function that needs a scipy
 subpackage (signal for the path recursions, integrate for quad, special
-for the normal and gamma tails) imports it where it calls it.
+for the closed tails and the Gauss-Laguerre nodes) imports it where it
+calls it.
 """
 from .analytics import (
     SecondOrderParams,

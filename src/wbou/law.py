@@ -27,12 +27,19 @@ all integrals of a call are evaluated together, one array psi call per
 block of 256 pieces per round, and an integral stops at 300 pieces.
 Each call logs one ``wbou`` debug line with the piece count and the
 largest error estimate, and a ``wbou`` warning when an integral stopped
-at the cap above its tolerance (the value is still returned).  The
-tails, kbar and gbar_from_g use scipy's quad at the same tolerance
-through _quad, the one wrapper that every quad call of the package
-goes through: it keeps the error estimate, with one ``wbou``
-debug line per integral and a ``wbou`` warning when the estimate is
-above the tolerance (again, the value is still returned).
+at the cap above its tolerance (the value is still returned).
+
+The Levy tails of X_0 are in closed form for the gamma subordinator,
+(2a/lam) F(b y) with F the Meijer G^{3,0}_{2,3}(. | 1, 1; 0, 0, 0), and
+for compound Poisson jumps of rate eta with Exp(r) sizes,
+(2 eta/lam) E1(r y): the driver's measure gives them as its
+``log_tail_pos_closed``.  Other densities (normal jumps, user measures)
+keep scipy's quad, at the relative tolerance 1e-12 alone; kbar and
+gbar_from_g use quad at 1e-12 absolute and relative.  Every quad call
+of the package goes through _quad, which keeps the error estimate,
+with one ``wbou`` debug line per integral and a ``wbou`` warning when
+the estimate is above the tolerance (again, the value is still
+returned).
 
 The module also carries the cumulant transform of the marginal under
 the time-scaled convention (driver run at rate lam, making the marginal
@@ -77,18 +84,19 @@ _GL_BLOCK = 256
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
 
-def _quad(f, a: float, b: float, name: str) -> float:
-    """scipy's quad at _QUAD_OPTS, keeping its error estimate: one debug
-    line per call, and a warning when the estimate is above the 1e-12
-    absolute and relative tolerance (the value is still returned)."""
+def _quad(f, a: float, b: float, name: str, epsabs: float = _QUAD_OPTS["epsabs"]) -> float:
+    """scipy's quad at _QUAD_OPTS, or at a relative tolerance alone with
+    epsabs=0, keeping its error estimate: one debug line per call, and a
+    warning when the estimate is above the tolerance (the value is still
+    returned)."""
     from scipy import integrate
 
-    val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
+    val, err = integrate.quad(f, a, b, **{**_QUAD_OPTS, "epsabs": epsabs})
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("%s: quad over [%.6g, %.6g], error estimate %.3g", name, a, b, err)
-    if err > max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(val)):
+    if err > max(epsabs, _QUAD_OPTS["epsrel"] * abs(val)):
         _log.warning("%s: quad error estimate %.3g over [%.6g, %.6g] is above the "
-                     "%.0e tolerance", name, err, a, b, _QUAD_OPTS["epsabs"])
+                     "%.0e tolerance", name, err, a, b, _QUAD_OPTS["epsrel"])
     return val
 
 
@@ -118,7 +126,13 @@ def existence_check(driver: DriverSpec, lam: float) -> ExistenceResult:
 
 
 def _pushforward_measure(driver: DriverSpec, lam: float) -> LevyMeasure:
-    """Levy measure of X_0 as a density + quadrature-tail accessor."""
+    """Levy measure of X_0 as a density + tail accessor.
+
+    The tails are (2/lam) int ln(x/y) nu(dx) over |x| >= y: the driver's
+    closed log-weighted tail where it has one (gamma, exponential
+    jumps), else quad of the density at the relative tolerance alone, so
+    that a far tail of size 1e-20 is still resolved to 1e-12 of itself.
+    """
     nu = driver.measure
     if nu.is_zero:
         return LevyMeasure()
@@ -133,9 +147,11 @@ def _pushforward_measure(driver: DriverSpec, lam: float) -> LevyMeasure:
     def tail_pos(y: float) -> float:
         # (2/lam) int_{x >= y} ln(x/y) nu(dx), atoms included
         val = 0.0
-        if nu.density is not None and nu.support[1] > y:
+        if nu.log_tail_pos_closed is not None:
+            val = nu.log_tail_pos_closed(y)
+        elif nu.density is not None and nu.support[1] > y:
             val = _quad(lambda x: math.log(x / y) * nu.density(x),
-                        y, nu.support[1], "tail_pos")
+                        y, nu.support[1], "tail_pos", epsabs=0.0)
         val += sum(m * math.log(c / y) for c, m in nu.atoms if c >= y)
         return 2.0 / lam * val
 
@@ -143,7 +159,7 @@ def _pushforward_measure(driver: DriverSpec, lam: float) -> LevyMeasure:
         val = 0.0
         if nu.density is not None and nu.support[0] < -y:
             val = _quad(lambda x: math.log(-x / y) * nu.density(x),
-                        nu.support[0], -y, "tail_neg")
+                        nu.support[0], -y, "tail_neg", epsabs=0.0)
         val += sum(m * math.log(-c / y) for c, m in nu.atoms if c <= -y)
         return 2.0 / lam * val
 

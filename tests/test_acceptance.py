@@ -42,7 +42,6 @@ from wbou import (
     max_abs_increment,
     rbar_fn,
     simulate_carma,
-    simulate_sv,
     simulate_wbou,
     simulate_wbou_ensemble,
     triplet_of_x,

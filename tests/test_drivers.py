@@ -3,6 +3,7 @@ and the half-line sums drawn by law."""
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from wbou import (
     simulate_wbou_ensemble,
     substream,
 )
+from wbou.drivers import _kernel_sum
 
 from helpers import (ecf, hook_records, mean_se, measure_moment_quad, measure_tail_quad,
                      rng_for, var_se)
@@ -442,8 +444,42 @@ def test_hook_records_name_the_route(caplog):
     assert hook_records(caplog.records) == [
         ("dense", 2, 2 * m, "0"), ("series", 2, series, "1e-12"), ("jumps", 2, jumps, "0"),
         ("normal", 2, 2, "0"), ("normal", 2, 2, "0")]
-    assert np.array_equal(normal, substream(4).normal(0.0, math.sqrt(0.1 * (w @ w)), 2))
-    assert np.array_equal(drift, np.full(2, 0.1 * w.sum()))
+    assert np.array_equal(normal, substream(4).normal(0.0, math.sqrt(0.1 * _kernel_sum(0.2, m)),
+                                                      2))
+    assert np.array_equal(drift, np.full(2, 0.1 * _kernel_sum(0.1, m)))
+
+
+@pytest.mark.parametrize("lam, dt, m", [(1.0, 0.1, 1), (1.0, 0.1, 277), (0.8, 0.01, 400),
+                                        (3.0, 1e-3, 9211), (1e-6, 1e-3, 1000),
+                                        (1e-3, 1e-4, 30_000_000), (1e-160, 1e-150, 1000),
+                                        (1e-200, 1e-200, 10)])
+def test_kernel_sums_match_the_weights(lam, dt, m):
+    """The Brownian hook's closed geometric sums, sum_j w_j and w @ w for
+    w_j = e^{-lam dt j}, against the weights summed in blocks of 1e6; the
+    last two rates are subnormal and 0."""
+    h = lam * dt
+    sums, squares = [], []
+    for lo in range(0, m, 10**6):
+        w = np.exp(-h * np.arange(lo, min(lo + 10**6, m)))
+        sums.append(w.sum())
+        squares.append(w @ w)
+    assert _kernel_sum(h, m) == pytest.approx(math.fsum(sums), rel=1e-12)
+    assert _kernel_sum(2.0 * h, m) == pytest.approx(math.fsum(squares), rel=1e-12)
+
+
+def test_brownian_hook_allocates_nothing_per_cell():
+    """At lam = 1e-3, dt = 1e-4 the half-line has 2.76e8 cells, whose
+    weights alone would take 2.2 GB; the closed sums take none."""
+    m = TruncationPolicy().n_steps(1e-3, 1e-4)
+    assert m > 2.7e8
+    tracemalloc.start()
+    try:
+        out = brownian(0.3, 1.2).sample_weighted_sum(1e-4, 1e-3, m, substream(1), 4, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.isfinite(out).all() and out.shape == (4,)
 
 
 ROUTE_DRIVERS = {"gamma": gamma_subordinator(1.0, 1.0),

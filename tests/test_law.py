@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import IntegrationWarning, quad
 
@@ -33,7 +35,7 @@ from wbou import (
     WbouError,
 )
 
-from wbou.drivers import DriverSpec, LevyMeasure, LevyTriplet
+from wbou.drivers import DriverSpec, LevyMeasure, LevyTriplet, _gamma_log_tail
 
 from helpers import (
     cf_brownian_oracle,
@@ -124,6 +126,79 @@ def test_mapped_tail_matches_fubini_oracle(driver, y):
     meas = triplet_of_x(driver, lam).measure
     assert meas.tail_pos(y) == pytest.approx(
         phi_x_oracle(driver.measure, y, lam), rel=1e-8)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+#: below this the closed tails may have passed through subnormal numbers
+_UNDERFLOW = 1e-290
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["gamma", "cp-exponential"]), y=_log_uniform(1e-8, 300.0),
+       a=_log_uniform(0.1, 10.0), b=_log_uniform(0.1, 10.0), lam=_log_uniform(0.1, 10.0))
+@example(family="gamma", y=10.0, a=1.5, b=2.0, lam=0.8)
+@example(family="gamma", y=20.0, a=1.5, b=2.0, lam=0.8)
+@example(family="gamma", y=30.0, a=1.5, b=2.0, lam=0.8)
+@example(family="gamma", y=1.0, a=1.0, b=2.0, lam=1.0)        # F at z = 2
+@example(family="gamma", y=150.0, a=1.0, b=2.0, lam=1.0)      # z = 300
+@example(family="gamma", y=300.0, a=10.0, b=10.0, lam=0.1)    # underflows
+@example(family="cp-exponential", y=10.0, a=3.0, b=1.5, lam=0.8)
+@example(family="cp-exponential", y=300.0, a=1.0, b=2.0, lam=1.0)
+def test_closed_tails_match_mpmath(family, y, a, b, lam):
+    """The gamma tail (2a/lam) G^{3,0}_{2,3}(b y | 1, 1; 0, 0, 0) and the
+    exponential-jump tail (2 eta/lam) E1(r y), with (a, b) as the shape
+    and rate or as eta and r, within 1e-13 of 30-digit values."""
+    mpmath = pytest.importorskip("mpmath")
+    if family == "gamma":
+        driver = gamma_subordinator(a, b)
+        if b * y > 700.0:
+            # meijerg takes seconds out here; F(z) <= e^{-z}/z^2 underflows
+            want = 2.0 * a / lam * math.exp(-b * y) / (b * y) ** 2
+        else:
+            with mpmath.workdps(30):
+                want = 2 * a / mpmath.mpf(lam) * mpmath.meijerg([[], [1, 1]], [[0, 0, 0], []],
+                                                                b * y)
+    else:
+        driver = compound_poisson(a, ExponentialJumps(b))
+        with mpmath.workdps(30):
+            want = 2 * a / mpmath.mpf(lam) * mpmath.e1(b * y)
+    got = triplet_of_x(driver, lam).measure.tail_pos(y)
+    if want > _UNDERFLOW:
+        assert abs(got / want - 1) <= 1e-13
+    else:
+        assert 0.0 <= got <= 2 * _UNDERFLOW
+
+
+def test_gamma_log_tail_branches_meet_at_two():
+    """The series (z <= 2) and the Gauss-Laguerre sum (z > 2) agree where
+    they meet; F changes by 1e-15 relative over the one ulp between."""
+    series, laguerre = _gamma_log_tail(2.0), _gamma_log_tail(math.nextafter(2.0, 3.0))
+    assert abs(laguerre / series - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("driver", [gamma_subordinator(1.0, 0.01),
+                                    compound_poisson(1.0, ExponentialJumps(0.01))])
+def test_closed_tails_where_the_rate_times_y_underflows(driver):
+    """At y = 5e-324 the argument r y is 0: both closed tails give E1(0)'s
+    inf, where 1e-320 still gives a finite value."""
+    meas = triplet_of_x(driver, 1.0).measure
+    assert math.isfinite(meas.tail_pos(1e-320))
+    assert meas.tail_pos(5e-324) == math.inf
+
+
+def test_normal_jump_far_tail_meets_a_relative_tolerance():
+    """The quad branch resolves the far tail to its own size: eta = 2,
+    N(0.5, 1), lam = 0.8 at y = 10, against a 30-digit quadrature."""
+    mpmath = pytest.importorskip("mpmath")
+    y, lam = 10.0, 0.8
+    with mpmath.workdps(30):
+        f = lambda x: mpmath.log(x / y) * 2 * mpmath.npdf(x, 0.5, 1)
+        want = 2 / mpmath.mpf(lam) * mpmath.quad(f, [y, y + 1, y + 4, mpmath.inf])
+    got = triplet_of_x(compound_poisson(2.0, NormalJumps(0.5, 1.0)), lam).measure.tail_pos(y)
+    assert abs(got / want - 1) <= 1e-10
 
 
 def test_mapped_density_integrates_to_tail():
@@ -382,8 +457,12 @@ def test_kbar_drift_linear():
 
 
 def test_tails_and_kbar_log_their_quad_error(caplog):
+    """Normal jumps integrate their tails by quad; the gamma and
+    exponential-jump tails are closed forms, with nothing to log."""
     tails = triplet_of_x(CPNORM, 1.0).measure
     with caplog.at_level(logging.DEBUG, logger="wbou"):
+        triplet_of_x(GAMMA, 1.0).measure.tail_pos(0.5)
+        triplet_of_x(CPEXP, 1.0).measure.tail_pos(0.5)
         tails.tail_pos(0.5)
         tails.tail_neg(0.5)
         kbar(GAMMA, 1.0)

@@ -13,7 +13,8 @@ so the half-lines have one route: the driver hook.  Only ``law`` imports
 scipy at module level: each function imports the subpackage it calls,
 so ``import wbou`` loads no scipy.  Every option of a CLI subcommand is
 read by that subcommand's ``cmd_*`` function, so no flag is accepted
-and then ignored.
+and then ignored.  No module of the package or of the tests imports a
+name it never reads, so an import list says what a module uses.
 """
 import argparse
 import ast
@@ -25,6 +26,7 @@ import pytest
 from wbou.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wbou"
+TESTS = Path(__file__).resolve().parent
 
 #: calls that write a file whatever their arguments
 WRITE_CALLS = {"write_text", "write_bytes", "save", "savez", "savez_compressed",
@@ -324,3 +326,41 @@ def test_every_cli_option_is_read_by_its_subcommand():
     """An option that no cmd_* reads (as --seed once was on four
     subcommands) fails here."""
     assert _unread_options(build_parser(), ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def _unused_imports(tree):
+    """Names that tree's imports bind and its code never reads, sorted.
+
+    ``import a.b`` binds ``a``; ``__future__`` imports bind nothing.  A
+    string in a module-level ``__all__`` counts as a read.
+    """
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return sorted(bound - read)
+
+
+def test_import_rule_finds_a_planted_unused_import():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nimport numpy as np\nfrom math import inf, pi as PI, tau\n"
+           "__all__ = ['tau']\n"
+           "def f(x: np.ndarray):\n    return os.path.join(x), PI\n")
+    assert _unused_imports(ast.parse(src)) == ["inf"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """The package's ``__init__`` re-exports what it imports, so it is
+    left out."""
+    found = {p.name: names for p in [*SRC.glob("*.py"), *TESTS.glob("*.py")]
+             if p.name != "__init__.py"
+             and (names := _unused_imports(ast.parse(p.read_text())))}
+    assert found == {}

@@ -18,7 +18,6 @@ from wbou import (
     SecondOrderParams,
     SimulationGrid,
     SvSpec,
-    WbouError,
     acf_x,
     big_r,
     brownian,
