@@ -22,10 +22,8 @@ from .analytics import (
     increment_acf_ou,
     lambda_sign_threshold,
     mean_x,
-    mean_y,
     msd,
     var_x,
-    var_y,
 )
 from .carma import CarmaSpec, carma_from_wbou, simulate_carma
 from .drivers import (
@@ -62,7 +60,6 @@ from .errors import (
 from .estimation import (
     AcfEstimate,
     FitResult,
-    Series,
     empirical_acf,
     fit_acf,
     model_curve,
@@ -74,10 +71,8 @@ from .estimation import (
     write_signature_csv,
 )
 from .law import (
-    ExistenceResult,
     char_fn_joint,
     char_fn_x,
-    existence_check,
     g_from_gbar,
     gbar_from_g,
     kbar,

@@ -23,10 +23,10 @@ acov_x and increment_acf share one unchecked helper for the covariance;
 increment_acf checks k once and then calls it with the lags k - 1, k and
 k + 1, so its values are bitwise those of five acov_x calls.
 
-Also included: quantities for the zero-start variant Y_t = X_t - X_0,
-the covariance of the compact-window variant, and the correspondence
-between the lag-one autocorrelation and an effective Hurst exponent
-(C_H = 2^{2H-1} - 1).
+Also included: the covariance of the compact-window variant, and the
+correspondence between the lag-one autocorrelation and an effective
+Hurst exponent (C_H = 2^{2H-1} - 1).  The zero-start variant
+Y_t = X_t - X_0 has mean 0 and variance msd(p, t).
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .drivers import DriverSpec
 from .errors import BadLag, DomainError, NegativeLag
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "increment_acf",
     "increment_acf_ou",
     "lambda_sign_threshold",
-    "mean_y",
-    "var_y",
     "compact_cov",
     "hurst_constant",
     "effective_hurst",
@@ -70,11 +67,6 @@ class SecondOrderParams:
         _checks.lam(self.lam)
         _checks.finite(self.mu, "mu")
         _checks.positive(self.v, "v")
-
-    @classmethod
-    def from_driver(cls, driver: DriverSpec, lam: float) -> "SecondOrderParams":
-        mu, v = driver.moments()
-        return cls(lam, mu, v)
 
 
 def _scalar_ok(out):
@@ -112,7 +104,10 @@ def acf_ou(p: SecondOrderParams, h):
 
 
 def msd(p: SecondOrderParams, h):
-    """Mean-square displacement E (X_{t+h} - X_t)^2."""
+    """Mean-square displacement E (X_{t+h} - X_t)^2.
+
+    It is also the variance of the zero-start variant Y_t = X_t - X_0 at
+    t = h, whose mean is 0."""
     hh = _checks.nonnegative(h, "lag", NegativeLag)
     e = np.exp(-p.lam * hh)
     return _scalar_ok((2.0 * p.v / p.lam) * (1.0 - e - p.lam * hh * e))
@@ -136,13 +131,11 @@ def increment_acf(p: SecondOrderParams, k):
 
 
 def increment_acf_ou(p: SecondOrderParams, k):
-    """Classical OU increment autocorrelation; always in (-0.5, 0)."""
+    """Classical OU increment autocorrelation (1/2) (e^{-lam} - 1)
+    e^{-lam (k - 1)}; always in [-0.5, 0].  expm1 keeps its digits at
+    small lam, and no e^{lam} is formed, so no lam overflows it."""
     kk = _checks.whole(k, 1, "increment lag k", BadLag)
-    lam = p.lam
-    bracket = _checks.in_range(
-        "increment_acf_ou bracket",
-        lambda lam: 0.5 + 0.5 * (1.0 - math.exp(lam)) / (1.0 - math.exp(-lam)), lam)
-    return _scalar_ok(np.exp(-lam * kk) * bracket)
+    return _scalar_ok(0.5 * math.expm1(-p.lam) * np.exp(-p.lam * (kk - 1.0)))
 
 
 def _lag_one_numerator(lam: float) -> float:
@@ -174,22 +167,6 @@ def lambda_sign_threshold() -> float:
         if hi - lo < 1e-8:
             break
     return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# zero-start variant Y_t = X_t - X_0
-
-
-def mean_y(p: SecondOrderParams, t) -> float:
-    """E Y_t = 0 for all t."""
-    _checks.nonnegative(t, "t", NegativeLag)
-    return 0.0
-
-
-def var_y(p: SecondOrderParams, t):
-    """Var(Y_t): since Y_t = X_t - X_0, this is the mean-square
-    displacement (2V/lam)(1 - e^{-lam t} - lam t e^{-lam t})."""
-    return msd(p, t)
 
 
 # ---------------------------------------------------------------------------

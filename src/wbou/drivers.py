@@ -158,7 +158,8 @@ def _scatter_sum(rng, n_paths, mean_count, dt, lam, m, sizes, route, series_mass
 
 @dataclass(frozen=True)
 class LevyMeasure:
-    """Accessor for a Levy measure: density part plus point atoms.
+    """Accessor for a Levy measure: density part plus point atoms.  A
+    driver's measure is ``driver.triplet.measure``.
 
     ``density`` is the Lebesgue density of the continuous part on
     ``support`` (excluding 0); ``atoms`` is a tuple of (position, mass)
@@ -189,19 +190,17 @@ class LevyMeasure:
     def is_zero(self) -> bool:
         return self.density is None and not self.atoms
 
-    def tail_pos(self, y: float, include_endpoint: bool = True) -> float:
-        """Mass of [y, inf) for y > 0 (or (y, inf) if not include_endpoint)."""
+    def tail_pos(self, y: float) -> float:
+        """Mass of [y, inf) for y > 0."""
         _checks.positive(y, "tail argument")
         cont = 0.0 if self.density is None else self.tail_pos_closed(y)
-        keep = (lambda c: c >= y) if include_endpoint else (lambda c: c > y)
-        return cont + sum(m for c, m in self.atoms if keep(c))
+        return cont + sum(m for c, m in self.atoms if c >= y)
 
-    def tail_neg(self, y: float, include_endpoint: bool = True) -> float:
+    def tail_neg(self, y: float) -> float:
         """Mass of (-inf, -y] for y > 0."""
         _checks.positive(y, "tail argument")
         cont = 0.0 if self.density is None else self.tail_neg_closed(y)
-        keep = (lambda c: c <= -y) if include_endpoint else (lambda c: c < -y)
-        return cont + sum(m for c, m in self.atoms if keep(c))
+        return cont + sum(m for c, m in self.atoms if c <= -y)
 
 
 @dataclass(frozen=True)
@@ -258,6 +257,7 @@ class NormalJumps:
         return self.mean * (special.ndtr(b) - special.ndtr(a)) - s * (phi(b) - phi(a))
 
     def density(self, x):
+        x = _checks.finite(x, "density argument")
         return math.exp(-0.5 * (x - self.mean) ** 2 / self.var) / math.sqrt(
             2.0 * math.pi * self.var
         )
@@ -271,13 +271,13 @@ class NormalJumps:
         from scipy import special
 
         s = math.sqrt(self.var)
-        return special.ndtr((self.mean - y) / s)
+        return special.ndtr((self.mean - _checks.positive(y, "tail argument")) / s)
 
     def tail_neg(self, y: float) -> float:
         from scipy import special
 
         s = math.sqrt(self.var)
-        return special.ndtr((-y - self.mean) / s)
+        return special.ndtr((-_checks.positive(y, "tail argument") - self.mean) / s)
 
     #: int_{x >= y} ln(x/y) density(x) dx has no closed form here: the
     #: marginal's tail integrates it by quad
@@ -320,23 +320,26 @@ class ExponentialJumps:
         return (1.0 - math.exp(-r) * (1.0 + r)) / r
 
     def density(self, x):
-        return self.rate * math.exp(-self.rate * x) if x > 0 else 0.0
+        if _checks.finite(x, "density argument") > 0:
+            return self.rate * math.exp(-self.rate * x)
+        return 0.0
 
     def sample_sum(self, rng, counts):
         # sum of N iid Exp(rate) given N=counts is Gamma(counts, 1/rate)
         return rng.gamma(np.asarray(counts, dtype=float), 1.0 / self.rate)
 
     def tail_pos(self, y: float) -> float:
-        return math.exp(-self.rate * y)
+        return math.exp(-self.rate * _checks.positive(y, "tail argument"))
 
     def tail_neg(self, y: float) -> float:
+        _checks.positive(y, "tail argument")
         return 0.0
 
     def log_tail_pos(self, y: float) -> float:
         """int_{x >= y} ln(x/y) density(x) dx = E1(rate y)."""
         from scipy import special
 
-        return float(special.exp1(self.rate * y))
+        return float(special.exp1(self.rate * _checks.positive(y, "tail argument")))
 
 
 @dataclass(frozen=True)
@@ -382,6 +385,9 @@ class PointMassJumps:
 class DriverSpec:
     """Base interface shared by all driver families.
 
+    A family implements psi, moments, triplet (its Levy measure is
+    triplet.measure) and sample_increments; subordinators add
+    cumulant_k, and a family may draw sample_weighted_sum from its law.
     Instances are immutable; all methods are pure, and samplers only
     mutate the Generator passed in, so drivers are safe to share across
     threads.
@@ -410,11 +416,8 @@ class DriverSpec:
         raise NotImplementedError
 
     @property
-    def measure(self) -> LevyMeasure:
-        raise NotImplementedError
-
-    @property
     def triplet(self) -> LevyTriplet:
+        """(gamma, sigma^2, nu) with the truncation function 1_{|x|<=1}."""
         raise NotImplementedError
 
     def sample_increments(self, dt: float, rng, size) -> np.ndarray:
@@ -476,10 +479,6 @@ class BrownianDriver(DriverSpec):
         return (self.gamma, self.sigma2)
 
     @property
-    def measure(self) -> LevyMeasure:
-        return LevyMeasure()
-
-    @property
     def triplet(self) -> LevyTriplet:
         return LevyTriplet(self.gamma, self.sigma2, LevyMeasure())
 
@@ -532,25 +531,21 @@ class CompoundPoissonDriver(DriverSpec):
         )
 
     @property
-    def measure(self) -> LevyMeasure:
+    def triplet(self) -> LevyTriplet:
         eta = self.intensity
         j = self.jumps
         if isinstance(j, PointMassJumps):
-            return LevyMeasure(atoms=((j.size, eta),))
-        return LevyMeasure(
-            density=lambda x: eta * j.density(x),
-            support=(0.0 if j.positive else -math.inf, math.inf),
-            tail_pos_closed=lambda y: eta * j.tail_pos(y),
-            tail_neg_closed=lambda y: eta * j.tail_neg(y),
-            log_tail_pos_closed=None if j.log_tail_pos is None
-            else lambda y: eta * j.log_tail_pos(y),
-        )
-
-    @property
-    def triplet(self) -> LevyTriplet:
-        return LevyTriplet(
-            self.intensity * self.jumps.truncated_mean(), 0.0, self.measure
-        )
+            nu = LevyMeasure(atoms=((j.size, eta),))
+        else:
+            nu = LevyMeasure(
+                density=lambda x: eta * j.density(x),
+                support=(0.0 if j.positive else -math.inf, math.inf),
+                tail_pos_closed=lambda y: eta * j.tail_pos(y),
+                tail_neg_closed=lambda y: eta * j.tail_neg(y),
+                log_tail_pos_closed=None if j.log_tail_pos is None
+                else lambda y: eta * j.log_tail_pos(y),
+            )
+        return LevyTriplet(eta * j.truncated_mean(), 0.0, nu)
 
     def sample_increments(self, dt, rng, size):
         # counts and jump sums come from two child streams, so a draw of
@@ -600,7 +595,7 @@ class GammaSubordinatorDriver(DriverSpec):
         return (self.shape / self.rate, self.shape / self.rate**2)
 
     @property
-    def measure(self) -> LevyMeasure:
+    def triplet(self) -> LevyTriplet:
         a, b = self.shape, self.rate
 
         def tail_pos(y):
@@ -608,18 +603,14 @@ class GammaSubordinatorDriver(DriverSpec):
 
             return a * special.exp1(b * y)
 
-        return LevyMeasure(
+        nu = LevyMeasure(
             density=lambda x: a * math.exp(-b * x) / x if x > 0 else 0.0,
             support=(0.0, math.inf),
             tail_pos_closed=tail_pos,
             tail_neg_closed=lambda y: 0.0,
             log_tail_pos_closed=lambda y: a * _gamma_log_tail(b * y),
         )
-
-    @property
-    def triplet(self) -> LevyTriplet:
-        a, b = self.shape, self.rate
-        return LevyTriplet((a / b) * (1.0 - math.exp(-b)), 0.0, self.measure)
+        return LevyTriplet((a / b) * (1.0 - math.exp(-b)), 0.0, nu)
 
     def sample_increments(self, dt, rng, size):
         _checks.positive(dt, "dt")

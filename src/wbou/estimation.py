@@ -40,7 +40,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Series",
     "AcfEstimate",
     "FitResult",
     "empirical_acf",
@@ -59,26 +58,12 @@ _GRID_POINTS = 200
 _GOLDEN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Series:
-    """A finite real-valued series of levels, length at least 2."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _checks.finite(np.asarray(self.values, dtype=float), "series")
-        if vals.ndim != 1 or len(vals) < 2:
-            raise DomainError("series must be 1-D with at least 2 entries")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _values(series) -> np.ndarray:
-    if isinstance(series, Series):
-        return series.values
-    return Series(np.asarray(series)).values
+    """A series of levels as a float array: finite, 1-D, at least 2 entries."""
+    vals = _checks.finite(np.asarray(series, dtype=float), "series")
+    if vals.ndim != 1 or len(vals) < 2:
+        raise DomainError("series must be 1-D with at least 2 entries")
+    return vals
 
 
 @dataclass(frozen=True)

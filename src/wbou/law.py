@@ -52,18 +52,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import _checks
 from .drivers import DriverSpec, LevyMeasure, LevyTriplet
-from .errors import DimensionMismatch, DomainError, InvalidLambda
+from .errors import DimensionMismatch, DomainError
 
 __all__ = [
-    "ExistenceResult",
-    "existence_check",
     "triplet_of_x",
     "char_fn_x",
     "char_fn_joint",
@@ -100,40 +97,15 @@ def _quad(f, a: float, b: float, name: str, epsabs: float = _QUAD_OPTS["epsabs"]
     return val
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
-    """Outcome of the existence check; falsy when the process is undefined."""
-
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def existence_check(driver: DriverSpec, lam: float) -> ExistenceResult:
-    """Check that the moving average is well defined.
-
-    The requirements are lam > 0 and a finite log-moment of the driver.
-    Every driver family has finite variance and therefore a finite
-    log-moment, so only lam can fail; violations are reported, not raised.
-    """
-    try:
-        _checks.lam(lam)
-    except InvalidLambda as exc:
-        return ExistenceResult(False, str(exc))
-    return ExistenceResult(True)
-
-
-def _pushforward_measure(driver: DriverSpec, lam: float) -> LevyMeasure:
-    """Levy measure of X_0 as a density + tail accessor.
+def _pushforward_measure(nu: LevyMeasure, lam: float) -> LevyMeasure:
+    """Levy measure of X_0 from the driver's Levy measure nu, as a
+    density + tail accessor.
 
     The tails are (2/lam) int ln(x/y) nu(dx) over |x| >= y: the driver's
     closed log-weighted tail where it has one (gamma, exponential
     jumps), else quad of the density at the relative tolerance alone, so
     that a far tail of size 1e-20 is still resolved to 1e-12 of itself.
     """
-    nu = driver.measure
     if nu.is_zero:
         return LevyMeasure()
 
@@ -181,25 +153,25 @@ def triplet_of_x(driver: DriverSpec, lam: float) -> LevyTriplet:
 
     Drift: (2/lam) (gamma + nu((1, inf)) - nu((-inf, -1))); the tails are
     strict because mass sitting exactly at |x| = 1 is mapped onto |y| <= 1
-    where the truncation function does not change.  Gaussian part:
-    sigma^2 / lam.
+    where the truncation function does not change.  Only atoms sit at
+    |x| = 1, so the strict tails are the closed ones less those atoms.
+    Gaussian part: sigma^2 / lam.
 
-    Under the time-scaled convention (the driver runs at rate lam) the
-    marginal law does not depend on lam: its characteristic function is
-    char_fn_x(driver, 1.0, u) and its triplet triplet_of_x(driver, 1.0).  A lam that is
-    not positive and finite raises InvalidLambda, as in char_fn_x and
-    char_fn_joint.
+    The process exists for every such driver and every lam > 0: each
+    family has finite variance, hence a finite log-moment.  Under the
+    time-scaled convention (the driver runs at rate lam) the marginal
+    law does not depend on lam: its characteristic function is
+    char_fn_x(driver, 1.0, u) and its triplet triplet_of_x(driver, 1.0).
+    A lam that is not positive and finite raises InvalidLambda, as in
+    char_fn_x and char_fn_joint.
     """
     _checks.lam(lam)
     trip = driver.triplet
     nu = trip.measure
-    jump_drift = 0.0
-    if not nu.is_zero:
-        jump_drift = nu.tail_pos(1.0, include_endpoint=False) - nu.tail_neg(
-            1.0, include_endpoint=False
-        )
+    at = lambda s: sum(m for c, m in nu.atoms if c == s)
+    jump_drift = (nu.tail_pos(1.0) - at(1.0)) - (nu.tail_neg(1.0) - at(-1.0))
     gamma_x = (2.0 / lam) * (trip.gamma + jump_drift)
-    return LevyTriplet(gamma_x, trip.sigma2 / lam, _pushforward_measure(driver, lam))
+    return LevyTriplet(gamma_x, trip.sigma2 / lam, _pushforward_measure(nu, lam))
 
 
 # ---------------------------------------------------------------------------

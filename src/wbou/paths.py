@@ -37,7 +37,7 @@ of ln(1/tol)/(lam dt) increments.  A WbouPath holds one path, with
 (n+1,) arrays and its main-window increments, or a batch, with
 (n_paths, n+1) arrays; a single path is row 0 of a one-path batch,
 bitwise.  The zero-start variant Y_t = X_t - X_0 is the expression
-path.x - path.x[0] (analytics.mean_y and var_y give its moments).
+path.x - path.x[0]; its mean is 0 and its variance analytics.msd.
 """
 from __future__ import annotations
 

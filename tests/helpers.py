@@ -79,9 +79,10 @@ def gamma_x_oracle(triplet, lam):
     Integrates v -> gamma + int_{1 < |x| <= 1/v} x nu(dx) over v in (0, 1]
     and scales by 2/lam.  The inner integral is evaluated as the full
     outside-unit mean minus the tail beyond 1/v, each by direct quadrature.
+    Both regions are open at their lower end, so an atom at |x| = 1 counts
+    in neither.
     """
     meas = triplet.measure
-    mean_outside = measure_moment_quad(meas, 1, (1.0, np.inf))
 
     def tail_mean(y):
         # int_{|x| > y} x nu(dx)
@@ -98,6 +99,8 @@ def gamma_x_oracle(triplet, lam):
             if abs(c) > y:
                 total += c * w
         return total
+
+    mean_outside = tail_mean(1.0)
 
     def integrand(v):
         if v <= 0.0:

@@ -215,12 +215,10 @@ def test_criterion_06_marginal_triplet():
                               abs(trip.gamma - oracle) / max(1.0, abs(oracle)))
             want = drv.triplet.sigma2 / lam
             sigma_exact = sigma_exact and trip.sigma2 == want
-            if drv.measure is not None:
-                for y in (0.3, 1.0, 2.0):
-                    got = trip.measure.tail_pos(y)
-                    ref = phi_x_oracle(drv.measure, y, lam)
-                    worst_phi = max(worst_phi,
-                                    abs(got - ref) / max(1e-12, abs(ref)))
+            for y in (0.3, 1.0, 2.0):
+                got = trip.measure.tail_pos(y)
+                ref = phi_x_oracle(drv.triplet.measure, y, lam)
+                worst_phi = max(worst_phi, abs(got - ref) / max(1e-12, abs(ref)))
     ok = worst_gamma <= 1e-8 and sigma_exact and worst_phi <= 1e-8
     _report(6, "marginal-triplet", ok,
             f"gamma_X worst rel err {worst_gamma:.2e}; sigma2 exact: "

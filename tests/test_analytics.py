@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,12 +25,10 @@ from wbou import (
     increment_acf_ou,
     lambda_sign_threshold,
     mean_x,
-    mean_y,
     msd,
     simulate_wbou_ensemble,
     substream,
     var_x,
-    var_y,
 )
 
 from helpers import (corr_se, first_order_increment_acf_alt, increment_acf_acov,
@@ -44,7 +43,7 @@ P1 = SecondOrderParams(1.0, mu=0.3, v=2.0)
 
 def test_parameters_from_driver():
     d = gamma_subordinator(1.0, 2.0)
-    p = SecondOrderParams.from_driver(d, 1.5)
+    p = SecondOrderParams(1.5, *d.moments())
     assert (p.lam, p.mu, p.v) == (1.5, 0.5, 0.25)
 
 
@@ -161,11 +160,16 @@ def test_increment_lag_validation():
         increment_acf_ou(P1, -3)
 
 
-@pytest.mark.parametrize("lam", [800.0, 1e-300])
-def test_increment_acf_ou_bracket_out_of_float_range(lam):
-    # e^{lam} overflows at 800; 1 - e^{-lam} rounds to 0 at 1e-300
-    with pytest.raises(DomainError, match="increment_acf_ou bracket"):
-        increment_acf_ou(SecondOrderParams(lam), [1, 2])
+@pytest.mark.parametrize("lam", [800.0, 1e-8, 1e-300])
+def test_increment_acf_ou_matches_mpmath_at_extreme_rates(lam):
+    """(1/2) expm1(-lam) e^{-lam (k-1)} forms no e^{lam}, so it stays
+    finite at 800, and keeps its digits where 1 - e^{-lam} cancels."""
+    ks = [1, 2, 3, 10]
+    got = increment_acf_ou(SecondOrderParams(lam), ks)
+    with mpmath.workdps(40):
+        want = [float(mpmath.expm1(-lam) * mpmath.exp(-lam * (k - 1)) / 2) for k in ks]
+    assert np.all(np.isfinite(got))
+    assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("lam", [1e-8, 1e-9, 1e-300])
@@ -177,9 +181,11 @@ def test_increment_acf_refuses_a_cancelled_denominator(lam, k):
 
 
 def test_increment_acfs_at_a_large_rate_stay_finite():
-    # the limit lam -> inf: lag 1 at -1/2, every later lag at 0
+    # the limit lam -> inf: lag 1 at -1/2, every later lag at 0; OU lag 2
+    # at 700 is -e^{-700}/2 = -4.9e-305, still a normal float
     assert increment_acf(SecondOrderParams(800.0), [1, 2]).tolist() == [-0.5, 0.0]
-    assert increment_acf_ou(SecondOrderParams(700.0), [1, 2]).tolist() == [-0.5, 0.0]
+    assert increment_acf_ou(SecondOrderParams(700.0), [1, 2]).tolist() == [
+        -0.5, -0.5 * math.exp(-700.0)]
 
 
 BITWISE_LAMS = (1e-3, 0.05, 0.8, 1.2564, 3.0, 40.0)
@@ -232,18 +238,23 @@ class TestSignThreshold:
 # ---------------------------------------------------------------------------
 
 def test_zero_start_moments():
-    assert mean_y(P1, 3.0) == 0.0
-    assert var_y(P1, 0.0) == 0.0
-    t = np.linspace(0.0, 5.0, 21)
-    assert np.allclose(var_y(P1, t), msd(P1, t), rtol=0, atol=0)
+    """Y_t = X_t - X_0, the expression path.x - path.x[0], has mean 0 and
+    variance msd(p, t)."""
+    lam, t = 1.0, 1.0
+    ens = simulate_wbou_ensemble(DRIVER, lam, SimulationGrid(t, 0.25), 5000,
+                                 rng=substream(403))
+    y = ens.x[:, -1] - ens.x[:, 0]
+    dev2 = (y - y.mean()) ** 2
+    assert abs(y.mean()) < 4 * mean_se(y)
+    assert abs(dev2.mean() - msd(SecondOrderParams(lam, *DRIVER.moments()), t)) < 4 * mean_se(dev2)
 
 
 def test_zero_start_alt_is_the_autocovariance():
     """The audit variant equals Cov(X_t, X_0); it even disagrees at t=0."""
     t = np.linspace(0.0, 5.0, 21)
     assert np.allclose(var_y_alt(P1, t), acov_x(P1, t), rtol=0, atol=0)
-    assert var_y_alt(P1, 0.0) == var_x(P1) != var_y(P1, 0.0)
-    assert not np.any(np.isclose(var_y_alt(P1, t), var_y(P1, t)))
+    assert var_y_alt(P1, 0.0) == var_x(P1) != msd(P1, 0.0)
+    assert not np.any(np.isclose(var_y_alt(P1, t), msd(P1, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +333,7 @@ def test_acf_matches_simulation(lam, h):
     k = round(h / grid.dt)
     a, b = ens.x[:, k], ens.x[:, 0]
     r = np.corrcoef(a, b)[0, 1]
-    p = SecondOrderParams.from_driver(DRIVER, lam)
+    p = SecondOrderParams(lam, *DRIVER.moments())
     assert abs(r - acf_x(p, h)) < 4 * corr_se(a, b)
 
 
@@ -334,7 +345,7 @@ def test_increment_acf_matches_simulation():
     first = ens.x[:, per_unit] - ens.x[:, 0]
     second = ens.x[:, 2 * per_unit] - ens.x[:, per_unit]
     r = np.corrcoef(second, first)[0, 1]
-    p = SecondOrderParams.from_driver(DRIVER, lam)
+    p = SecondOrderParams(lam, *DRIVER.moments())
     assert abs(r - increment_acf(p, 1)) < 4 * corr_se(second, first)
 
 
@@ -344,5 +355,5 @@ def test_msd_matches_simulation():
     ens = simulate_wbou_ensemble(DRIVER, lam, grid, 5000, rng=substream(402))
     k = round(h / grid.dt)
     sq = (ens.x[:, k] - ens.x[:, 0]) ** 2
-    p = SecondOrderParams.from_driver(DRIVER, lam)
+    p = SecondOrderParams(lam, *DRIVER.moments())
     assert abs(sq.mean() - msd(p, h)) < 4 * mean_se(sq)

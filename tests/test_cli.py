@@ -257,7 +257,6 @@ _FAULTY_INPUTS = {
      "--dt", "0.1", "--out", "{out}"],
     ["signature", "--input", "{huge_x}", "--max-skip", "2", "--out", "{out}"],
     ["acf", "--input", "{huge_x}", "--max-lag", "2", "--out", "{out}"],
-    ["theory", "increment-acf", "--lambda", "800", "--out", "{out}"],
     ["theory", "increment-acf", "--lambda", "1e-300", "--out", "{out}"],
     ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1e-300", "--t-max", "1",
      "--dt", "0.01", "--out", "{out}"],
@@ -274,9 +273,8 @@ _FAULTY_INPUTS = {
         "theory-sv-lambda-tiny", "theory-sv-mu-huge", "simulate-steps-unindexable",
         "simulate-horizon-unindexable-brownian", "simulate-horizon-unindexable-gamma",
         "simulate-horizon-unindexable-cpoisson", "sv-horizon-unindexable",
-        "signature-huge-values", "acf-huge-values", "theory-iacf-lambda-huge",
-        "theory-iacf-lambda-tiny", "sv-horizon-unindexable-fine-dt",
-        "theory-acf-overflow"])
+        "signature-huge-values", "acf-huge-values", "theory-iacf-lambda-tiny",
+        "sv-horizon-unindexable-fine-dt", "theory-acf-overflow"])
 def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
     inputs = {"bad": _table_with_bad_cell(tmp_path / "bad.csv")}
     for name, text in _FAULTY_INPUTS.items():
@@ -373,6 +371,17 @@ def test_theory_increment_acf_matches_library(tmp_path):
     p = SecondOrderParams(1.5)
     assert np.array_equal(rows[:, 1], increment_acf(p, ks))
     assert np.array_equal(rows[:, 2], increment_acf_ou(p, ks))
+
+
+def test_theory_increment_acf_at_a_huge_rate(tmp_path):
+    """At lam = 800 both models are at their lam -> inf limit: lag 1 at
+    -1/2, every later lag finite and at most 0."""
+    out = tmp_path / "iacf.csv"
+    assert main(["theory", "increment-acf", "--lambda", "800", "--max-lag", "5",
+                 "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[0, 1:].tolist() == [-0.5, -0.5]
+    assert np.all(np.isfinite(rows[1:, 1:])) and np.all(rows[1:, 1:] <= 0.0)
 
 
 def test_theory_sv_curves_from_driver(tmp_path):
@@ -791,12 +800,13 @@ def _fixed_series(path):
 #: x86-64).  A change to any digest is a change of output that has to be
 #: announced; the simulate and sv digests follow the one-route stream
 #: layout (G and X^+_{t_max} drawn whole, through the driver's hook),
-#: theory sv the sinh form of big_r.
+#: theory sv the sinh form of big_r, theory increment-acf the expm1 form of
+#: increment_acf_ou.
 FROZEN = {
     "theory_acf": (["theory", "acf", "--lambda", "1", "--max-lag", "50", "--dh", "0.1"],
                    "9681ee55fd1524ec1641f004d392655334a95672ab147a22edb22115c8c32af6"),
     "theory_increment_acf": (["theory", "increment-acf", "--lambda", "1.5", "--max-lag", "20"],
-                             "f50cf3cbdfa97cc9e4051f56e33055f8a7ea9d768f9cdaa1532161ba7f278504"),
+                             "37da50408f4ba2ba12dbc3156d8de1a5ad0bbe972671d432875a697b3001c9eb"),
     "theory_sv": (["theory", "sv", "--lambda", "1", "--delta", "1", "--max-s", "20",
                    "--driver", "gamma:a=1,b=1"],
                   "54f10d8072af933f85325ef5c7de5d5948d5278694e9f49cdf83eb11e3e48900"),

@@ -16,7 +16,6 @@ from wbou import (
     DomainError,
     EmptyRange,
     LagTooLarge,
-    Series,
     SkipTooLarge,
     empirical_acf,
     fit_acf,
@@ -44,17 +43,16 @@ def brute_acf(x, max_lag):
 
 
 # ---------------------------------------------------------------------------
-# series container and empirical ACF
+# series validation and empirical ACF
 # ---------------------------------------------------------------------------
 
 def test_series_validation():
-    with pytest.raises(DomainError):
-        Series(np.array([1.0]))
-    with pytest.raises(DomainError):
-        Series(np.array([[1.0, 2.0]]))
-    with pytest.raises(DomainError):
-        Series(np.array([1.0, np.nan]))
-    assert len(Series(np.array([1.0, 2.0]))) == 2
+    for bad in ([1.0], [[1.0, 2.0]]):
+        with pytest.raises(DomainError, match="series must be 1-D with at least 2 entries"):
+            empirical_acf(np.array(bad), 0)
+    with pytest.raises(DomainError, match="series must be finite"):
+        empirical_acf(np.array([1.0, np.nan]), 0)
+    assert empirical_acf([1.0, 2.0], 1).n == 2
 
 
 def test_acf_lag_zero_is_exactly_one():

@@ -32,14 +32,6 @@ G_PRIME = lambda x: -G(x) * (2.0 + 1.0 / x)         # noqa: E731
 DL = [0.1, 0.2, 0.3, 0.4]
 
 
-def _existence(driver, lam):
-    """existence_check, raising where it reports a refusal."""
-    res = W.existence_check(driver, lam)
-    if not res:
-        raise W.InvalidLambda(res.reason)
-    return res
-
-
 #: (name, callable, valid keyword arguments); arguments that are not
 #: numbers or sequences of numbers (drivers, grids, models) stay fixed
 CASES = [
@@ -48,7 +40,6 @@ CASES = [
       for h in (1.0, [0.5, 1.0])],
     *[(f.__name__, f, dict(p=P, k=k)) for f in (W.increment_acf, W.increment_acf_ou)
       for k in (2, [1, 2])],
-    *[(f.__name__, f, dict(p=P, t=t)) for f in (W.mean_y, W.var_y) for t in (1.0, [0.5, 1.0])],
     ("compact_cov", W.compact_cov, dict(lam=0.8, a=1.0, t=0.5, s=0.2)),
     ("hurst_constant", W.hurst_constant, dict(h_exp=0.7)),
     ("effective_hurst", W.effective_hurst, dict(rho1=0.2)),
@@ -66,14 +57,12 @@ CASES = [
     ("PointMassJumps", W.PointMassJumps, dict(size=0.5)),
     ("tail_pos", TAILS.tail_pos, dict(y=0.5)),
     ("tail_neg", TAILS.tail_neg, dict(y=0.5)),
-    ("Series", W.Series, dict(values=[1.0, 2.0, 1.5])),
     ("empirical_acf", W.empirical_acf, dict(series=[1.0, 2.0, 1.5, 3.0], max_lag=2)),
     ("fit_acf", W.fit_acf, dict(acf=EST, model="wbou", lag_range=(1, 3))),
     ("model_curve", W.model_curve, dict(model="wbou", lam=0.8, lags=[0.0, 1.0, 2.0])),
     ("realized_volatility", W.realized_volatility, dict(series=[1.0, 2.0, 1.5])),
     ("signature_plot", W.signature_plot,
      dict(series=[1.0, 2.0, 1.5, 3.0, 2.5, 2.0, 1.0], max_skip=2)),
-    ("existence_check", _existence, dict(driver=GAMMA, lam=0.8)),
     ("triplet_of_x", lambda lam: dataclasses.astuple(W.triplet_of_x(GAMMA, lam))[:2],
      dict(lam=0.8)),
     *[("char_fn_x", W.char_fn_x, dict(driver=GAMMA, lam=0.8, u=u)) for u in (1.3, [0.5, -1.0])],
@@ -109,7 +98,8 @@ CASES = [
 
 #: the numeric driver methods: each family's psi, sample_increments and
 #: sample_weighted_sum (gamma on its series and on its dense default),
-#: the subordinators' cumulant_k and the jump distributions' laplace
+#: the subordinators' cumulant_k, the jump distributions' laplace, and
+#: the density and tails of the jump laws that have them
 DRIVERS = {"gamma": GAMMA, "brownian": BM, "drift": W.deterministic_drift(1.0),
            "cp-exponential": W.compound_poisson(3.0, W.ExponentialJumps(1.5)),
            "cp-normal": W.compound_poisson(3.0, W.NormalJumps(0.1, 0.5))}
@@ -130,6 +120,12 @@ CASES += [
       for name in ("gamma", "drift", "cp-exponential")],
     *[(f"{type(j).__name__}.laplace", j.laplace, dict(theta=0.5))
       for j in (W.NormalJumps(0.1, 0.5), W.ExponentialJumps(1.5), W.PointMassJumps(0.5))],
+    *[(f"{type(j).__name__}.density", j.density, dict(x=0.5))
+      for j in (W.NormalJumps(0.1, 0.5), W.ExponentialJumps(1.5))],
+    *[(f"{type(j).__name__}.{tail}", getattr(j, tail), dict(y=0.5))
+      for j in (W.NormalJumps(0.1, 0.5), W.ExponentialJumps(1.5))
+      for tail in ("tail_pos", "tail_neg")],
+    ("ExponentialJumps.log_tail_pos", W.ExponentialJumps(1.5).log_tail_pos, dict(y=0.5)),
     *[(f"{name}.sample_weighted_sum", _weighted_sum(DRIVERS[name.split("-coarse")[0]]),
        dict(kw, n_paths=2)) for name, kw in HALF_LINE.items()],
 ]
@@ -137,7 +133,7 @@ CASES += [
 #: public callables outside the table, and why
 NOT_NUMERIC = {
     "result records: the functions that build them check their inputs": (
-        "AcfEstimate", "FitResult", "LevyTriplet", "ExistenceResult", "WbouPath",
+        "AcfEstimate", "FitResult", "LevyTriplet", "WbouPath",
         "CompactPath", "SvPath"),
     "built from callables and an interval that may be infinite; its tails are above": (
         "LevyMeasure",),

@@ -23,10 +23,10 @@ from wbou import (
     char_fn_x,
     compound_poisson,
     deterministic_drift,
-    existence_check,
     g_from_gbar,
     gamma_subordinator,
     gbar_from_g,
+    InvalidLambda,
     kbar,
     simulate_wbou_ensemble,
     SimulationGrid,
@@ -60,14 +60,6 @@ CPNORM = compound_poisson(2.0, NormalJumps(0.3, 0.8))
 # existence
 # ---------------------------------------------------------------------------
 
-def test_existence_check():
-    assert existence_check(GAMMA, 1.0)
-    res = existence_check(GAMMA, 0.0)
-    assert not res
-    assert "lambda" in res.reason
-    assert existence_check(brownian(), 2.5)
-
-
 @pytest.mark.parametrize("driver", [
     GAMMA, CPEXP, CPNORM, compound_poisson(2.0, PointMassJumps(-0.5)), brownian(0.3, 1.2),
     deterministic_drift(-1.0)], ids=["gamma", "cp-exponential", "cp-normal", "cp-point-mass",
@@ -76,11 +68,10 @@ def test_existence_turns_on_lambda_alone(driver):
     """Every driver family has finite variance, hence a finite log-moment:
     the process exists at every finite lam > 0 and at no other lam."""
     for lam in (1e-6, 1.0, 1e6):
-        assert existence_check(driver, lam)
+        assert triplet_of_x(driver, lam).sigma2 == driver.triplet.sigma2 / lam
     for lam in (0.0, -1.0, math.nan, math.inf):
-        res = existence_check(driver, lam)
-        assert not res
-        assert "lambda" in res.reason
+        with pytest.raises(InvalidLambda, match="lambda"):
+            triplet_of_x(driver, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +89,8 @@ def test_brownian_triplet_closed_form():
     GAMMA, CPEXP, CPNORM,
     compound_poisson(1.5, PointMassJumps(2.0)),
     compound_poisson(1.5, PointMassJumps(0.5)),   # jumps inside the unit ball
+    compound_poisson(1.5, PointMassJumps(1.0)),   # jumps on the unit sphere
+    compound_poisson(1.5, PointMassJumps(-1.0)),
 ])
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_location_parameter_matches_time_change_quadrature(driver, lam):
@@ -125,7 +118,7 @@ def test_mapped_tail_matches_fubini_oracle(driver, y):
     lam = 1.7
     meas = triplet_of_x(driver, lam).measure
     assert meas.tail_pos(y) == pytest.approx(
-        phi_x_oracle(driver.measure, y, lam), rel=1e-8)
+        phi_x_oracle(driver.triplet.measure, y, lam), rel=1e-8)
 
 
 def _log_uniform(lo, hi):
@@ -221,7 +214,7 @@ def test_mapped_negative_tail():
 @pytest.mark.parametrize("driver", [GAMMA, CPEXP, CPNORM])
 def test_mapped_second_moment_scales_by_lambda(driver):
     lam = 2.4
-    m2_driver = measure_moment_quad(driver.measure, 2, (0.0, np.inf))
+    m2_driver = measure_moment_quad(driver.triplet.measure, 2, (0.0, np.inf))
     m2_mapped = measure_moment_quad(triplet_of_x(driver, lam).measure, 2, (0.0, np.inf))
     assert m2_mapped == pytest.approx(m2_driver / lam, rel=1e-8)
 
@@ -390,7 +383,8 @@ def test_cf_whose_exponent_overflows_raises_domain_error(call):
 
 
 def test_cf_rejects_infinite_lambda():
-    assert not existence_check(GAMMA, math.inf)
+    with pytest.raises(InvalidLambda):
+        triplet_of_x(GAMMA, math.inf)
     with pytest.raises(WbouError):
         char_fn_x(GAMMA, math.inf, 1.0)
 
@@ -480,16 +474,12 @@ class _WigglyDriver(DriverSpec):
     quad's 300 subintervals."""
 
     @property
-    def measure(self):
-        return LevyMeasure(
+    def triplet(self):
+        return LevyTriplet(0.0, 0.0, LevyMeasure(
             density=lambda x: 1.0 + math.sin(1e5 * x), support=(0.0, 1.0),
             tail_pos_closed=lambda y: (1.0 - y) + (math.cos(1e5 * y) - math.cos(1e5)) / 1e5
             if y < 1.0 else 0.0,
-            tail_neg_closed=lambda y: 0.0)
-
-    @property
-    def triplet(self):
-        return LevyTriplet(0.0, 0.0, self.measure)
+            tail_neg_closed=lambda y: 0.0))
 
 
 def test_tail_quad_error_above_tolerance_logs_a_warning(caplog):

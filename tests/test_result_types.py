@@ -66,27 +66,40 @@ def test_merged_and_removed_names_are_gone(name):
     assert not hasattr(wbou, name)
 
 
+DRIVER_CLASSES = (wbou.DriverSpec, wbou.BrownianDriver, wbou.CompoundPoissonDriver,
+                  wbou.GammaSubordinatorDriver)
+
+
 @pytest.mark.parametrize("owner, name", [
     (module, name) for module in (wbou, wbou.paths)
     for name in ("OuPath", "simulate_ou", "ou_from_increments")
-] + [(wbou, "DriftDriver"), (wbou.drivers, "DriftDriver")])
+] + [(wbou, "DriftDriver"), (wbou.drivers, "DriftDriver")] + [
+    (owner, name) for module, names in ((wbou.law, ("existence_check", "ExistenceResult")),
+                                        (wbou.analytics, ("mean_y", "var_y")),
+                                        (wbou.estimation, ("Series",)))
+    for owner in (wbou, module) for name in names
+] + [(wbou.SecondOrderParams, "from_driver"), *[(cls, "measure") for cls in DRIVER_CLASSES]])
 def test_second_routes_to_the_same_values_are_gone(owner, name):
     """The OU comparison process is WbouPath.x_minus, pure drift is
-    BrownianDriver(gamma, 0.0)."""
+    BrownianDriver(gamma, 0.0).  X exists at every lam > 0, and
+    triplet_of_x, like every function of lam, raises InvalidLambda at
+    any other; Y_t = X_t - X_0 has mean 0 and variance msd(p, t); a
+    series is a float array; SecondOrderParams(lam, *driver.moments())
+    builds the parameters; a driver's Levy measure is
+    driver.triplet.measure."""
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__all__", ())
 
 
 @pytest.mark.parametrize("fn, param", [(wbou.char_fn_x, "time_scaled"),
-                                       (wbou.integrated_vol_explicit, "lam")])
+                                       (wbou.integrated_vol_explicit, "lam"),
+                                       (wbou.LevyMeasure.tail_pos, "include_endpoint"),
+                                       (wbou.LevyMeasure.tail_neg, "include_endpoint")])
 def test_switches_that_restate_a_value_are_gone(fn, param):
     """The time-scaled CF is char_fn_x(driver, 1.0, u); every path
-    carries its own lam."""
+    carries its own lam; an open tail at 1 is the closed tail less the
+    atoms at 1."""
     assert param not in inspect.signature(fn).parameters
-
-
-DRIVER_CLASSES = (wbou.DriverSpec, wbou.BrownianDriver, wbou.CompoundPoissonDriver,
-                  wbou.GammaSubordinatorDriver)
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -111,3 +124,4 @@ def test_half_line_increments_and_audit_duplicates_are_gone(owner, name):
     the one module that calls quad."""
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__dataclass_fields__", {})
+

@@ -14,7 +14,9 @@ scipy at module level: each function imports the subpackage it calls,
 so ``import wbou`` loads no scipy.  Every option of a CLI subcommand is
 read by that subcommand's ``cmd_*`` function, so no flag is accepted
 and then ignored.  No module of the package or of the tests imports a
-name it never reads, so an import list says what a module uses.
+name it never reads, so an import list says what a module uses.  The
+package exports exactly its modules' ``__all__`` names and the error
+classes.
 """
 import argparse
 import ast
@@ -364,3 +366,22 @@ def test_no_module_imports_a_name_it_never_reads():
              if p.name != "__init__.py"
              and (names := _unused_imports(ast.parse(p.read_text())))}
     assert found == {}
+
+
+def _declared_all(tree) -> set[str]:
+    """The names of tree's module-level ``__all__``, or none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    """``wbou`` re-exports each module's ``__all__`` and the error classes,
+    and nothing else, so a name a module drops leaves the package too."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    exported = {a.asname or a.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    errors = {node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)}
+    assert exported == set().union(*map(_declared_all, trees.values())) | errors
