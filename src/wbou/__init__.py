@@ -5,10 +5,10 @@ state-space (CARMA) representation, and a stochastic-volatility
 extension for the moving-average process with the two-sided kernel
 e^{-lambda |t - s|} driven by a Levy process.
 
-Importing the package loads no scipy: a function that needs a scipy
-subpackage (signal for the path recursions, integrate for quad, special
-for the closed tails and the Gauss-Laguerre nodes) imports it where it
-calls it.
+Importing the package loads no scipy, and neither does simulation: the
+path recursions are a NumPy block scan.  A function that needs a scipy
+subpackage (integrate for quad, special for the closed tails and the
+Gauss-Laguerre nodes) imports it where it calls it.
 """
 from .analytics import (
     SecondOrderParams,

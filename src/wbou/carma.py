@@ -15,11 +15,14 @@ half-line integrals of the driver,
 so a CarmaSpec is built *from* a simulated single path (which carries
 G and H) rather than initialized standalone.  The modes of A are
 -X^- = lam R^(1) - R^(2) and -X^+ = lam R^(1) + R^(2), so the step
-R_{k+1} = e^{A dt}(R_k + (0, dL_k)') runs as the path engine's recursion
-x^-_{k+1} = alpha (x^-_k + dL_k) from G and x^+_{k+1} = (x^+_k - dL_k) /
-alpha from H, alpha = e^{-lam dt}, and b'R = x^- + x^+.  The second grows
-like e^{lam t}: a replay whose rounding bound 3 eps max|x^+|
-(e^{lam t_max} - 1) / (e^{lam dt} - 1) exceeds REPLAY_TOL * max|x| is refused.
+R_{k+1} = e^{A dt}(R_k + (0, dL_k)') runs as two scans of the path
+engine's kernel: x^-_{k+1} = alpha (x^-_k + dL_k) from G, alpha =
+e^{-lam dt}, and x^+_{k+1} = alpha' (x^+_k - dL_k) from H, alpha' =
+e^{lam dt}, with b'R = x^- + x^+.  The second grows like e^{lam t}: a
+replay whose rounding bound 3 eps max|x^+| (e^{lam t_max} - 1) /
+(e^{lam dt} - 1) exceeds REPLAY_TOL * max|x| is refused, and past
+lam t_max = 700, where that bound leaves the float range, it is refused
+without being run.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import _checks
 from .errors import DimensionMismatch, DomainError, GridMismatch
-from .paths import SimulationGrid, WbouPath, _forward
+from .paths import SimulationGrid, WbouPath, _scan
 
 __all__ = ["CarmaSpec", "carma_from_wbou", "simulate_carma"]
 
@@ -96,15 +99,19 @@ def simulate_carma(
     """
     dl = _checks.replay_array(dl, grid.n, "increment array", GridMismatch)[None, :]
     lam, (r1, r2) = spec.lam, spec.r0
-    alpha = math.exp(-lam * grid.dt)
-    x_minus = _forward(alpha, np.array([r2 - lam * r1]), dl)[0]
-    x_plus = _forward(1.0 / alpha, np.array([-(lam * r1 + r2)]), -dl)[0]
-    x = x_minus + x_plus
-    lam_t = lam * grid.t_max
-    growth = math.expm1(lam_t) / math.expm1(lam * grid.dt) if lam_t < 700 else math.inf
-    bound = 3.0 * math.ulp(1.0) * float(np.abs(x_plus).max()) * growth
-    scale = float(np.abs(x).max())
-    rel = bound / scale if scale else (math.inf if bound else 0.0)
+    h, lam_t = lam * grid.dt, lam * grid.t_max
+    rel = math.inf  # past lam * t_max = 700 the bound leaves the float range
+    if lam_t < 700:
+        alpha, grow = math.exp(-h), math.exp(h)
+        # the growing mode may overflow; its bound is then inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_minus = _scan(alpha, np.array([r2 - lam * r1]), dl, alpha)[0]
+            x_plus = _scan(grow, np.array([-(lam * r1 + r2)]), dl, -grow)[0]
+            x = x_minus + x_plus
+        growth = math.expm1(lam_t) / math.expm1(h)
+        bound = 3.0 * math.ulp(1.0) * float(np.abs(x_plus).max()) * growth
+        scale = float(np.abs(x).max())
+        rel = bound / scale if scale else (math.inf if bound else 0.0)
     _log.debug("simulate_carma: n=%d lam*t_max=%.6g rounding bound/max|x|=%.3g",
                grid.n, lam_t, rel)
     if not rel <= REPLAY_TOL:  # NaN too: the growing mode overflowed

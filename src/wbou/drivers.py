@@ -140,11 +140,26 @@ def _report(route, n_paths, terms, series_mass=0.0):
                    route, n_paths, terms, series_mass)
 
 
-def _scatter_sum(rng, n_paths, mean_count, dt, lam, m, sizes, route, series_mass=0.0):
+#: the largest mean NumPy's Poisson sampler takes
+_POISSON_MAX = float(np.iinfo("l").max - 10.0 * math.sqrt(np.iinfo("l").max))
+
+
+def _poisson(rng, mean, size, what):
+    """rng.poisson(mean, size); a mean above NumPy's limit raises
+    DomainError naming the parameters ``what`` behind it."""
+    if not mean <= _POISSON_MAX:
+        raise DomainError(f"the Poisson mean {mean:.3g} at {what} is above NumPy's "
+                          f"limit {_POISSON_MAX:.3g}")
+    return rng.poisson(mean, size)
+
+
+def _scatter_sum(rng, n_paths, mean_count, dt, lam, m, sizes, route, params,
+                 series_mass=0.0):
     """Per row, the sum of e^{-lam dt cell} * size over a Poisson(mean_count)
     number of points at iid uniform cells in [0, m), weighting only the
-    drawn cells; sizes(k) draws k iid sizes.  Reports the k points drawn."""
-    counts = rng.poisson(mean_count, n_paths)
+    drawn cells; sizes(k) draws k iid sizes.  Reports the k points drawn;
+    params names the driver's parameters in an error."""
+    counts = _poisson(rng, mean_count, n_paths, f"{params}, lam={lam:g}, dt={dt:g}, m={m}")
     k = int(counts.sum())
     cells = rng.integers(0, m, k)
     rows = np.repeat(np.arange(n_paths), counts)
@@ -415,6 +430,12 @@ class DriverSpec:
         """(mean, variance) of L(1)."""
         raise NotImplementedError
 
+    def _moments_in_range(self):
+        """A constructor's last check: parameters whose mean or variance
+        of L(1) is not a finite float raise DomainError.  (The Brownian
+        moments are its parameters, checked as such.)"""
+        _checks.in_range(f"{self!r}.moments", self.moments)
+
     @property
     def triplet(self) -> LevyTriplet:
         """(gamma, sigma^2, nu) with the truncation function 1_{|x|<=1}."""
@@ -510,6 +531,7 @@ class CompoundPoissonDriver(DriverSpec):
 
     def __post_init__(self):
         _checks.nonnegative(self.intensity, "CompoundPoissonDriver.intensity")
+        self._moments_in_range()
 
     @property
     def nonnegative(self) -> bool:
@@ -552,7 +574,8 @@ class CompoundPoissonDriver(DriverSpec):
         # size k is the prefix of any longer draw from the same generator
         _checks.positive(dt, "dt")
         count_gen, sum_gen = rng.spawn(2)
-        counts = count_gen.poisson(self.intensity * dt, size)
+        counts = _poisson(count_gen, self.intensity * dt, size,
+                          f"eta={self.intensity:g}, dt={dt:g}")
         return self.jumps.sample_sum(sum_gen, counts)
 
     def sample_weighted_sum(self, dt, lam, m, rng, n_paths, tol):
@@ -560,7 +583,8 @@ class CompoundPoissonDriver(DriverSpec):
         # jumps per row, each in a uniform cell and weighted by its kernel
         dt, lam, m, tol, n_paths = _halfline(dt, lam, m, tol, n_paths)
         return _scatter_sum(rng, n_paths, self.intensity * dt * m, dt, lam, m,
-                            lambda k: self.jumps.sample_sum(rng, np.ones(k)), "jumps")
+                            lambda k: self.jumps.sample_sum(rng, np.ones(k)), "jumps",
+                            f"eta={self.intensity:g}")
 
 
 @dataclass(frozen=True)
@@ -576,6 +600,7 @@ class GammaSubordinatorDriver(DriverSpec):
     def __post_init__(self):
         _checks.positive(self.shape, "GammaSubordinatorDriver.shape")
         _checks.positive(self.rate, "GammaSubordinatorDriver.rate")
+        self._moments_in_range()
 
     nonnegative = True
 
@@ -642,7 +667,8 @@ class GammaSubordinatorDriver(DriverSpec):
             rng, n_paths, gmax, dt, lam, m,
             lambda k: np.exp(-rng.uniform(0.0, gmax, k) / a_t)
             * rng.standard_exponential(k) / self.rate,
-            "series", tol * (self.shape / self.rate) / lam,
+            "series", f"a={self.shape:g}, b={self.rate:g}",
+            tol * (self.shape / self.rate) / lam,
         )
 
 

@@ -17,16 +17,22 @@ are discretized with left-endpoint kernel weights, and the infinite
 half-lines behind G and the tail of H are truncated where the kernel
 drops below a tolerance.
 
-The recursions actually used are the numerically safe ones
+The recursions actually used are
 
     x^-_{k+1} = alpha (x^-_k + dL_k),     alpha = e^{-lam dt},
     x^+_k     = alpha  x^+_{k+1} + dL_k,
 
-which never form e^{+lam t} and therefore preserve nonnegativity of both
-components exactly in floating point when the driver increments are
-nonnegative.  The classical OU comparison process is the component
-path.x_minus itself, so identities between the two processes hold
-pathwise; the compact-window kernel variant shares the same conventions.
+each run by one NumPy block scan along the grid: a block of B steps,
+lam dt B <= _SPAN, is z_{s+i} = alpha^i (z_s + sum_{j<i} c alpha^{-1-j}
+inc_{s+j}), one weighted product and one cumulative sum, and the block
+ends carry from block to block.  The scan forms e^{lam dt i} only
+within a block, bounded by e^{_SPAN}, so every term is a sum or product
+of the inputs with positive weights: both components stay nonnegative
+exactly in floating point when the driver increments are nonnegative.
+A path whose values leave the float range raises DomainError.  The
+classical OU comparison process is the component path.x_minus itself,
+so identities between the two processes hold pathwise; the
+compact-window kernel variant shares the same conventions.
 
 All sampling of X goes through one engine and one route: the generator
 is split into three substreams (past of 0, main window, tail beyond
@@ -188,34 +194,61 @@ class CompactPath:
 # assembly core
 
 
-def _forward(alpha, g, dl):
-    """x^-_{k+1} = alpha (x^-_k + dl_k) from x^-_0 = g, along axis 1:
-    (n_paths,) starts and (n_paths, n) increments give (n_paths, n+1)."""
-    from scipy.signal import lfilter
+#: largest lam * dt * B of a scan block of B steps: the block weights
+#: alpha^{-1-j} stay below e^{_SPAN}
+_SPAN = 30.0
 
-    fwd, _ = lfilter([alpha], [1.0, -alpha], dl, axis=1, zi=(alpha * g)[:, None])
-    return np.concatenate([g[:, None], fwd], axis=1)
+
+def _scan(alpha, z0, inc, c, *, reverse=False):
+    """z_0 = z0, z_{k+1} = alpha z_k + c inc_k along axis 1: (n_paths,)
+    starts and (n_paths, n) increments give a C-contiguous (n_paths, n+1)
+    array; with reverse, z_0 is the last column and the recursion runs
+    from the right end of inc.
+
+    Blocks of B steps with |ln alpha| B <= _SPAN are scanned as
+    z_{s+i} = alpha^i (z_s + sum_{j<i} c alpha^{-1-j} inc_{s+j}): one
+    product into the output and one cumulative sum from z_s in place.
+    Where a single step spans more than half of _SPAN (alpha may be 0.0)
+    the recursion runs step by step.  Each row is scanned on its own
+    bitwise.
+    """
+    n_paths, n = inc.shape
+    out = np.empty((n_paths, n + 1))
+    z = out[:, ::-1] if reverse else out
+    inc = inc[:, ::-1] if reverse else inc
+    z[:, 0] = z0
+    h = abs(math.log(alpha)) if alpha > 0 else math.inf
+    b = n if h * n <= _SPAN else int(_SPAN / h)
+    if b <= 1:
+        np.multiply(inc, c, out=z[:, 1:])
+        for k in range(n):
+            z[:, k + 1] += alpha * z[:, k]
+        return out
+    powers = alpha ** np.arange(b + 1.0)
+    weights = c / powers[1:]
+    for s in range(0, n, b):
+        e = min(s + b, n)
+        np.multiply(inc[:, s:e], weights[:e - s], out=z[:, s + 1:e + 1])
+        np.cumsum(z[:, s:e + 1], axis=1, out=z[:, s:e + 1])
+        z[:, s + 1:e + 1] *= powers[1:e - s + 1]
+    return out
 
 
 def _assemble(lam, grid, g, dl, xp_end) -> WbouPath:
     """Build the batch (x_minus, x_plus, g, h) from the main-window
     increments dl, (n_paths, n), and the half-line integrals g = X^-_0
     and xp_end = X^+_{t_max}, (n_paths,); the recursions run along
-    axis 1.
+    axis 1.  A path that leaves the float range raises DomainError.
     """
-    from scipy.signal import lfilter
-
     alpha = math.exp(-lam * grid.dt)
-    x_minus = _forward(alpha, g, dl)
-
-    # x^+_k = alpha x^+_{k+1} + dl_k, x^+_n = xp_end (run in reverse)
-    bwd, _ = lfilter(
-        [1.0], [1.0, -alpha], dl[:, ::-1], axis=1, zi=(alpha * xp_end)[:, None]
-    )
-    x_plus = np.concatenate([bwd[:, ::-1], xp_end[:, None]], axis=1)
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_minus = _scan(alpha, g, dl, alpha)
+        # x^+_k = alpha x^+_{k+1} + dl_k, x^+_n = xp_end
+        x_plus = _scan(alpha, xp_end, dl, 1.0, reverse=True)
+        x = x_minus + x_plus
+    _checks.finite(x, f"the path at lam={lam:g}, dt={grid.dt:g}")
     return WbouPath(
-        grid=grid, lam=lam, x=x_minus + x_plus,
+        grid=grid, lam=lam, x=x,
         x_minus=x_minus, x_plus=x_plus, g=g, h=x_plus[:, 0].copy(),
     )
 
@@ -311,8 +344,9 @@ def wbou_from_increments(
     dl = _checks.replay_array(dl, grid.n, "dl")[None, :]
     past = _checks.replay_array(dl_past, None, "dl_past")[None, :]
     tail = _checks.replay_array(dl_tail, None, "dl_tail")[None, :]
-    g = math.exp(-lam * grid.dt) * (past @ _weights(grid.dt, lam, past.shape[1]))
-    xp_end = tail @ _weights(grid.dt, lam, tail.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused with the path
+        g = math.exp(-lam * grid.dt) * (past @ _weights(grid.dt, lam, past.shape[1]))
+        xp_end = tail @ _weights(grid.dt, lam, tail.shape[1])
     return _row0(_assemble(lam, grid, g, dl, xp_end), dl)
 
 

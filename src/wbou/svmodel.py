@@ -51,7 +51,7 @@ import numpy as np
 from . import _checks
 from ._table import write_table
 from .drivers import DriverSpec
-from .errors import GridError, MissingComponents, NotASubordinator
+from .errors import DomainError, GridError, MissingComponents, NotASubordinator
 from .paths import SimulationGrid, TruncationPolicy, simulate_wbou, simulate_wbou_ensemble
 from .rng import as_generator
 
@@ -144,8 +144,8 @@ def _simulate_joint(spec, grid, n_paths, trunc, rng) -> SvPath:
         else:
             inner = simulate_wbou_ensemble(spec.driver, 1.0, inner_grid, n_paths,
                                            trunc=trunc, rng=l_gen)
-    except GridError as exc:
-        raise GridError(f"lambda={spec.lam}, dt={grid.dt}: on the lambda-scaled grid of X, "
+    except (GridError, DomainError) as exc:
+        raise type(exc)(f"lambda={spec.lam}, dt={grid.dt}: on the lambda-scaled grid of X, "
                         f"{exc}") from exc
     x = np.atleast_2d(inner.x)
     dw = w_gen.normal(0.0, math.sqrt(grid.dt), (len(x), grid.n))

@@ -180,6 +180,17 @@ class TestRoundingBound:
             with pytest.raises(DomainError, match="rounding bound"):
                 simulate_carma(carma_from_wbou(path), path.dl, grid)
 
+    @pytest.mark.parametrize("lam", [8.0, 1000.0])
+    def test_refused_unrun_past_lam_t_700(self, lam):
+        """Past lam * t_max = 700 the bound is not a float, so the replay
+        is refused before it runs, also where e^{lam dt} is not a float
+        and e^{-lam dt} is 0.0."""
+        grid = SimulationGrid(100.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="rounding bound inf"):
+                simulate_carma(CarmaSpec(lam, (0.1, 0.2)), np.ones(grid.n), grid)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_the_matrix_loop(self, seed):
         """The two-mode replay and the 2x2 matrix loop are both within B

@@ -261,6 +261,10 @@ _FAULTY_INPUTS = {
     ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1e-300", "--t-max", "1",
      "--dt", "0.01", "--out", "{out}"],
     ["theory", "acf", "--lambda", "1e308", "--dh", "10", "--max-lag", "3", "--out", "{out}"],
+    ["sv", "--driver", "cpoisson:eta=2,jump=point,c=1e-300", "--lambda", "1e300",
+     "--t-max", "1", "--dt", "0.01", "--seed", "1", "--out", "{out}"],
+    _simulate_args("{out}", extra=["--driver", "gamma:a=1e300,b=1e-300"]),
+    ["theory", "sv", "--lambda", "1", "--driver", "gamma:a=1e300,b=1e-300", "--out", "{out}"],
 ], ids=["paths-0", "t-max-nan", "dt-inf", "lambda-inf", "sv-lambda-inf", "sv-paths-0",
         "acf-bad-cell", "signature-bad-cell", "fit-bad-cell", "theory-acf-max-lag-neg",
         "theory-iacf-max-lag-0", "theory-sv-max-s-0", "driver-gamma-nan",
@@ -274,7 +278,8 @@ _FAULTY_INPUTS = {
         "simulate-horizon-unindexable-brownian", "simulate-horizon-unindexable-gamma",
         "simulate-horizon-unindexable-cpoisson", "sv-horizon-unindexable",
         "signature-huge-values", "acf-huge-values", "theory-iacf-lambda-tiny",
-        "sv-horizon-unindexable-fine-dt", "theory-acf-overflow"])
+        "sv-horizon-unindexable-fine-dt", "theory-acf-overflow", "sv-poisson-mean-huge",
+        "simulate-gamma-moments-overflow", "theory-sv-gamma-moments-overflow"])
 def test_input_faults_exit_2_without_output(tmp_path, capsys, argv):
     inputs = {"bad": _table_with_bad_cell(tmp_path / "bad.csv")}
     for name, text in _FAULTY_INPUTS.items():
@@ -796,12 +801,12 @@ def _fixed_series(path):
     path.write_text("\n".join(rows) + "\n")
 
 
-#: SHA-256 of CLI outputs for fixed inputs and seeds (numpy 2.4, scipy 1.17,
-#: x86-64).  A change to any digest is a change of output that has to be
-#: announced; the simulate and sv digests follow the one-route stream
-#: layout (G and X^+_{t_max} drawn whole, through the driver's hook),
-#: theory sv the sinh form of big_r, theory increment-acf the expm1 form of
-#: increment_acf_ou.
+#: SHA-256 of CLI outputs for fixed inputs and seeds (numpy 2.4, x86-64).
+#: A change to any digest is a change of output that has to be announced;
+#: the simulate and sv digests follow the one-route stream layout (G and
+#: X^+_{t_max} drawn whole, through the driver's hook) and the block scan
+#: of the path recursions, theory sv the sinh form of big_r, theory
+#: increment-acf the expm1 form of increment_acf_ou.
 FROZEN = {
     "theory_acf": (["theory", "acf", "--lambda", "1", "--max-lag", "50", "--dh", "0.1"],
                    "9681ee55fd1524ec1641f004d392655334a95672ab147a22edb22115c8c32af6"),
@@ -816,10 +821,10 @@ FROZEN = {
                   "eb1de915a066e24faf45aef35e8754b687ec915b29cd073b2af4bfe15ab6d454"),
     "simulate": (["simulate", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "2",
                   "--dt", "0.01", "--seed", "7"],
-                 "c13ed72276bcf8a4e186be35f76cf797f1e513f24fe6db5f687a788992d2a060"),
+                 "c933d538f68170e8c60ee0202d2514219b11c5bfe81da615af669814193c6c20"),
     "sv": (["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "2",
             "--dt", "0.01", "--seed", "7"],
-           "7a3f807c01e929b51a431b2ce68a08f4a59130a8c229b6b6a5ed644f0b7cf1fd"),
+           "bfe6879afd73b51c8694627d5a4566dcd05e1aea55ac5949e322015f88ffa517"),
 }
 
 
@@ -868,12 +873,17 @@ def test_module_invocation_help():
 
 
 #: run in a fresh interpreter: argv[1] is a directory holding series.csv;
-#: prints the scipy modules loaded after the subcommands that need none
+#: prints the scipy modules loaded after the subcommands that need none and
+#: a CARMA replay
 _NO_SCIPY_CHILD = """
 import sys
 import wbou, wbou.cli
 d = sys.argv[1]
 for argv in (
+    ["simulate", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "2", "--dt", "0.01",
+     "--seed", "7", "--out", d + "/path.csv"],
+    ["sv", "--driver", "gamma:a=1,b=1", "--lambda", "1", "--t-max", "2", "--dt", "0.01",
+     "--seed", "7", "--out", d + "/sv.csv"],
     ["theory", "acf", "--lambda", "1", "--max-lag", "20", "--out", d + "/t1.csv"],
     ["theory", "increment-acf", "--lambda", "1", "--max-lag", "20", "--out", d + "/t2.csv"],
     ["theory", "sv", "--lambda", "1", "--max-s", "5", "--driver", "gamma:a=1,b=1",
@@ -883,11 +893,14 @@ for argv in (
     ["signature", "--input", d + "/series.csv", "--max-skip", "5", "--out", d + "/sig.csv"],
 ):
     assert wbou.cli.main(argv) == 0, argv
+grid = wbou.SimulationGrid(2.0, 0.01)
+path = wbou.simulate_wbou(wbou.GammaSubordinatorDriver(1.0, 1.0), 1.0, grid, rng=7)
+wbou.simulate_carma(wbou.carma_from_wbou(path), path.dl, grid)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_law_and_estimation_subcommands_load_no_scipy(tmp_path):
+def test_simulation_law_and_estimation_subcommands_load_no_scipy(tmp_path):
     # a fresh child: pytest's filterwarnings has imported scipy.integrate here
     _fixed_series(tmp_path / "series.csv")
     src = os.path.dirname(os.path.dirname(wbou.__file__))

@@ -31,7 +31,7 @@ from wbou import (
     simulate_wbou_ensemble,
     substream,
 )
-from wbou.drivers import _kernel_sum
+from wbou.drivers import _POISSON_MAX, _kernel_sum, _poisson
 
 from helpers import (ecf, hook_records, mean_se, measure_moment_quad, measure_tail_quad,
                      rng_for, var_se)
@@ -626,3 +626,39 @@ def test_constructor_validation():
 def test_constructors_reject_non_finite(make, bad):
     with pytest.raises(DomainError):
         make(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GammaSubordinatorDriver(1e300, 1e-300),
+    lambda: GammaSubordinatorDriver(1.0, 1e-200),
+    lambda: compound_poisson(2.0, PointMassJumps(1e200)),
+    lambda: compound_poisson(1e300, NormalJumps(1e10, 1.0)),
+    lambda: compound_poisson(1.0, ExponentialJumps(1e-200)),
+], ids=["gamma-mean-overflows", "gamma-variance-divisor-underflows", "cp-point-square",
+        "cp-normal-product", "cp-exponential-divisor-underflows"])
+def test_constructors_reject_moments_outside_the_float_range(make):
+    """Finite parameters whose mean or variance of L(1) is not a float:
+    each would give inf or NaN paths, or a ZeroDivisionError in the
+    theory, further on."""
+    with pytest.raises(DomainError, match=r"\.moments\(\) overflows"):
+        make()
+
+
+def test_moments_at_the_edge_of_the_float_range_are_accepted():
+    assert GammaSubordinatorDriver(1e100, 1e-100).moments() == (1e200, 1e300)
+    assert compound_poisson(1e300, PointMassJumps(1e-300)).moments()[0] == pytest.approx(1.0)
+
+
+def test_poisson_means_above_numpys_limit_are_refused():
+    """NumPy's sampler raises ValueError above its limit; the drivers
+    raise DomainError naming the parameters behind the mean."""
+    assert _poisson(substream(1), _POISSON_MAX, 2, "").shape == (2,)
+    with pytest.raises(ValueError, match="lam value too large"):
+        substream(1).poisson(np.nextafter(_POISSON_MAX, math.inf))
+    drv = compound_poisson(1e300, PointMassJumps(1e-300))
+    with pytest.raises(DomainError, match=r"1e\+300 at eta=1e\+300, dt=1 is above"):
+        drv.sample_increments(1.0, substream(2), 3)
+    with pytest.raises(DomainError, match=r"at eta=1e\+300, lam=0\.5, dt=1, m=4 is above"):
+        drv.sample_weighted_sum(1.0, 0.5, 4, substream(3), 2, 1e-6)
+    with pytest.raises(DomainError, match="eta=1e\\+300"):
+        simulate_wbou_ensemble(drv, 1.0, SimulationGrid(1.0, 0.5), 2, rng=substream(4))

@@ -266,17 +266,18 @@ def test_simulate_logs_route_and_budget(caplog):
 
 
 #: SHA-256 of simulate_wbou_ensemble(...).x for five drivers at a fixed
-#: seed (numpy 2.4, scipy 1.17, x86-64), half-lines drawn by law.  The
-#: compound Poisson digests hold the scatter sums, which weight only the
-#: cells they draw, to the bits of indexing the full m_half weight array.
-#: The drift digest holds pure drift, the Brownian driver at sigma^2 = 0,
-#: to the bits of filling every increment with gamma * dt.
+#: seed (numpy 2.4, x86-64), half-lines drawn by law and the recursions
+#: run by the block scan.  The compound Poisson digests hold the scatter
+#: sums, which weight only the cells they draw, to the bits of indexing
+#: the full m_half weight array.  The drift digest holds pure drift, the
+#: Brownian driver at sigma^2 = 0, to the bits of filling every increment
+#: with gamma * dt.
 FROZEN_ENSEMBLES = {
-    "gamma": "34e3dda7265dabd28529714ae1ddd5d0cbde24d70db7e9d27eb5ff9f011abfc0",
-    "brownian": "c54d6bb099108d208d9da2773d88183ac47c94ff7538af1d54917d6c37f95132",
-    "cp-exponential": "efb2cde7fdc8dfb06b8557ea7ac841a6b2b1e59df72696810a435ab723cacd8f",
-    "cp-normal": "723254262ab645b788b013772f0fcc27d8ba7ded58e6a1ebe298639fb692a5d5",
-    "drift": "87fec62ac14a4a011da510bb9ea7cb139f7413f79cbd9d7ee966028261bacea7",
+    "gamma": "0d74963e8c9c36c47362433b58c02289f8f3cf68b46c8e448cf37a8a92f1bb59",
+    "brownian": "1af4f675b5e2cfd28f71c7f319360c8a41e598bec824e47764d48227fd646cc1",
+    "cp-exponential": "bcd53b6a282d59f2eb5d7fb5f05a88721107a96f2e6294ed715580ac170c7bfb",
+    "cp-normal": "e7e49b967067ed8d8ca4f19e53f88c281a4d926b11d33201924e67739f2a540f",
+    "drift": "ee1f21b44bf119db785a249441bb9a080ca2c8633adaa1139bdf2482f7738221",
 }
 
 

@@ -11,9 +11,10 @@ window, and ``paths.simulate_compact_kernel`` call ``sample_increments``,
 so the half-lines have one route: the driver hook.  Only ``law`` imports
 ``scipy.integrate``, for its one ``quad`` wrapper.  No module imports
 scipy at module level: each function imports the subpackage it calls,
-so ``import wbou`` loads no scipy.  Every option of a CLI subcommand is
-read by that subcommand's ``cmd_*`` function, so no flag is accepted
-and then ignored.  No module of the package or of the tests imports a
+so ``import wbou`` loads no scipy.  No module imports ``scipy.signal``:
+the path recursions run on NumPy, so simulation loads no scipy.  Every
+option of a CLI subcommand is read by that subcommand's ``cmd_*``
+function, so no flag is accepted and then ignored.  No module of the package or of the tests imports a
 name it never reads, so an import list says what a module uses.  The
 package exports exactly its modules' ``__all__`` names and the error
 classes.
@@ -107,6 +108,19 @@ def _imports_scipy(node) -> bool:
         return any(a.name.split(".")[0] == "scipy" for a in node.names)
     return (isinstance(node, ast.ImportFrom) and node.level == 0
             and (node.module or "").split(".")[0] == "scipy")
+
+
+def _imports_scipy_signal(node) -> bool:
+    """True for an import of ``scipy.signal`` or of names from it, and
+    for ``scipy.signal`` reached as an attribute."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["scipy", "signal"] for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return node.level == 0 and (module[:2] == ["scipy", "signal"] or module == ["scipy"]
+                                    and any(a.name == "signal" for a in node.names))
+    return (isinstance(node, ast.Attribute) and node.attr == "signal"
+            and getattr(node.value, "id", None) == "scipy")
 
 
 def _checks_numbers(node) -> bool:
@@ -240,6 +254,29 @@ def test_no_module_imports_scipy_at_module_level():
     """A module-level scipy import makes ``import wbou`` load it."""
     assert sorted(p.name for p in SRC.glob("*.py")
                   if None in _sites_where(_imports_scipy, ast.parse(p.read_text()))) == []
+
+
+@pytest.mark.parametrize("src, imports", [
+    ("import scipy.signal", True),
+    ("import numpy, scipy.signal as ss", True),
+    ("from scipy import special, signal", True),
+    ("from scipy.signal import lfilter", True),
+    ("from scipy.signal._signaltools import lfilter", True),
+    ("scipy.signal.lfilter(b, a, x)", True),
+    ("def f():\n    from scipy.signal import lfilter", True),
+    ("from scipy import special", False),
+    ("import scipy.signalx", False),
+    ("from .signal import lfilter", False),
+    ("signal.lfilter(b, a, x)", False),
+])
+def test_signal_rule_finds_the_imports(src, imports):
+    assert any(map(_imports_scipy_signal, ast.walk(ast.parse(src)))) == imports
+
+
+def test_no_module_imports_scipy_signal():
+    """The path recursions are the NumPy block scan ``paths._scan``."""
+    assert sorted(p.name for p in SRC.glob("*.py")
+                  if any(map(_imports_scipy_signal, ast.walk(ast.parse(p.read_text()))))) == []
 
 
 def test_only_cli_prints():
