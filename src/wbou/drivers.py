@@ -126,6 +126,20 @@ def _gamma_log_tail(z):
     return math.exp(-z) / z * float(np.log1p(q) / (1.0 + q) @ w)
 
 
+def _scalar(x):
+    """A NumPy result as a float where the input was a scalar."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _above(theta, lo):
+    """theta, finite, if every value is above lo, the end of the interval
+    on which a Laplace transform is finite; else DomainError."""
+    theta = _checks.finite(theta, "theta")
+    if not np.all(theta > lo):
+        raise DomainError(f"Laplace transform finite only for theta > {lo}")
+    return theta
+
+
 def _halfline(dt, lam, m, tol, n_paths):
     """The arguments of sample_weighted_sum, checked: dt positive, lam a
     rate, m and n_paths whole numbers >= 1, tol in (0, 1)."""
@@ -187,7 +201,10 @@ class LevyMeasure:
     gives the Levy tail of the marginal of X (``triplet_of_x``) without
     quadrature: a F(b y) for the gamma subordinator, with F the Meijer
     G^{3,0}_{2,3}(. | 1, 1; 0, 0, 0), and eta E1(r y) for compound
-    Poisson jumps at rate eta with Exp(r) sizes.
+    Poisson jumps at rate eta with Exp(r) sizes.  Without it (normal
+    jumps, user measures) both tails of the marginal integrate the
+    closed tails by parts, up to the point where they are 0 in floats
+    or the end of the support.
     """
 
     density: Callable[[float], float] | None = None
@@ -249,9 +266,10 @@ class NormalJumps:
         """E e^{iuJ} - 1, without cancellation at small u."""
         return np.expm1(1j * u * self.mean - 0.5 * self.var * np.square(u))
 
-    def laplace(self, theta: float) -> float:
-        theta = _checks.finite(theta, "theta")
-        return math.exp(-theta * self.mean + 0.5 * self.var * theta * theta)
+    def laplace(self, theta):
+        return _scalar(_checks.in_range(
+            f"{self!r}.laplace", lambda t: np.exp(-t * self.mean + 0.5 * self.var * t * t),
+            _checks.finite(theta, "theta"), numpy=True))
 
     @property
     def moment1(self) -> float:
@@ -295,7 +313,7 @@ class NormalJumps:
         return special.ndtr((-_checks.positive(y, "tail argument") - self.mean) / s)
 
     #: int_{x >= y} ln(x/y) density(x) dx has no closed form here: the
-    #: marginal's tail integrates it by quad
+    #: marginal's tail integrates tail_pos by parts
     log_tail_pos = None
 
 
@@ -315,12 +333,13 @@ class ExponentialJumps:
         u = np.asarray(u, dtype=float)
         return 1j * u / (self.rate - 1j * u)
 
-    def laplace(self, theta: float) -> float:
-        if _checks.finite(theta, "theta") <= -self.rate:
-            raise DomainError(
-                f"Laplace transform finite only for theta > {-self.rate}"
-            )
-        return self.rate / (self.rate + theta)
+    def laplace(self, theta):
+        return _scalar(self.rate / (self.rate + _above(theta, -self.rate)))
+
+    def laplace_minus_one(self, theta):
+        """E e^{-theta J} - 1 = -theta / (rate + theta)."""
+        theta = _above(theta, -self.rate)
+        return _scalar(-theta / (self.rate + theta))
 
     @property
     def moment1(self) -> float:
@@ -375,8 +394,15 @@ class PointMassJumps:
         """E e^{iuJ} - 1, without cancellation at small u."""
         return np.expm1(1j * np.asarray(u, dtype=float) * self.size)
 
-    def laplace(self, theta: float) -> float:
-        return math.exp(-_checks.finite(theta, "theta") * self.size)
+    def laplace(self, theta):
+        return _scalar(_checks.in_range(f"{self!r}.laplace", lambda t: np.exp(-t * self.size),
+                                        _checks.finite(theta, "theta"), numpy=True))
+
+    def laplace_minus_one(self, theta):
+        """E e^{-theta J} - 1, without cancellation at small theta."""
+        return _scalar(_checks.in_range(f"{self!r}.laplace_minus_one",
+                                        lambda t: np.expm1(-t * self.size),
+                                        _checks.finite(theta, "theta"), numpy=True))
 
     @property
     def moment1(self) -> float:
@@ -415,12 +441,14 @@ class DriverSpec:
         """Characteristic exponent; accepts scalars or arrays."""
         raise NotImplementedError
 
-    def cumulant_k(self, theta: float) -> float:
+    def cumulant_k(self, theta):
         """log E exp(-theta L(1)), defined for subordinator drivers only.
 
         theta >= 0 always works; negative theta is accepted on the open
         interval where the moment generating function is finite, so the
         transform can be differentiated at 0 with central stencils.
+        Accepts scalars or arrays, like psi: a scalar gives a float, and
+        one value outside the domain raises DomainError.
         """
         raise NotASubordinator(
             f"{type(self).__name__} is not a nonnegative driver"
@@ -491,10 +519,10 @@ class BrownianDriver(DriverSpec):
     def nonnegative(self) -> bool:
         return self.sigma2 == 0 and self.gamma >= 0
 
-    def cumulant_k(self, theta: float) -> float:
+    def cumulant_k(self, theta):
         if not self.nonnegative:
             raise NotASubordinator("driver has a Gaussian component or a negative drift")
-        return -self.gamma * _checks.finite(theta, "theta")
+        return _scalar(-self.gamma * _checks.finite(theta, "theta"))
 
     def moments(self):
         return (self.gamma, self.sigma2)
@@ -541,10 +569,10 @@ class CompoundPoissonDriver(DriverSpec):
         out = self.intensity * self.jumps.cf_minus_one(_checks.finite(u, "u"))
         return out if np.ndim(out) else complex(out)
 
-    def cumulant_k(self, theta: float) -> float:
+    def cumulant_k(self, theta):
         if not self.jumps.positive:
             raise NotASubordinator("jump distribution puts mass on (-inf, 0]")
-        return self.intensity * (self.jumps.laplace(theta) - 1.0)
+        return self.intensity * self.jumps.laplace_minus_one(theta)
 
     def moments(self):
         return (
@@ -609,12 +637,8 @@ class GammaSubordinatorDriver(DriverSpec):
         out = -self.shape * np.log(1.0 - 1j * u / self.rate)
         return out if out.ndim else complex(out)
 
-    def cumulant_k(self, theta: float) -> float:
-        if _checks.finite(theta, "theta") <= -self.rate:
-            raise DomainError(
-                f"Laplace transform finite only for theta > {-self.rate}"
-            )
-        return -self.shape * math.log1p(theta / self.rate)
+    def cumulant_k(self, theta):
+        return _scalar(-self.shape * np.log1p(_above(theta, -self.rate) / self.rate))
 
     def moments(self):
         return (self.shape / self.rate, self.shape / self.rate**2)

@@ -18,28 +18,30 @@ of the characteristic exponent against the kernel, over the whole line:
 the half-lines beyond the outermost times become finite integrals
 (1/lam) int_0^{|c|} psi(sign(c) v)/v dv, so no window is truncated.
 
-That quadrature is one adaptive composite Gauss-Legendre rule shared by
-char_fn_x and char_fn_joint.  Each piece gets a 64-node value and the
-error estimate |Q64 - Q32| from the 32-node rule on the same piece; a
-piece is bisected while its estimate is above its length's share of
-the integral's tolerance, 1e-12 absolute and relative.  All pieces of
-all integrals of a call are evaluated together, one array psi call per
-block of 256 pieces per round, and an integral stops at 300 pieces.
-Each call logs one ``wbou`` debug line with the piece count and the
-largest error estimate, and a ``wbou`` warning when an integral stopped
-at the cap above its tolerance (the value is still returned).
+Every integral of the module runs on one adaptive composite
+Gauss-Legendre rule, _integrate.  Each piece gets a 64-node value and
+the error estimate |Q64 - Q32| from the 32-node rule on the same piece;
+a piece is bisected while its estimate is above its length's share of
+the integral's tolerance, 1e-12 absolute and relative (relative alone
+for the Levy tails, so that a far tail of size 1e-20 is still resolved
+to 1e-12 of itself).  All pieces of all integrals of a call are
+evaluated together, one array call of the integrand per block of 256
+pieces per round, and an integral stops at 300 pieces.  Each call logs
+one ``wbou`` debug line with the piece count and the largest error
+estimate, and a ``wbou`` warning when an integral stopped at the cap
+above its tolerance (the value is still returned).  char_fn_x and
+char_fn_joint integrate psi over every u at once; kbar integrates
+k(v)/v; gbar_from_g and the Levy tails call their scalar function once
+per node.
 
 The Levy tails of X_0 are in closed form for the gamma subordinator,
 (2a/lam) F(b y) with F the Meijer G^{3,0}_{2,3}(. | 1, 1; 0, 0, 0), and
 for compound Poisson jumps of rate eta with Exp(r) sizes,
 (2 eta/lam) E1(r y): the driver's measure gives them as its
 ``log_tail_pos_closed``.  Other densities (normal jumps, user measures)
-keep scipy's quad, at the relative tolerance 1e-12 alone; kbar and
-gbar_from_g use quad at 1e-12 absolute and relative.  Every quad call
-of the package goes through _quad, which keeps the error estimate,
-with one ``wbou`` debug line per integral and a ``wbou`` warning when
-the estimate is above the tolerance (again, the value is still
-returned).
+are integrated by parts, int_{x >= y} ln(x/y) nu(dx) =
+int_{ln y}^{ln x_max} T(e^t) dt with T the closed tail of the density
+part and x_max the point past which T is 0 in floats.
 
 The module also carries the cumulant transform of the marginal under
 the time-scaled convention (driver run at rate lam, making the marginal
@@ -52,6 +54,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -71,30 +74,31 @@ __all__ = [
 
 _log = logging.getLogger("wbou")
 
-#: adaptive Gauss-Legendre rule of char_fn_x and char_fn_joint: tolerance
-#: (absolute and relative, per integral), piece cap per integral, and
-#: pieces per integrand call
+#: the adaptive Gauss-Legendre rule: tolerance (absolute and relative,
+#: per integral), piece cap per integral, and pieces per integrand call
 _GL_TOL = 1e-12
 _GL_MAX_PIECES = 300
 _GL_BLOCK = 256
-#: scipy's quad of the tails, kbar and gbar_from_g
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
 
-def _quad(f, a: float, b: float, name: str, epsabs: float = _QUAD_OPTS["epsabs"]) -> float:
-    """scipy's quad at _QUAD_OPTS, or at a relative tolerance alone with
-    epsabs=0, keeping its error estimate: one debug line per call, and a
-    warning when the estimate is above the tolerance (the value is still
-    returned)."""
-    from scipy import integrate
-
-    val, err = integrate.quad(f, a, b, **{**_QUAD_OPTS, "epsabs": epsabs})
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("%s: quad over [%.6g, %.6g], error estimate %.3g", name, a, b, err)
-    if err > max(epsabs, _QUAD_OPTS["epsrel"] * abs(val)):
-        _log.warning("%s: quad error estimate %.3g over [%.6g, %.6g] is above the "
-                     "%.0e tolerance", name, err, a, b, _QUAD_OPTS["epsrel"])
-    return val
+def _log_tail(tail, end: float, y: float, name: str) -> float:
+    """int_{x >= y} ln(x/y) mu(dx) for a measure mu on (0, end] with the
+    closed tail ``tail``(x) = mu([x, inf)), by parts:
+    int_{ln y}^{ln x_max} tail(e^t) dt, where x_max is the first of
+    max(y, 1) 2^k at which the tail is 0 (or the end, or the largest
+    float).  The adaptive rule integrates it at the relative tolerance
+    alone, so that a far tail of size 1e-20 is still resolved to 1e-12 of
+    itself; the tail is called once per node."""
+    end = min(end, sys.float_info.max)
+    x = max(y, 1.0)
+    while x < end and tail(x) > 0:
+        x *= 2.0
+    x_max = min(x, end)
+    if x_max <= y:
+        return 0.0
+    tail_at = np.frompyfunc(tail, 1, 1)
+    return _real_integral(lambda t: tail_at(np.exp(t)).astype(float),
+                          math.log(y), math.log(x_max), name, relative=True)
 
 
 def _pushforward_measure(nu: LevyMeasure, lam: float) -> LevyMeasure:
@@ -103,8 +107,8 @@ def _pushforward_measure(nu: LevyMeasure, lam: float) -> LevyMeasure:
 
     The tails are (2/lam) int ln(x/y) nu(dx) over |x| >= y: the driver's
     closed log-weighted tail where it has one (gamma, exponential
-    jumps), else quad of the density at the relative tolerance alone, so
-    that a far tail of size 1e-20 is still resolved to 1e-12 of itself.
+    jumps), else the continuous part's closed tail integrated by parts
+    (_log_tail); atoms add m ln(|c|/y) each.
     """
     if nu.is_zero:
         return LevyMeasure()
@@ -121,17 +125,15 @@ def _pushforward_measure(nu: LevyMeasure, lam: float) -> LevyMeasure:
         val = 0.0
         if nu.log_tail_pos_closed is not None:
             val = nu.log_tail_pos_closed(y)
-        elif nu.density is not None and nu.support[1] > y:
-            val = _quad(lambda x: math.log(x / y) * nu.density(x),
-                        y, nu.support[1], "tail_pos", epsabs=0.0)
+        elif nu.density is not None:
+            val = _log_tail(nu.tail_pos_closed, nu.support[1], y, "tail_pos")
         val += sum(m * math.log(c / y) for c, m in nu.atoms if c >= y)
         return 2.0 / lam * val
 
     def tail_neg(y: float) -> float:
         val = 0.0
-        if nu.density is not None and nu.support[0] < -y:
-            val = _quad(lambda x: math.log(-x / y) * nu.density(x),
-                        nu.support[0], -y, "tail_neg", epsabs=0.0)
+        if nu.density is not None:
+            val = _log_tail(nu.tail_neg_closed, -nu.support[0], y, "tail_neg")
         val += sum(m * math.log(-c / y) for c, m in nu.atoms if c <= -y)
         return 2.0 / lam * val
 
@@ -197,20 +199,18 @@ def _gl_nodes():
 def _rule(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     """64-node value and |Q64 - Q32| estimate on every piece [a_i, b_i],
     one call of f per block of _GL_BLOCK pieces."""
+    if a.size > _GL_BLOCK:
+        blocks = [_rule(f, a[i:i + _GL_BLOCK], b[i:i + _GL_BLOCK], owner[i:i + _GL_BLOCK])
+                  for i in range(0, a.size, _GL_BLOCK)]
+        return tuple(map(np.concatenate, zip(*blocks)))
     nodes, w64, w32 = _gl_nodes()
-    q = np.empty(a.size, dtype=complex)
-    err = np.empty(a.size)
-    for i in range(0, a.size, _GL_BLOCK):
-        blk = slice(i, i + _GL_BLOCK)
-        half = 0.5 * (b[blk] - a[blk])
-        fs = f((0.5 * (a[blk] + b[blk]))[:, None] + half[:, None] * nodes, owner[blk, None])
-        q64 = half * (fs[:, :64] @ w64)
-        q[blk] = q64
-        err[blk] = np.abs(q64 - half * (fs[:, 64:] @ w32))
-    return q, err
+    half = 0.5 * (b - a)
+    fs = f((0.5 * (a + b))[:, None] + half[:, None] * nodes, owner[:, None])
+    q = half * (fs[:, :64] @ w64)
+    return q, np.abs(q - half * (fs[:, 64:] @ w32))
 
 
-def _integrate(f, a, b, owner, n: int, name: str) -> np.ndarray:
+def _integrate(f, a, b, owner, n: int, name: str, relative: bool = False) -> np.ndarray:
     """n complex integrals at once by adaptive composite Gauss-Legendre.
 
     Integral k is the integral of f over the union of the pieces
@@ -218,11 +218,13 @@ def _integrate(f, a, b, owner, n: int, name: str) -> np.ndarray:
     and their pieces' owners k of shape (m, 1) and returns the integrand
     there.  Each round evaluates every open piece, accepts it when its
     estimate is within its share (length / total length) of the
-    integral's tolerance max(_GL_TOL, _GL_TOL |integral|), and bisects
-    the rest.  An integral whose bisections would take it past
-    _GL_MAX_PIECES pieces keeps what it has; it is reported with a
-    warning when its summed estimate is above its tolerance.
+    integral's tolerance max(_GL_TOL, _GL_TOL |integral|), or
+    _GL_TOL |integral| alone when relative, and bisects the rest.  An
+    integral whose bisections would take it past _GL_MAX_PIECES pieces
+    keeps what it has; it is reported with a warning when its summed
+    estimate is above its tolerance.
     """
+    floor = 0.0 if relative else 1.0
     length = np.bincount(owner, b - a, n)
     value = np.zeros(n, dtype=complex)
     err = np.zeros(n)
@@ -230,8 +232,13 @@ def _integrate(f, a, b, owner, n: int, name: str) -> np.ndarray:
     capped = np.zeros(n, dtype=bool)
     while owner.size:
         q, e = _rule(f, a, b, owner)
-        tol = _GL_TOL * np.maximum(1.0, np.abs(value + _sum_by(owner, q, n)))
+        total = _sum_by(owner, q, n)
+        tol = _GL_TOL * np.maximum(floor, np.abs(value + total))
         ok = e <= tol[owner] * (b - a) / length[owner]
+        if ok.all():
+            value += total
+            err += np.bincount(owner, e, n)
+            break
         wants = np.bincount(owner[~ok], minlength=n)
         full = pieces + wants > _GL_MAX_PIECES
         capped |= full & (wants > 0)
@@ -243,16 +250,24 @@ def _integrate(f, a, b, owner, n: int, name: str) -> np.ndarray:
         mid = 0.5 * (a + b)
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
         owner = np.concatenate((owner, owner))
-    if n:
+    if n and _log.isEnabledFor(logging.DEBUG):
         _log.debug("%s: %d integrals, %d pieces (at most %d per integral), "
                    "largest error estimate %.3g", name, n, pieces.sum(), pieces.max(),
                    err.max())
-        bad = capped & (err > _GL_TOL * np.maximum(1.0, np.abs(value)))
+    if capped.any():
+        bad = capped & (err > _GL_TOL * np.maximum(floor, np.abs(value)))
         if bad.any():
             _log.warning("%s: %d of %d integrals hit the %d-piece cap with error "
                          "estimate up to %.3g, above the %.0e tolerance",
                          name, bad.sum(), n, _GL_MAX_PIECES, err[bad].max(), _GL_TOL)
     return value
+
+
+def _real_integral(f, a: float, b: float, name: str, relative: bool = False) -> float:
+    """The integral of a real f over [a, b] by the adaptive rule; f takes
+    an array of nodes."""
+    return float(_integrate(lambda s, k: f(s), np.array([a]), np.array([b]),
+                            np.zeros(1, dtype=np.intp), 1, name, relative)[0].real)
 
 
 def char_fn_x(driver: DriverSpec, lam: float, u):
@@ -348,32 +363,28 @@ def kbar(driver: DriverSpec, theta: float) -> float:
     """log E exp(-theta X_0) for subordinator drivers, time-scaled.
 
     Equals 2 int_0^theta k(v)/v dv after substituting v = theta e^{-u}
-    into 2 int_0^inf k(theta e^{-u}) du.  The integrand has a removable
-    singularity at v = 0 with limit k'(0) = -mean, which is patched in
-    so the quadrature sees a continuous function.  Like cumulant_k,
-    negative theta works on the interval where the driver's moment
-    generating function is finite, enabling central-stencil
-    differentiation at 0.  Non-finite theta raises DomainError.
+    into 2 int_0^inf k(theta e^{-u}) du.  The integrand is bounded
+    (k(v)/v -> -mean as v -> 0) and the Gauss-Legendre nodes never touch
+    v = 0; the adaptive rule of the module docstring integrates it, one
+    array cumulant_k call per round.  Like cumulant_k, negative theta
+    works on the interval where the driver's moment generating function
+    is finite, enabling central-stencil differentiation at 0.
+    Non-finite theta raises DomainError.
     """
     if _checks.finite(theta, "theta") == 0:
         return 0.0
-    mu, _ = driver.moments()
-    # touching cumulant_k validates that the driver is a subordinator
-    driver.cumulant_k(0.0)
-
-    def integrand(v: float) -> float:
-        if v == 0.0:
-            return -mu
-        return driver.cumulant_k(v) / v
-
-    return 2.0 * _quad(integrand, 0.0, theta, "kbar")
+    return 2.0 * _real_integral(lambda v: driver.cumulant_k(v) / v, 0.0, theta, "kbar")
 
 
 def gbar_from_g(g: Callable[[float], float], y: float) -> float:
     """Levy density of X_0 from the driver's Levy density g:
-    gbar(y) = 2 int_1^inf g(x y) dx, for y > 0 (time-scaled convention)."""
+    gbar(y) = 2 int_1^inf g(x y) dx, for y > 0 (time-scaled convention),
+    integrated as 2 int_0^1 g(y/t)/t^2 dt (x = 1/t) by the adaptive rule,
+    with g called once per node."""
     _checks.positive(y, "y")
-    return 2.0 * _quad(lambda x: g(x * y), 1.0, math.inf, "gbar_from_g")
+    g_at = np.frompyfunc(g, 1, 1)
+    return 2.0 * _real_integral(lambda t: g_at(y / t).astype(float) / (t * t), 0.0, 1.0,
+                                "gbar_from_g")
 
 
 def g_from_gbar(

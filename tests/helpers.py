@@ -131,6 +131,32 @@ def phi_x_oracle(measure, y, lam):
     return 2.0 / lam * val
 
 
+def normal_log_tail_mp(eta, mean, sd, lam, y, side="pos", dps=50):
+    """Levy tail of X for N(mean, sd^2) jumps at rate eta, by dps-digit
+    quadrature of the direct form (2 eta/lam) int_{x >= y} ln(x/y) phi(x)
+    dx, with phi the N(mean, sd^2) density on the positive side and the
+    N(-mean, sd^2) density on the negative side; an mpmath number.
+
+    The split points are y, the mean and mean +- 40 sd; past mean + 40 sd
+    the density is below 1e-340.  mpmath's quad stops at an absolute
+    error of 10^-dps, so phi is divided by its largest value on [y, inf),
+    at c = max(y, mean), inside the exponent.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        m = mpmath.mpf(mean) if side == "pos" else -mpmath.mpf(mean)
+        s, y = mpmath.mpf(sd), mpmath.mpf(y)
+        top = m + 40 * s
+        if top <= y:
+            return mpmath.mpf(0)
+        c = max(y, m)
+        pts = sorted({y, top} | {p for p in (m - 40 * s, m) if y < p < top})
+        val = mpmath.quad(lambda x: mpmath.log(x / y)
+                          * mpmath.exp(((c - m) ** 2 - (x - m) ** 2) / (2 * s * s)), pts)
+        return 2 * eta / mpmath.mpf(lam) * val * mpmath.npdf(c, m, s)
+
+
 # ---------------------------------------------------------------------------
 # Levy-Khintchine reconstruction of a characteristic function from a triplet
 # ---------------------------------------------------------------------------

@@ -900,6 +900,40 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+#: run in a fresh interpreter: every integral of the marginal law, then
+#: whether scipy.integrate was loaded (scipy.special may be)
+_NO_INTEGRATE_CHILD = """
+import math, sys
+import wbou as W
+subordinators = [W.gamma_subordinator(1.5, 2.0), W.compound_poisson(3.0, W.ExponentialJumps(1.5)),
+                 W.compound_poisson(1.5, W.PointMassJumps(0.7)), W.deterministic_drift(0.4)]
+for d in subordinators:
+    W.kbar(d, 0.5)
+    W.kbar(d, -0.1)
+drivers = subordinators + [W.compound_poisson(2.0, W.NormalJumps(0.3, 0.8)), W.brownian(0.3, 1.2)]
+for d in drivers:
+    W.char_fn_x(d, 0.8, [0.5, -2.0])
+    W.char_fn_joint(d, 0.8, [0.0, 0.7], [0.5, -1.0])
+    measure = W.triplet_of_x(d, 0.8).measure
+    for y in (0.05, 1.0, 7.5):
+        measure.tail_pos(y)
+        measure.tail_neg(y)
+W.gbar_from_g(lambda x: 1.5 * math.exp(-2.0 * x) / x, 0.5)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_law_loads_no_scipy_integrate():
+    # a fresh child: pytest's filterwarnings has imported scipy.integrate here
+    src = os.path.dirname(os.path.dirname(wbou.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _NO_INTEGRATE_CHILD],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_simulation_law_and_estimation_subcommands_load_no_scipy(tmp_path):
     # a fresh child: pytest's filterwarnings has imported scipy.integrate here
     _fixed_series(tmp_path / "series.csv")

@@ -160,6 +160,47 @@ def test_cumulant_negative_theta():
         e.cumulant_k(-1.0)
 
 
+@pytest.mark.parametrize("fn, bad", [
+    (gamma_subordinator(1.2, 0.8).cumulant_k, -0.8),
+    (compound_poisson(4.0, ExponentialJumps(2.0)).cumulant_k, -2.5),
+    (compound_poisson(1.5, PointMassJumps(0.7)).cumulant_k, -2000.0),
+    (deterministic_drift(1.5).cumulant_k, math.nan),
+    (NormalJumps(0.3, 0.8).laplace, 1e200),
+    (ExponentialJumps(2.0).laplace, -2.0),
+    (PointMassJumps(0.7).laplace, -2000.0),
+    (ExponentialJumps(2.0).laplace_minus_one, -3.0),
+    (PointMassJumps(0.7).laplace_minus_one, math.inf),
+], ids=["gamma.cumulant_k", "cp-exponential.cumulant_k", "cp-point-mass.cumulant_k",
+        "drift.cumulant_k", "NormalJumps.laplace", "ExponentialJumps.laplace",
+        "PointMassJumps.laplace", "ExponentialJumps.laplace_minus_one",
+        "PointMassJumps.laplace_minus_one"])
+def test_cumulant_and_laplace_take_arrays(fn, bad):
+    """An array gives the scalar values elementwise, in its shape; a
+    scalar gives a float; one value outside the domain (past the end of
+    the moment generating function, overflowing, or not finite) makes
+    the whole array raise DomainError."""
+    theta = np.array([[-0.5, 0.0, 1e-9], [0.3, 2.0, 40.0]])
+    out = fn(theta)
+    assert out.shape == theta.shape
+    for t, v in zip(theta.ravel(), out.ravel()):
+        one = fn(float(t))
+        assert type(one) is float and one == v
+    assert type(fn(np.float64(0.3))) is float and type(fn(np.array(0.3))) is float
+    with pytest.raises(DomainError):
+        fn(np.array([0.5, bad, 1.0]))
+    with pytest.raises(DomainError):
+        fn(bad)
+
+
+def test_laplace_minus_one_has_no_cancellation():
+    """E e^{-theta J} - 1 at theta = 1e-12 keeps its digits, where
+    laplace(theta) - 1 keeps about four."""
+    assert ExponentialJumps(2.0).laplace_minus_one(1e-12) == pytest.approx(-0.5e-12, rel=1e-15)
+    assert PointMassJumps(0.7).laplace_minus_one(1e-12) == pytest.approx(-0.7e-12, rel=1e-15)
+    assert compound_poisson(3.0, PointMassJumps(0.7)).cumulant_k(1e-12) == pytest.approx(
+        -2.1e-12, rel=1e-15)
+
+
 @pytest.mark.parametrize("d", [
     brownian(0.0, 1.0),
     compound_poisson(2.0, NormalJumps(0.0, 1.0)),

@@ -98,7 +98,8 @@ CASES = [
 
 #: the numeric driver methods: each family's psi, sample_increments and
 #: sample_weighted_sum (gamma on its series and on its dense default),
-#: the subordinators' cumulant_k, the jump distributions' laplace, and
+#: the subordinators' cumulant_k, the jump distributions' laplace (and
+#: laplace_minus_one for the jump laws of subordinators), and
 #: the density and tails of the jump laws that have them
 DRIVERS = {"gamma": GAMMA, "brownian": BM, "drift": W.deterministic_drift(1.0),
            "cp-exponential": W.compound_poisson(3.0, W.ExponentialJumps(1.5)),
@@ -120,6 +121,8 @@ CASES += [
       for name in ("gamma", "drift", "cp-exponential")],
     *[(f"{type(j).__name__}.laplace", j.laplace, dict(theta=0.5))
       for j in (W.NormalJumps(0.1, 0.5), W.ExponentialJumps(1.5), W.PointMassJumps(0.5))],
+    *[(f"{type(j).__name__}.laplace_minus_one", j.laplace_minus_one, dict(theta=0.5))
+      for j in (W.ExponentialJumps(1.5), W.PointMassJumps(0.5))],
     *[(f"{type(j).__name__}.density", j.density, dict(x=0.5))
       for j in (W.NormalJumps(0.1, 0.5), W.ExponentialJumps(1.5))],
     *[(f"{type(j).__name__}.{tail}", getattr(j, tail), dict(y=0.5))

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from wbou import (
+    CompoundPoissonDriver,
     DimensionMismatch,
     DomainError,
     ExponentialJumps,
@@ -48,6 +50,7 @@ from helpers import (
     gamma_x_oracle,
     joint_cf_brownian_oracle,
     measure_moment_quad,
+    normal_log_tail_mp,
     phi_x_oracle,
 )
 
@@ -183,7 +186,7 @@ def test_closed_tails_where_the_rate_times_y_underflows(driver):
 
 
 def test_normal_jump_far_tail_meets_a_relative_tolerance():
-    """The quad branch resolves the far tail to its own size: eta = 2,
+    """The by-parts branch resolves the far tail to its own size: eta = 2,
     N(0.5, 1), lam = 0.8 at y = 10, against a 30-digit quadrature."""
     mpmath = pytest.importorskip("mpmath")
     y, lam = 10.0, 0.8
@@ -192,6 +195,46 @@ def test_normal_jump_far_tail_meets_a_relative_tolerance():
         want = 2 / mpmath.mpf(lam) * mpmath.quad(f, [y, y + 1, y + 4, mpmath.inf])
     got = triplet_of_x(compound_poisson(2.0, NormalJumps(0.5, 1.0)), lam).measure.tail_pos(y)
     assert abs(got / want - 1) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mean=st.floats(-3.0, 3.0), sd=_log_uniform(0.05, 2.0), y=_log_uniform(1e-8, 60.0))
+@example(mean=-1.0, sd=math.sqrt(0.1), y=1e-8)
+@example(mean=3.0, sd=0.05, y=3.0)
+@example(mean=-3.0, sd=0.05, y=4.9)
+@example(mean=2.67, sd=1.0, y=37.8)      # 4.4e-273: an absolute floor gives 2e-7
+@example(mean=0.68, sd=0.126, y=9.6e-8)  # 2.0e-6: an absolute floor gives 1.4e-12
+def test_normal_jump_tails_match_mpmath(mean, sd, y):
+    """Both tails of the marginal for N(mean, sd^2) jumps, integrated by
+    parts at the relative tolerance alone, within 1e-12 of 30-digit
+    values wherever those are above 1e-300."""
+    pytest.importorskip("mpmath")
+    eta, lam = 2.0, 0.8
+    meas = triplet_of_x(compound_poisson(eta, NormalJumps(mean, sd * sd)), lam).measure
+    for side in ("pos", "neg"):
+        want = normal_log_tail_mp(eta, mean, sd, lam, y, side, dps=30)
+        got = getattr(meas, f"tail_{side}")(y)
+        if want > 1e-300:
+            assert abs(got / want - 1) <= 1e-12, side
+        else:
+            assert 0.0 <= got <= 2e-300
+
+
+def test_narrow_normal_far_from_zero_converges_at_tiny_y(caplog):
+    """N(-1, 0.1) jumps at y <= 8.6e-8, where both tails are flat over
+    20 units of ln x and then fall within one: no warning of any kind,
+    and 50-digit values to 1e-12."""
+    pytest.importorskip("mpmath")
+    eta, mean, var, lam = 2.0, -1.0, 0.1, 0.8
+    meas = triplet_of_x(CompoundPoissonDriver(eta, NormalJumps(mean, var)), lam).measure
+    ys = np.geomspace(1e-9, 8.6e-8, 12)
+    with caplog.at_level(logging.WARNING, logger="wbou"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {(side, y): getattr(meas, f"tail_{side}")(y) for side in ("pos", "neg") for y in ys}
+    assert not caplog.records
+    for (side, y), val in got.items():
+        want = normal_log_tail_mp(eta, mean, math.sqrt(var), lam, y, side)
+        assert abs(val / want - 1) <= 1e-12, (side, y)
 
 
 def test_mapped_density_integrates_to_tail():
@@ -450,9 +493,59 @@ def test_kbar_drift_linear():
             kbar(driver, 2.0)
 
 
+def _kbar_closed(family, a, b, theta):
+    """kbar in closed form, at 30 digits: 2a Li2(-theta/b) (gamma),
+    -2 eta log1p(theta/r) (Exp(r) jumps at rate eta), -2 eta Ein(c theta)
+    (jumps of size c) and -2 gamma theta (drift)."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, b, theta = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(theta)
+        if family == "gamma":
+            return 2 * a * mpmath.polylog(2, -theta / b)
+        if family == "cp-exponential":
+            return -2 * a * mpmath.log1p(theta / b)
+        if family == "cp-point-mass":
+            z = b * theta    # Ein(z) = int_0^z (1 - e^{-t})/t dt
+            return -2 * a * z * mpmath.hyp2f2(1, 1, 2, 2, -z)
+        return -2 * a * theta
+
+
+_KBAR_DRIVERS = {
+    "gamma": gamma_subordinator,
+    "cp-exponential": lambda a, b: compound_poisson(a, ExponentialJumps(b)),
+    "cp-point-mass": lambda a, b: compound_poisson(a, PointMassJumps(b)),
+    "drift": lambda a, b: deterministic_drift(a),
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(_KBAR_DRIVERS)), a=_log_uniform(0.1, 10.0),
+       b=_log_uniform(0.1, 10.0), magnitude=_log_uniform(1e-8, 1e4),
+       fraction=st.floats(1e-6, 0.9), negative=st.booleans())
+@example(family="gamma", a=1.2, b=0.8, magnitude=1e4, fraction=0.9, negative=True)
+@example(family="cp-exponential", a=4.0, b=2.0, magnitude=1e-8, fraction=0.9, negative=False)
+@example(family="cp-point-mass", a=1.5, b=0.7, magnitude=1e-8, fraction=1e-6, negative=True)
+def test_kbar_matches_closed_forms(family, a, b, magnitude, fraction, negative):
+    """kbar within 1e-13 of its closed form, for theta up to 1e4 and for
+    negative theta down to 0.9 of the end of the moment generating
+    function's domain (-b for gamma and exponential jumps; -10/c and
+    -10 for the point mass and the drift, which have no end)."""
+    pytest.importorskip("mpmath")
+    if negative:
+        theta = -fraction * {"gamma": b, "cp-exponential": b, "cp-point-mass": 10.0 / b,
+                             "drift": 10.0}[family]
+    else:
+        theta = magnitude
+    want = _kbar_closed(family, a, b, theta)
+    assert abs(kbar(_KBAR_DRIVERS[family](a, b), theta) / want - 1) <= 1e-13
+
+
 def test_tails_and_kbar_log_their_quad_error(caplog):
-    """Normal jumps integrate their tails by quad; the gamma and
-    exponential-jump tails are closed forms, with nothing to log."""
+    """Normal jumps integrate their tails by parts and kbar integrates
+    k(v)/v, each on the adaptive rule, which logs its piece count and
+    error estimate; the gamma and exponential-jump tails are closed
+    forms, with nothing to log."""
     tails = triplet_of_x(CPNORM, 1.0).measure
     with caplog.at_level(logging.DEBUG, logger="wbou"):
         triplet_of_x(GAMMA, 1.0).measure.tail_pos(0.5)
@@ -463,15 +556,14 @@ def test_tails_and_kbar_log_their_quad_error(caplog):
         kbar(GAMMA, 0.0)           # nothing to integrate, nothing logged
     assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
     msgs = [r.getMessage() for r in caplog.records]
-    assert msgs[0].startswith("tail_pos: quad over [0.5, inf]")
-    assert msgs[1].startswith("tail_neg: quad over [-inf, -0.5]")
-    assert msgs[2].startswith("kbar: quad over [0, 1]")
-    assert all("error estimate" in m for m in msgs)
+    for msg, name in zip(msgs, ("tail_pos", "tail_neg", "kbar")):
+        assert re.fullmatch(rf"{name}: 1 integrals, \d+ pieces \(at most \d+ per integral\), "
+                            r"largest error estimate \S+", msg), msg
 
 
 class _WigglyDriver(DriverSpec):
     """Jump density 1 + sin(1e5 x) on (0, 1): too many oscillations for
-    quad's 300 subintervals."""
+    the adaptive rule's 300 pieces."""
 
     @property
     def triplet(self):
@@ -484,15 +576,17 @@ class _WigglyDriver(DriverSpec):
 
 def test_tail_quad_error_above_tolerance_logs_a_warning(caplog):
     tails = triplet_of_x(_WigglyDriver(), 1.0).measure
-    with caplog.at_level(logging.WARNING, logger="wbou"), pytest.warns(IntegrationWarning):
+    with caplog.at_level(logging.WARNING, logger="wbou"), warnings.catch_warnings():
+        warnings.simplefilter("error")
         val = tails.tail_pos(0.5)
     # the value is still returned, (2/lam)(ln 2 - 1/2) up to the O(1e-5)
-    # oscillating part and quad's error, which it estimates at about 4e-3
+    # oscillating part and the error of the unresolved pieces
     assert val == pytest.approx(2.0 * (math.log(2.0) - 0.5), abs=1e-2)
     [rec] = caplog.records
     assert rec.levelno == logging.WARNING
     msg = rec.getMessage()
-    assert msg.startswith("tail_pos: quad error estimate") and "above the 1e-12 tolerance" in msg
+    assert msg.startswith("tail_pos: 1 of 1 integrals hit the 300-piece cap")
+    assert "above the 1e-12 tolerance" in msg
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
@@ -535,6 +629,16 @@ def test_gbar_closed_form():
     for y in (0.5, 1.0, 2.0):
         want = 2.0 * 1.2 * special.exp1(0.8 * y) / y
         assert gbar_from_g(g_gamma, y) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("y", [1e-3, 0.5, 1.0, 2.0, 30.0])
+def test_gbar_matches_the_exponential_integral(y):
+    """gbar_from_g(g_gamma, y) = (2a/y) E1(b y) within 1e-13, at y = 30
+    too, where it is 1.2e-13."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = 2 * mpmath.mpf(1.2) / y * mpmath.e1(mpmath.mpf(0.8) * y)
+    assert abs(gbar_from_g(g_gamma, y) / want - 1) <= 1e-13
 
 
 def test_g_round_trip():

@@ -110,7 +110,7 @@ def test_switches_that_restate_a_value_are_gone(fn, param):
       for name in ("law_terms", "_law_is_exact", "log_moment_finite")],
     (wbou, "ExistenceViolation"), (wbou.errors, "ExistenceViolation"),
     (wbou.law, "_require_exists"), (wbou.LevyMeasure, "_quad"), (wbou.drivers, "_quad"),
-    (wbou.drivers, "_QUAD_OPTS"),
+    (wbou.drivers, "_QUAD_OPTS"), (wbou.law, "_quad"), (wbou.law, "_QUAD_OPTS"),
 ])
 def test_half_line_increments_and_audit_duplicates_are_gone(owner, name):
     """Paths keep no half-line increments: every path draws G and
@@ -120,8 +120,8 @@ def test_half_line_increments_and_audit_duplicates_are_gone(owner, name):
     drivers name no route for the engine; every family has a finite
     log-moment, so existence needs only lam > 0, and a bad lam raises
     InvalidLambda like everywhere else.  Every measure with a density
-    has closed tails, so no tail falls back to quadrature, and law is
-    the one module that calls quad."""
+    has closed tails, so no tail falls back to quadrature, and every
+    integral of law runs on its one adaptive Gauss-Legendre rule."""
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__dataclass_fields__", {})
 

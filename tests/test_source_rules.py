@@ -8,9 +8,9 @@ InvalidLambda, so the numeric-input policy has one owner too.  Outside
 ``drivers`` (the samplers and the dense default of
 ``sample_weighted_sum``), only ``paths._simulate``, once for the main
 window, and ``paths.simulate_compact_kernel`` call ``sample_increments``,
-so the half-lines have one route: the driver hook.  Only ``law`` imports
-``scipy.integrate``, for its one ``quad`` wrapper.  No module imports
-scipy at module level: each function imports the subpackage it calls,
+so the half-lines have one route: the driver hook.  No module imports
+``scipy.integrate``: every integral of ``law`` runs on its own adaptive
+Gauss-Legendre rule.  No module imports scipy at module level: each function imports the subpackage it calls,
 so ``import wbou`` loads no scipy.  No module imports ``scipy.signal``:
 the path recursions run on NumPy, so simulation loads no scipy.  Every
 option of a CLI subcommand is read by that subcommand's ``cmd_*``
@@ -225,13 +225,13 @@ def test_integrate_rule_finds_the_imports(src, names):
     assert [n for node in ast.walk(tree) for n in _integrate_names(node)] == names
 
 
-def test_only_law_module_imports_scipy_integrate():
+def test_no_module_imports_scipy_integrate():
     found = {}
     for p in SRC.glob("*.py"):
         names = {n for node in ast.walk(ast.parse(p.read_text())) for n in _integrate_names(node)}
         if names:
             found[p.name] = sorted(names)
-    assert found == {"law.py": ["integrate"]}
+    assert found == {}
 
 
 @pytest.mark.parametrize("src, module_level", [
