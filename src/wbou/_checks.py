@@ -90,7 +90,8 @@ def replay_array(a, n: int | None, name: str, mismatch=DimensionMismatch) -> np.
 
 def in_range(name: str, fn, *args, numpy: bool = False):
     """fn(*args), a closed form of finite inputs, if it stays in the float
-    range; else DomainError naming ``name(*args)``.  Python floats signal
+    range; else DomainError naming ``name(*args)``, each array argument
+    by its shape, min and max.  Python floats signal
     an overflow by OverflowError, by ZeroDivisionError (a divisor that
     underflowed to 0) or by an inf or NaN result; with numpy, NumPy's
     overflow, division by zero and invalid operations raise too instead
@@ -106,4 +107,14 @@ def in_range(name: str, fn, *args, numpy: bool = False):
     else:
         if -math.inf < out < math.inf if isinstance(out, float) else np.isfinite(out).all():
             return out
-    raise DomainError(f"{name}({', '.join(map(repr, args))}) overflows the float range")
+    raise DomainError(f"{name}({', '.join(map(_brief, args))}) overflows the float range")
+
+
+def _brief(x) -> str:
+    """repr(x), but an array as its shape, least and greatest value, so
+    that an error message stays one short line."""
+    if not isinstance(x, np.ndarray):
+        return repr(x)
+    if not x.size:
+        return f"array(shape={x.shape})"
+    return f"array(shape={x.shape}, min={float(x.min())!r}, max={float(x.max())!r})"

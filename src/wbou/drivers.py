@@ -21,6 +21,17 @@ the grid is refined, or by the dense default (route "dense").  Each call
 logs one debug record: its route, rows, the terms it drew and the series
 mass it neglects.
 
+The marginal law of X (``law``) is made of two integrals of the driver,
+I(u) = int_0^{|u|} psi(sign(u) v)/v dv and K(theta) = int_0^theta
+k(v)/v dv with k = cumulant_k.  Three families give both in closed form
+(``_psi_integral`` and ``_k_integral``): the gamma subordinator as the
+dilogarithms a Li2(iu/b) = a spence(1 - iu/b) and a Li2(-theta/b), the
+real one by its power series where |theta/b| <= 1/2; compound Poisson
+with Exp(r) jumps as -eta log(1 - iu/r) and -eta log1p(theta/r); and
+Brownian motion as i gamma u - sigma^2 u^2/4 and -gamma theta.  The
+other jump laws return None, and ``law`` integrates psi and cumulant_k.
+Only the gamma forms call scipy (``scipy.special``).
+
 Families: Brownian motion with drift, compound Poisson (normal,
 exponential, or fixed-size jumps) and the gamma subordinator.  Pure
 deterministic drift L_t = gamma t is the Brownian family at sigma^2 = 0
@@ -124,6 +135,27 @@ def _gamma_log_tail(z):
     u, w = _laguerre_rule()
     q = u / z
     return math.exp(-z) / z * float(np.log1p(q) / (1.0 + q) @ w)
+
+
+def _li2(x: float) -> float:
+    """The real dilogarithm Li2(x) = sum_{k>=1} x^k / k^2, for x < 1.
+
+    For |x| <= 1/2 the series, summed until a term is below 1e-17 of the
+    sum: there scipy's spence(1 - x) loses the digits of x in 1 - x
+    (8e-8 relative at x = -1e-10).  Elsewhere spence(1 - x).
+    """
+    if abs(x) > 0.5:
+        from scipy import special
+
+        return float(special.spence(1.0 - x))
+    power, total, k = x, x, 1
+    while True:
+        k += 1
+        power *= x
+        term = power / (k * k)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return float(total)
 
 
 def _scalar(x):
@@ -432,6 +464,11 @@ class DriverSpec:
     Instances are immutable; all methods are pure, and samplers only
     mutate the Generator passed in, so drivers are safe to share across
     threads.
+
+    A family may also give the two integrals the marginal law is made of
+    in closed form (``_psi_integral`` and ``_k_integral``); where they
+    return None, ``law`` integrates psi and cumulant_k on its adaptive
+    rule.
     """
 
     #: True only when the one-sided process is a.s. nondecreasing.
@@ -457,6 +494,18 @@ class DriverSpec:
     def moments(self) -> tuple[float, float]:
         """(mean, variance) of L(1)."""
         raise NotImplementedError
+
+    def _psi_integral(self, u):
+        """I(u) = int_0^{|u|} psi(sign(u) v) / v dv for an array of nonzero
+        u, in closed form, or None where the family has none."""
+        return None
+
+    def _k_integral(self, theta):
+        """K(theta) = int_0^theta k(v) / v dv, k = cumulant_k, for a finite
+        nonzero float theta, in closed form, or None where the family has
+        none.  Like cumulant_k it raises NotASubordinator for a driver
+        that is not one, and DomainError for theta out of its domain."""
+        return None
 
     def _moments_in_range(self):
         """A constructor's last check: parameters whose mean or variance
@@ -524,6 +573,14 @@ class BrownianDriver(DriverSpec):
             raise NotASubordinator("driver has a Gaussian component or a negative drift")
         return _scalar(-self.gamma * _checks.finite(theta, "theta"))
 
+    def _psi_integral(self, u):
+        # psi(v) / v = i gamma - sigma^2 v / 2 for v of the sign of u
+        return 1j * self.gamma * u - 0.25 * self.sigma2 * u * u
+
+    def _k_integral(self, theta):
+        # k(v) / v = -gamma is constant, so K(theta) = -gamma theta = k(theta)
+        return self.cumulant_k(theta)
+
     def moments(self):
         return (self.gamma, self.sigma2)
 
@@ -573,6 +630,25 @@ class CompoundPoissonDriver(DriverSpec):
         if not self.jumps.positive:
             raise NotASubordinator("jump distribution puts mass on (-inf, 0]")
         return self.intensity * self.jumps.laplace_minus_one(theta)
+
+    def _psi_integral(self, u):
+        """Exp(r) jumps only: psi(v) / v = i eta / (r - i v), so I(u) =
+        -eta log(1 - iu/r), whose real part -eta log1p(y^2) / 2, y = u/r,
+        is taken as -eta logaddexp(0, 2 log|y|) / 2 with log|y| =
+        log|u| - log r: neither y nor y^2 is formed, so nothing overflows
+        for finite u."""
+        if not isinstance(self.jumps, ExponentialJumps):
+            return None
+        r = self.jumps.rate
+        log_y = np.log(np.abs(u)) - math.log(r)
+        return self.intensity * (1j * np.arctan2(u, r) - 0.5 * np.logaddexp(0.0, 2.0 * log_y))
+
+    def _k_integral(self, theta):
+        # Exp(r) jumps only: k(v) / v = -eta / (r + v)
+        if not isinstance(self.jumps, ExponentialJumps):
+            return None
+        r = self.jumps.rate
+        return -self.intensity * math.log1p(_above(theta, -r) / r)
 
     def moments(self):
         return (
@@ -639,6 +715,17 @@ class GammaSubordinatorDriver(DriverSpec):
 
     def cumulant_k(self, theta):
         return _scalar(-self.shape * np.log1p(_above(theta, -self.rate) / self.rate))
+
+    def _psi_integral(self, u):
+        # psi(v) / v = -a log(1 - iv/b) / v integrates to the dilogarithm
+        # a Li2(iu/b) = a spence(1 - iu/b), within 1e-15 of it for every u
+        from scipy import special
+
+        return self.shape * special.spence(1.0 - 1j * (u / self.rate))
+
+    def _k_integral(self, theta):
+        # k(v) / v = -a log1p(v/b) / v integrates to a Li2(-theta/b)
+        return self.shape * _li2(-_above(theta, -self.rate) / self.rate)
 
     def moments(self):
         return (self.shape / self.rate, self.shape / self.rate**2)

@@ -1,5 +1,6 @@
 """Stationary-law checks: triplet mapping, CFs, cumulant transform."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -338,6 +339,93 @@ def test_cf_matches_quad_exponent(driver, lam):
     assert np.abs(char_fn_x(driver, lam, u) - want).max() <= 1e-12
 
 
+class _NoClosedForms:
+    def _psi_integral(self, u):
+        return None
+
+    def _k_integral(self, theta):
+        return None
+
+
+def _integrated(driver):
+    """driver as an instance of a subclass whose closed forms return None,
+    so that char_fn_x, char_fn_joint and kbar integrate psi and
+    cumulant_k on the adaptive rule."""
+    cls = type(f"Integrated{type(driver).__name__}", (_NoClosedForms, type(driver)), {})
+    return cls(*(getattr(driver, f.name) for f in dataclasses.fields(driver)))
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+@pytest.mark.parametrize("driver", [GAMMA, CPEXP, brownian(0.4, 1.3)],
+                         ids=["gamma", "cp-exp", "brownian"])
+def test_closed_exponents_match_the_rule(driver, lam):
+    """The closed exponents of char_fn_x and of char_fn_joint's outer
+    half-lines against the adaptive rule on the same driver.  (A pure
+    drift is left out: its CF has modulus 1 and a phase of up to 2.8e5
+    here, whose last bit alone is 6e-11.)"""
+    ruled = _integrated(driver)
+    err = np.abs(char_fn_x(driver, lam, U_GRID) - char_fn_x(ruled, lam, U_GRID))
+    assert err.max() <= 1e-12
+    for times, us in (([0.0], [0.9]), ([0.0, 0.7, 2.0], [0.5, -1.0, 0.8])):
+        assert abs(char_fn_joint(driver, lam, times, us)
+                   - char_fn_joint(ruled, lam, times, us)) <= 1e-12
+
+
+@pytest.mark.parametrize("driver", [GAMMA, CPEXP, deterministic_drift(0.7)],
+                         ids=["gamma", "cp-exp", "drift"])
+def test_closed_kbar_matches_the_rule(driver, caplog):
+    """The closed kbar against the adaptive rule on the same driver, for
+    theta down to -0.79 (the gamma driver's domain ends at -0.8)."""
+    thetas = (-0.79, -1e-6, 1e-9, 0.3, 4.0, 1e3)
+    with caplog.at_level(logging.DEBUG, logger="wbou"):
+        want = [kbar(_integrated(driver), theta) for theta in thetas]
+    assert [r.getMessage().startswith("kbar: 1 integrals") for r in caplog.records] == [True] * 6
+    for theta, w in zip(thetas, want):
+        assert abs(kbar(driver, theta) / w - 1) <= 1e-13, theta
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["gamma", "cp-exponential"]), a=_log_uniform(0.1, 10.0),
+       b=_log_uniform(0.1, 10.0), y=_log_uniform(1e-12, 1e8), negative=st.booleans())
+@example(family="gamma", a=1.2, b=0.8, y=1e-12, negative=True)
+@example(family="gamma", a=1.2, b=0.8, y=1e8, negative=False)
+@example(family="cp-exponential", a=4.0, b=2.0, y=1.0, negative=True)
+@example(family="cp-exponential", a=4.0, b=2.0, y=1e-12, negative=False)
+@example(family="cp-exponential", a=4.0, b=2.0, y=1e8, negative=True)
+@example(family="gamma", a=1.2, b=0.8, y=1e300, negative=True)
+@example(family="cp-exponential", a=4.0, b=0.1, y=1e300, negative=False)   # y^2 overflows
+def test_closed_exponents_match_mpmath(family, a, b, y, negative):
+    """I(u) = int_0^{|u|} psi(sign(u) v)/v dv in closed form, a Li2(iu/b)
+    for the gamma driver and -eta log(1 - iu/r) for Exp(r) jumps at rate
+    eta, within 1e-13 relative of 50-digit values, for |u|/b and |u|/r
+    from 1e-12 to 1e8 of both signs, and at 1e300."""
+    mpmath = pytest.importorskip("mpmath")
+    u = -y * b if negative else y * b
+    if family == "gamma":
+        driver = gamma_subordinator(a, b)
+    else:
+        driver = compound_poisson(a, ExponentialJumps(b))
+    got = complex(driver._psi_integral(np.array([u]))[0])
+    with mpmath.workdps(50):
+        z = mpmath.mpc(0, mpmath.mpf(u) / mpmath.mpf(b))
+        want = complex(a * mpmath.polylog(2, z) if family == "gamma" else -a * mpmath.log(1 - z))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kbar(CompoundPoissonDriver(1.5, PointMassJumps(0.7)), -2000.0),
+    lambda: char_fn_x(brownian(0.0, 1.0), 1.0, np.r_[np.linspace(-3.0, 3.0, 300), 1e200]),
+], ids=["kbar-point-mass", "cf-brownian"])
+def test_overflow_names_array_inputs_on_one_line(call):
+    """An overflow names each array input by its shape, min and max, not
+    by its repr."""
+    with pytest.raises(DomainError, match="overflows the float range") as info:
+        call()
+    msg = str(info.value)
+    assert "\n" not in msg and len(msg) < 200, msg
+    assert re.search(r"array\(shape=\(\d+(, \d+)*,?\), min=\S+, max=\S+\)", msg), msg
+
+
 @pytest.mark.parametrize("lam", ORACLE_LAMS)
 @pytest.mark.parametrize("scale", [1e-3, 0.05, 1.0, 20.0])
 def test_joint_cf_matches_gaussian_closed_form(lam, scale):
@@ -371,15 +459,25 @@ def test_cf_keeps_the_shape_of_u():
 
 
 def test_cf_logs_one_debug_line(caplog):
+    """Normal jumps have no closed exponent: each call logs one record of
+    the adaptive rule.  The gamma driver logs one closed record per call,
+    and a joint CF with a window the window's record after it."""
     with caplog.at_level(logging.DEBUG, logger="wbou"):
-        char_fn_x(GAMMA, 1.0, [0.5, 2.0])
+        char_fn_x(CPNORM, 1.0, [0.5, 2.0])
+        char_fn_joint(CPNORM, 1.0, [0.0, 1.0], [0.7, -0.4])
+        char_fn_x(GAMMA, 1.0, [0.5, 0.0, 2.0])
         char_fn_joint(GAMMA, 1.0, [0.0, 1.0], [0.7, -0.4])
+        char_fn_joint(GAMMA, 1.0, [0.0], [0.7])
     msgs = [r.getMessage() for r in caplog.records]
-    assert len(msgs) == 2
+    assert len(msgs) == 6
     assert msgs[0].startswith("char_fn_x: 2 integrals")
     # the two outer half-lines and the window between the times
     assert msgs[1].startswith("char_fn_joint: 3 integrals")
-    assert all("largest error estimate" in m for m in msgs)
+    assert msgs[4].startswith("char_fn_joint: 1 integrals")
+    assert all("largest error estimate" in m for m in msgs[:2] + msgs[4:5])
+    assert msgs[2:4] + msgs[5:] == ["char_fn_x: route=closed values=2",
+                                    "char_fn_joint: route=closed values=2",
+                                    "char_fn_joint: route=closed values=2"]
 
 
 def test_cf_piece_cap_logs_a_warning(caplog):
@@ -494,12 +592,12 @@ def test_kbar_drift_linear():
 
 
 def _kbar_closed(family, a, b, theta):
-    """kbar in closed form, at 30 digits: 2a Li2(-theta/b) (gamma),
+    """kbar in closed form, at 50 digits: 2a Li2(-theta/b) (gamma),
     -2 eta log1p(theta/r) (Exp(r) jumps at rate eta), -2 eta Ein(c theta)
     (jumps of size c) and -2 gamma theta (drift)."""
     import mpmath
 
-    with mpmath.workdps(30):
+    with mpmath.workdps(50):
         a, b, theta = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(theta)
         if family == "gamma":
             return 2 * a * mpmath.polylog(2, -theta / b)
@@ -519,18 +617,25 @@ _KBAR_DRIVERS = {
 }
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(family=st.sampled_from(sorted(_KBAR_DRIVERS)), a=_log_uniform(0.1, 10.0),
-       b=_log_uniform(0.1, 10.0), magnitude=_log_uniform(1e-8, 1e4),
-       fraction=st.floats(1e-6, 0.9), negative=st.booleans())
+       b=_log_uniform(0.1, 10.0), magnitude=_log_uniform(1e-12, 1e4),
+       fraction=_log_uniform(1e-12, 0.999), negative=st.booleans())
 @example(family="gamma", a=1.2, b=0.8, magnitude=1e4, fraction=0.9, negative=True)
+@example(family="gamma", a=1.2, b=0.8, magnitude=1e-12, fraction=0.999, negative=True)
+@example(family="gamma", a=1.2, b=0.8, magnitude=1e-12, fraction=1e-12, negative=True)
+@example(family="gamma", a=1.2, b=0.8, magnitude=1e-12, fraction=0.5, negative=False)
+@example(family="gamma", a=1.2, b=0.8, magnitude=0.4, fraction=0.5, negative=False)
 @example(family="cp-exponential", a=4.0, b=2.0, magnitude=1e-8, fraction=0.9, negative=False)
+@example(family="cp-exponential", a=4.0, b=2.0, magnitude=1.0, fraction=0.999, negative=True)
 @example(family="cp-point-mass", a=1.5, b=0.7, magnitude=1e-8, fraction=1e-6, negative=True)
 def test_kbar_matches_closed_forms(family, a, b, magnitude, fraction, negative):
-    """kbar within 1e-13 of its closed form, for theta up to 1e4 and for
-    negative theta down to 0.9 of the end of the moment generating
-    function's domain (-b for gamma and exponential jumps; -10/c and
-    -10 for the point mass and the drift, which have no end)."""
+    """kbar within 1e-13 relative of its closed form at 50 digits, for
+    theta from 1e-12 to 1e4 and for negative theta from 1e-12 to 0.999
+    of the end of the moment generating function's domain (-b for gamma
+    and exponential jumps; -10/c and -10 for the point mass and the
+    drift, which have no end).  The gamma driver's real Li2 takes its
+    series where |theta/b| <= 1/2 (theta = 0.4, b = 0.8 is the edge)."""
     pytest.importorskip("mpmath")
     if negative:
         theta = -fraction * {"gamma": b, "cp-exponential": b, "cp-point-mass": 10.0 / b,
@@ -542,23 +647,27 @@ def test_kbar_matches_closed_forms(family, a, b, magnitude, fraction, negative):
 
 
 def test_tails_and_kbar_log_their_quad_error(caplog):
-    """Normal jumps integrate their tails by parts and kbar integrates
-    k(v)/v, each on the adaptive rule, which logs its piece count and
-    error estimate; the gamma and exponential-jump tails are closed
-    forms, with nothing to log."""
+    """Normal jumps integrate their tails by parts and jumps of one size
+    integrate k(v)/v for kbar, each on the adaptive rule, which logs its
+    piece count and error estimate.  The gamma and exponential-jump
+    tails are closed forms, with nothing to log; their kbar and the
+    drift's log one closed record each."""
     tails = triplet_of_x(CPNORM, 1.0).measure
     with caplog.at_level(logging.DEBUG, logger="wbou"):
         triplet_of_x(GAMMA, 1.0).measure.tail_pos(0.5)
         triplet_of_x(CPEXP, 1.0).measure.tail_pos(0.5)
         tails.tail_pos(0.5)
         tails.tail_neg(0.5)
-        kbar(GAMMA, 1.0)
+        kbar(compound_poisson(1.5, PointMassJumps(0.7)), 1.0)
         kbar(GAMMA, 0.0)           # nothing to integrate, nothing logged
-    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+        for driver in (GAMMA, CPEXP, deterministic_drift(0.4)):
+            kbar(driver, 1.0)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 6
     msgs = [r.getMessage() for r in caplog.records]
     for msg, name in zip(msgs, ("tail_pos", "tail_neg", "kbar")):
         assert re.fullmatch(rf"{name}: 1 integrals, \d+ pieces \(at most \d+ per integral\), "
                             r"largest error estimate \S+", msg), msg
+    assert msgs[3:] == ["kbar: route=closed values=1"] * 3
 
 
 class _WigglyDriver(DriverSpec):
