@@ -579,7 +579,7 @@ class BrownianDriver(DriverSpec):
 
     def _k_integral(self, theta):
         # k(v) / v = -gamma is constant, so K(theta) = -gamma theta = k(theta)
-        return self.cumulant_k(theta)
+        return _checks.in_range("kbar", self.cumulant_k, theta, numpy=True)
 
     def moments(self):
         return (self.gamma, self.sigma2)
@@ -644,11 +644,19 @@ class CompoundPoissonDriver(DriverSpec):
         return self.intensity * (1j * np.arctan2(u, r) - 0.5 * np.logaddexp(0.0, 2.0 * log_y))
 
     def _k_integral(self, theta):
-        # Exp(r) jumps only: k(v) / v = -eta / (r + v)
+        """Exp(r) jumps only: k(v) / v = -eta / (r + v), so K(theta) =
+        -eta log1p(theta/r), or -eta (log theta - log r) where theta/r
+        overflows (theta + r rounds to theta there)."""
         if not isinstance(self.jumps, ExponentialJumps):
             return None
-        r = self.jumps.rate
-        return -self.intensity * math.log1p(_above(theta, -r) / r)
+        r = float(self.jumps.rate)
+
+        def k_integral(theta):
+            y = float(theta) / r
+            return -self.intensity * (math.log1p(y) if y < math.inf
+                                      else math.log(theta) - math.log(r))
+
+        return _checks.in_range("kbar", k_integral, _above(theta, -r), numpy=True)
 
     def moments(self):
         return (
@@ -725,7 +733,8 @@ class GammaSubordinatorDriver(DriverSpec):
 
     def _k_integral(self, theta):
         # k(v) / v = -a log1p(v/b) / v integrates to a Li2(-theta/b)
-        return self.shape * _li2(-_above(theta, -self.rate) / self.rate)
+        return _checks.in_range("kbar", lambda theta: self.shape * _li2(-theta / self.rate),
+                                _above(theta, -self.rate), numpy=True)
 
     def moments(self):
         return (self.shape / self.rate, self.shape / self.rate**2)

@@ -18,16 +18,12 @@ exponent against the kernel over the whole line: the half-lines beyond
 the outermost times become finite integrals (1/lam) I(c), with
 I(c) = int_0^{|c|} psi(sign(c) v)/v dv, so no window is truncated.
 
-I and the cumulant integral K(theta) = int_0^theta k(v)/v dv of kbar
-are in closed form for three families, which give them as the driver's
-``_psi_integral`` and ``_k_integral``: the gamma subordinator,
-a Li2(iu/b) and a Li2(-theta/b); compound Poisson jumps of rate eta
-with Exp(r) sizes, -eta log(1 - iu/r) and -eta log1p(theta/r); and
-Brownian motion, i gamma u - sigma^2 u^2/4 and, for a pure drift,
--gamma theta.  Each such call logs one ``wbou`` debug record,
-``<name>: route=closed values=<n>``.  Normal and point-mass jumps and
-user drivers have no closed forms: the adaptive rule integrates them,
-and the window [t_0, t_n] of char_fn_joint always.
+char_fn_x and kbar take I and the cumulant integral K(theta) =
+int_0^theta k(v)/v dv in closed form where the driver gives one (its
+``_psi_integral`` and ``_k_integral``: the gamma, exponential-jump and
+Brownian families, whose formulas the ``drivers`` module states), and
+log one ``wbou`` debug record, ``<name>: route=closed values=<n>``.
+Every other driver is integrated, and char_fn_joint always is.
 
 Every integral of the module runs on one adaptive composite
 Gauss-Legendre rule, _integrate.  Each piece gets a 64-node value and
@@ -43,8 +39,7 @@ estimate, and a ``wbou`` warning when an integral stopped at the cap
 above its tolerance (the value is still returned).  char_fn_x and
 char_fn_joint integrate psi over every u at once; kbar integrates
 k(v)/v; gbar_from_g and the Levy tails call their scalar function once
-per node.  A char_fn_joint call with closed half-lines and a window
-logs the closed record, then the rule's.
+per node.
 
 The Levy tails of X_0 are in closed form for the gamma subordinator,
 (2a/lam) F(b y) with F the Meijer G^{3,0}_{2,3}(. | 1, 1; 0, 0, 0), and
@@ -294,7 +289,7 @@ def char_fn_x(driver: DriverSpec, lam: float, u):
     The exponent is (2/lam) I(u), I(u) = int_0^{|u|} psi(sign(u) v) / v dv,
     from the substitution v = |u| e^{-lam s} on each half-line.  The
     gamma, exponential-jump and Brownian drivers give I in closed form
-    (module docstring).  For the others every non-zero u is integrated at
+    (stated in ``drivers``).  For the others every non-zero u is integrated at
     once by the adaptive rule; the integrand is bounded (psi(v)/v ->
     i * mean as v -> 0) and the Gauss-Legendre nodes never touch v = 0.
 
@@ -333,13 +328,11 @@ def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
     whole line; nothing is truncated.  Before t_0 and after t_n the
     kernel is c e^{-lam|s - t|} with c_L = sum_j u_j e^{-lam(t_j - t_0)}
     and c_R = sum_j u_j e^{-lam(t_n - t_j)}, so each outer half-line is
-    (1/lam) I(c) = (1/lam) int_0^{|c|} psi(sign(c) v)/v dv, the char_fn_x
-    integral: in closed form for the gamma, exponential-jump and Brownian
-    drivers, else integrated.  The window [t_0, t_n], split at the times
-    where the kernel has its kinks, is always integrated, together with
-    the half-lines left, by the adaptive rule described in the module
-    docstring.  Non-finite times or us, and us so large that the
-    exponent overflows, raise DomainError.
+    (1/lam) int_0^{|c|} psi(sign(c) v)/v dv, the char_fn_x integrand.
+    Those two integrals and [t_0, t_n], split at the times where the
+    kernel has its kinks, are integrated by the adaptive rule described
+    in the module docstring.  Non-finite times or us, and us so large
+    that the exponent overflows, raise DomainError.
     """
     _checks.lam(lam)
     times = _checks.finite(np.asarray(times, dtype=float), "times")
@@ -354,34 +347,27 @@ def char_fn_joint(driver: DriverSpec, lam: float, times, us) -> complex:
     # the law is stationary: starting the times at 0 keeps s - t_j free of
     # the rounding of large times
     times = times - times[0]
+    # kernel weights c_L at t_0 and c_R at t_n of the two outer half-lines
+    c = np.array([us @ np.exp(-lam * times), us @ np.exp(-lam * (times[-1] - times))])
+    c = c[c != 0]
+    sign = np.append(np.sign(c), 0.0)     # by owner; the window's is unused
+    # the first integrals are the half-lines with c != 0, as
+    # (1/lam) int_0^{|c|} psi(sign(c) v)/v dv; the last one is the window
+    # [t_0, t_n] split at the times (none for a single time)
+    n_win = len(times) - 1
+    a = np.concatenate((np.zeros(c.size), times[:-1]))
+    b = np.concatenate((np.abs(c), times[1:]))
+    owner = np.minimum(np.arange(c.size + n_win), c.size)
+
+    def integrand(s, k):
+        kern = np.zeros_like(s)
+        for t_j, u_j in zip(times, us):
+            kern += u_j * np.exp(-lam * np.abs(t_j - s))
+        half = k < c.size
+        return driver.psi(np.where(half, sign[k] * s, kern)) / np.where(half, lam * s, 1.0)
 
     def exponent(lam, times, us):
-        # kernel weights c_L at t_0 and c_R at t_n of the two outer half-lines
-        c = np.array([us @ np.exp(-lam * times), us @ np.exp(-lam * (times[-1] - times))])
-        c = c[c != 0]
-        total = 0.0
-        closed = driver._psi_integral(c)
-        if closed is not None:
-            _log_closed("char_fn_joint", c.size)
-            total, c = closed.sum() / lam, c[:0]    # the rule has only the window left
-        sign = np.append(np.sign(c), 0.0)     # by owner; the window's is unused
-        # the first integrals are the half-lines left with c != 0, as
-        # (1/lam) int_0^{|c|} psi(sign(c) v)/v dv; the last one is the
-        # window [t_0, t_n] split at the times (none for a single time)
-        n_win = len(times) - 1
-        a = np.concatenate((np.zeros(c.size), times[:-1]))
-        b = np.concatenate((np.abs(c), times[1:]))
-        owner = np.minimum(np.arange(c.size + n_win), c.size)
-
-        def integrand(s, k):
-            kern = np.zeros_like(s)
-            for t_j, u_j in zip(times, us):
-                kern += u_j * np.exp(-lam * np.abs(t_j - s))
-            half = k < c.size
-            return driver.psi(np.where(half, sign[k] * s, kern)) / np.where(half, lam * s, 1.0)
-
-        return total + _integrate(integrand, a, b, owner, c.size + (n_win > 0),
-                                  "char_fn_joint").sum()
+        return _integrate(integrand, a, b, owner, c.size + (n_win > 0), "char_fn_joint").sum()
 
     return complex(np.exp(_checks.in_range("char_fn_joint exponent", exponent, lam, times, us,
                                            numpy=True)))
@@ -396,14 +382,15 @@ def kbar(driver: DriverSpec, theta: float) -> float:
 
     Equals 2 K(theta) = 2 int_0^theta k(v)/v dv after substituting
     v = theta e^{-u} into 2 int_0^inf k(theta e^{-u}) du.  The gamma,
-    exponential-jump and drift drivers give K in closed form (module
-    docstring).  For the others (jumps of one size, user drivers) the
+    exponential-jump and drift drivers give K in closed form (stated in
+    ``drivers``).  For the others (jumps of one size, user drivers) the
     adaptive rule integrates it, one array cumulant_k call per round; the
     integrand is bounded (k(v)/v -> -mean as v -> 0) and the
     Gauss-Legendre nodes never touch v = 0.  Like cumulant_k, negative theta
     works on the interval where the driver's moment generating function
     is finite, enabling central-stencil differentiation at 0.
-    Non-finite theta raises DomainError.
+    Non-finite theta raises DomainError, and so does a closed K that
+    leaves the float range.
     """
     if _checks.finite(theta, "theta") == 0:
         return 0.0

@@ -900,11 +900,21 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-#: run in a fresh interpreter: every integral of the marginal law, then
-#: whether scipy.integrate was loaded (scipy.special may be)
+#: run in a fresh interpreter: the closed exponents and kbar of the
+#: Brownian, drift and exponential-jump drivers, then the scipy modules
+#: loaded; every integral of the marginal law, then whether
+#: scipy.integrate was loaded (scipy.special may be)
 _NO_INTEGRATE_CHILD = """
 import math, sys
 import wbou as W
+for d in (W.brownian(0.3, 1.2), W.deterministic_drift(0.4),
+          W.compound_poisson(3.0, W.ExponentialJumps(1.5))):
+    W.char_fn_x(d, 0.8, [0.5, -2.0])
+    W.char_fn_joint(d, 0.8, [0.0, 0.7], [0.5, -1.0])
+    if d.nonnegative:
+        W.kbar(d, 0.5)
+        W.kbar(d, -0.1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 subordinators = [W.gamma_subordinator(1.5, 2.0), W.compound_poisson(3.0, W.ExponentialJumps(1.5)),
                  W.compound_poisson(1.5, W.PointMassJumps(0.7)), W.deterministic_drift(0.4)]
 for d in subordinators:
@@ -931,42 +941,7 @@ def test_law_loads_no_scipy_integrate():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
-
-
-#: run in a fresh interpreter: the closed characteristic exponents and
-#: kbar; the scipy modules loaded after the Brownian, drift and
-#: exponential-jump drivers, then whether scipy.special and
-#: scipy.integrate were loaded after the gamma driver too
-_CLOSED_FORMS_CHILD = """
-import sys
-import wbou as W
-for d in (W.brownian(0.3, 1.2), W.deterministic_drift(0.4),
-          W.compound_poisson(3.0, W.ExponentialJumps(1.5))):
-    W.char_fn_x(d, 0.8, [0.5, -2.0])
-    W.char_fn_joint(d, 0.8, [0.0, 0.7], [0.5, -1.0])
-    if d.nonnegative:
-        W.kbar(d, 0.5)
-        W.kbar(d, -0.1)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-g = W.gamma_subordinator(1.5, 2.0)
-W.char_fn_x(g, 0.8, [0.5, -2.0])
-W.char_fn_joint(g, 0.8, [0.0, 0.7], [0.5, -1.0])
-for theta in (0.5, -0.1, 5.0):
-    W.kbar(g, theta)
-print("scipy.special" in sys.modules, "scipy.integrate" in sys.modules)
-"""
-
-
-def test_closed_exponents_load_no_scipy_but_special():
-    # a fresh child: pytest's filterwarnings has imported scipy.integrate here
-    src = os.path.dirname(os.path.dirname(wbou.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _CLOSED_FORMS_CHILD],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "True False"]
+    assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
 def test_simulation_law_and_estimation_subcommands_load_no_scipy(tmp_path):
