@@ -649,14 +649,13 @@ class CompoundPoissonDriver(DriverSpec):
         overflows (theta + r rounds to theta there)."""
         if not isinstance(self.jumps, ExponentialJumps):
             return None
-        r = float(self.jumps.rate)
+        eta, r = float(self.intensity), float(self.jumps.rate)
 
         def k_integral(theta):
             y = float(theta) / r
-            return -self.intensity * (math.log1p(y) if y < math.inf
-                                      else math.log(theta) - math.log(r))
+            return -eta * (math.log1p(y) if y < math.inf else math.log(theta) - math.log(r))
 
-        return _checks.in_range("kbar", k_integral, _above(theta, -r), numpy=True)
+        return _checks.in_range("kbar", k_integral, _above(theta, -r))
 
     def moments(self):
         return (
@@ -732,9 +731,11 @@ class GammaSubordinatorDriver(DriverSpec):
         return self.shape * special.spence(1.0 - 1j * (u / self.rate))
 
     def _k_integral(self, theta):
-        # k(v) / v = -a log1p(v/b) / v integrates to a Li2(-theta/b)
-        return _checks.in_range("kbar", lambda theta: self.shape * _li2(-theta / self.rate),
-                                _above(theta, -self.rate), numpy=True)
+        # k(v) / v = -a log1p(v/b) / v integrates to a Li2(-theta/b); in
+        # Python floats, which overflow to inf without NumPy's errstate
+        a, b = float(self.shape), float(self.rate)
+        return _checks.in_range("kbar", lambda theta: a * _li2(-float(theta) / b),
+                                _above(theta, -b))
 
     def moments(self):
         return (self.shape / self.rate, self.shape / self.rate**2)

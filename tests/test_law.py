@@ -381,13 +381,14 @@ def test_closed_kbar_matches_the_rule(driver, caplog):
 
 def test_closed_kbar_past_the_float_range_of_theta_over_the_rate():
     """theta/r overflows: the exponential-jump K is -eta (log theta -
-    log r) there, within 1e-13 of 50 digits; a closed K whose value
-    leaves the float range raises DomainError, as do gamma's, whose
-    Li2(-theta/b) needs theta/b."""
+    log r) there, within 1e-13 of 50 digits, and so is gamma's just
+    below; a closed K whose value leaves the float range raises
+    DomainError, as does gamma's past it, whose Li2(-theta/b) needs
+    theta/b."""
     pytest.importorskip("mpmath")
-    want = _kbar_closed("cp-exponential", 1e-10, 1e-150, 1e160)
-    got = kbar(compound_poisson(1e-10, ExponentialJumps(1e-150)), 1e160)
-    assert abs(got / want - 1) <= 1e-13
+    for family, theta in (("cp-exponential", 1e160), ("gamma", 1e150)):
+        want = _kbar_closed(family, 1e-10, 1e-150, theta)
+        assert abs(kbar(_KBAR_DRIVERS[family](1e-10, 1e-150), theta) / want - 1) <= 1e-13
     for driver, theta in ((gamma_subordinator(1e-10, 1e-150), 1e160),
                           (gamma_subordinator(1e-10, 1e-150), np.float64(1e160)),
                           (compound_poisson(1e306, ExponentialJumps(100.0)), 1e300),
